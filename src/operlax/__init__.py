@@ -26,11 +26,11 @@ from .errors import (
     DegenerateStateError,
     DimensionMismatchError,
     DivergenceError,
+    EnergyOverflowError,
 )
 from .evolution import (
     CSV_HEADER,
     IntegratorConfig,
-    StepRecord,
     SystemState,
     Trajectory,
     analytic_mu,

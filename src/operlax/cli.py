@@ -26,7 +26,7 @@ from .evolution import (
     trajectory_csv_lines,
 )
 from .multilinear import operation_from_dict, operation_to_dict
-from .oscillator import MuParams, OscState, hamiltonian, proof_identity_suite
+from .oscillator import MuParams, hamiltonian, proof_identity_suite
 
 MODES = ("simulate", "verify-operad", "verify-theorem", "verify-identities", "pde-check")
 
@@ -166,25 +166,19 @@ def _report_json(suite: str, seed: int, checks) -> tuple[dict, bool]:
 def cmd_simulate(cfg: RunConfig) -> int:
     if cfg.out is None:
         raise ConfigError("out: simulate needs an output path for the CSV")
-    state = OscState(cfg.omega, cfg.q0, cfg.p0)
-    if hamiltonian(state) <= 0.0:
-        raise ConfigError("q0/p0: degenerate energy (H = 0); nothing to evolve")
     try:
-        icfg = IntegratorConfig(
-            dt=cfg.dt,
-            t_end=cfg.t_end,
-            omega=cfg.omega,
-            q0=cfg.q0,
-            p0=cfg.p0,
-            params=MuParams(cfg.c),
-            record_every=cfg.record_every,
-        )
+        icfg = IntegratorConfig(dt=cfg.dt, t_end=cfg.t_end, omega=cfg.omega, q0=cfg.q0,
+                                p0=cfg.p0, params=MuParams(cfg.c), record_every=cfg.record_every)
+        state = icfg.initial_state()
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    if hamiltonian(state) <= 0.0:
+        raise ConfigError("q0/p0: degenerate energy (H = 0); nothing to evolve")
     traj = evolve(icfg)
-    _write_text(cfg.out, "\n".join(trajectory_csv_lines(traj)) + "\n")
+    with open(cfg.out, "w") as fh:
+        fh.writelines(line + "\n" for line in trajectory_csv_lines(traj))
     print(
-        f"simulate: records={len(traj.records)} "
+        f"simulate: records={len(traj)} "
         f"max_err_mu_max={traj.max_err_mu()!r} "
         f"max_energy_drift={traj.max_energy_drift()!r}"
     )

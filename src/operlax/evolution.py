@@ -3,22 +3,22 @@
 The state is ten numbers: (q, p) plus the eight structure constants of the
 binary operation mu.  Both obey linear ODEs, (q, p) through the canonical
 equations and mu through the bracket with the constant rotation generator M,
-so a fixed-step RK4 on the joint system is exact enough to hold the analytic
-reference to well below the acceptance tolerances.  Everything needed to
-check the construction is computed here: analytic references on the
-continuous branch, finite-difference PDE residuals, order measurements, and
-the randomized verification suites.
+so a classical RK4 step of the joint system is one fixed linear map, applied
+to a batch of runs at a time, that holds the analytic reference well below
+the acceptance tolerances.  Everything needed to check the construction is
+computed here: analytic references on the continuous branch, finite-difference
+PDE residuals, order measurements, and the randomized verification suites.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
 from .calculus import LawReport, gerstenhaber_bracket, trial_rng
-from .errors import DegenerateStateError, DimensionMismatchError, DivergenceError
+from .errors import BranchCutError, DegenerateStateError, DimensionMismatchError, DivergenceError
 from .multilinear import Operation
 from .oscillator import (
     MuParams,
@@ -35,7 +35,6 @@ from .oscillator import (
 
 __all__ = [
     "SystemState",
-    "StepRecord",
     "Trajectory",
     "IntegratorConfig",
     "matrix_lax_rhs",
@@ -55,21 +54,21 @@ __all__ = [
     "CSV_HEADER",
 ]
 
-TWO_PI = 2.0 * math.pi
-
-# Angle tolerance for an unwrapped theta offered alongside a trajectory time;
-# integrator phase error stays orders of magnitude below this.
+# Angle tolerance for the unwrapped theta a caller offers to analytic_mu.
 THETA_SHEET_TOL = 1e-6
+
+# Steps per chunk of the propagator.  A batch holds one chunk of states and its
+# temporaries at a time, about 1.5 MB at 20 trials; longer chunks buy no speed.
+CHUNK_STEPS = 256
 
 
 @dataclass(frozen=True)
 class SystemState:
-    """Integrator state: time, phase point, current mu, and unwrapped angle."""
+    """Integrator state: time, phase point and current mu."""
 
     t: float
     osc: OscState
     mu: Operation
-    theta: float
 
     def __post_init__(self):
         if (self.mu.dim, self.mu.arity) != (2, 2):
@@ -77,28 +76,38 @@ class SystemState:
 
 
 @dataclass(frozen=True)
-class StepRecord:
-    t: float
-    q: float
-    p: float
-    energy: float
-    mu_numeric: tuple
-    mu_analytic: tuple
-    err_mu_max: float
-    g_values: tuple
-    energy_drift: float
-
-
-@dataclass(frozen=True)
 class Trajectory:
-    records: list
+    """The records of one run as read-only columns; row n of each is record n.
+
+    t, q, p, H (energy), err (worst |mu - mu_ana|) and drift (relative energy
+    drift) have shape (n,).  mu (integrated) and mu_ana (analytic reference on
+    the continuous branch) have shape (n, 8) in flat coefficient order, and g
+    holds the four on-shell G values at the numeric state, shape (n, 4).
+    """
+
     config: "IntegratorConfig"
+    t: np.ndarray
+    q: np.ndarray
+    p: np.ndarray
+    H: np.ndarray
+    mu: np.ndarray
+    mu_ana: np.ndarray
+    err: np.ndarray
+    g: np.ndarray
+    drift: np.ndarray
+
+    def __post_init__(self):
+        for f in fields(self)[1:]:
+            getattr(self, f.name).flags.writeable = False
+
+    def __len__(self) -> int:
+        return len(self.t)
 
     def max_err_mu(self) -> float:
-        return max(r.err_mu_max for r in self.records)
+        return float(np.max(self.err))
 
     def max_energy_drift(self) -> float:
-        return max(r.energy_drift for r in self.records)
+        return float(np.max(self.drift))
 
 
 @dataclass(frozen=True)
@@ -151,7 +160,7 @@ def structure_constant_rhs(mu: Operation, M: Operation) -> Operation:
 
         dmu^i_jk = mu^s_jk M^i_s - M^s_j mu^i_sk - M^s_k mu^i_js.
 
-    Cheap to evaluate per step; agrees with operadic_lax_rhs coefficient-wise.
+    Cheap to evaluate; agrees with operadic_lax_rhs coefficient-wise.
     """
     if M.arity != 1 or mu.arity != 2:
         raise DimensionMismatchError("expected arities (mu, M) = (2, 1)")
@@ -169,54 +178,106 @@ def structure_constant_rhs(mu: Operation, M: Operation) -> Operation:
 def structure_rhs_matrix(M: Operation) -> np.ndarray:
     """Matrix of the linear map mu -> structure_constant_rhs(mu, M) on flat coefficients.
 
-    Column k is the flow applied to the k-th coefficient basis tensor, so a
-    matrix-vector product reproduces the index formula for any mu.
+    In the (i, j, k) coefficient order it is M x I x I - I x M^T x I - I x I x M^T
+    (Kronecker products), one term per sum of the index formula.
     """
-    n = M.dim ** 3
-    cols = np.empty((n, n))
-    for k in range(n):
-        basis = np.zeros(n)
-        basis[k] = 1.0
-        cols[:, k] = structure_constant_rhs(Operation(M.dim, 2, basis), M).coeffs
-    return cols
+    if M.arity != 1:
+        raise DimensionMismatchError("expected an arity-1 operation")
+    m, eye = M.tensor, np.eye(M.dim)
+    return (np.kron(np.kron(m, eye), eye) - np.kron(np.kron(eye, m.T), eye)
+            - np.kron(eye, np.kron(eye, m.T)))
 
 
-def _coupled_matrix(omega: float, M: Operation) -> np.ndarray:
-    b = np.zeros((10, 10))
-    b[0, 1] = 1.0
-    b[1, 0] = -omega * omega
-    b[2:, 2:] = structure_rhs_matrix(M)
-    return b
+def _increment_matrix(omega: float, M: Operation, dt: float) -> np.ndarray:
+    """D = z + z^2/2 + z^3/6 + z^4/24 with z = dt*B, B the generator of (q, p, mu).
+
+    B does not depend on the state, so one classical RK4 step is exactly
+    y -> y + D y.  The step adds the increment D y rather than applying
+    I + D: stored in I + D, the O(dt) terms would sit beside the 1 on the
+    diagonal and lose their low bits, which the order check then measures.
+    """
+    z = np.zeros((10, 10))
+    z[0, 1], z[1, 0] = dt, -dt * omega * omega
+    z[2:, 2:] = dt * structure_rhs_matrix(M)
+    z2 = z @ z
+    return z + z2 / 2.0 + z2 @ z / 6.0 + z2 @ z2 / 24.0
 
 
-def _rk4_vec(y: np.ndarray, b: np.ndarray, dt: float) -> np.ndarray:
-    k1 = b @ y
-    k2 = b @ (y + 0.5 * dt * k1)
-    k3 = b @ (y + 0.5 * dt * k2)
-    k4 = b @ (y + dt * k3)
-    return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+def _rk4_chunks(y0: np.ndarray, d: np.ndarray, n_steps: int):
+    """Classical RK4 on a batch of runs, y -> y + D y, CHUNK_STEPS steps at a time.
+
+    y0 has shape (trials, 10) and d shape (trials, 10, 10), one increment
+    matrix per trial.  Yields (first, ys) where ys[j, k] is the state of
+    trial k at step first + j, from step 0 (y0 itself) through n_steps.
+    Every ys is a view of one buffer, which the next chunk overwrites.
+    Raises DivergenceError naming the first step with a non-finite value.
+    """
+    d_t = np.swapaxes(d, 1, 2)
+    y = np.array(y0, dtype=float)[:, None, :]  # one row vector per trial
+    buf = np.empty((min(CHUNK_STEPS, n_steps + 1),) + y.shape)
+    for first in range(0, n_steps + 1, CHUNK_STEPS):
+        ys = buf[:n_steps + 1 - first]
+        for j in range(len(ys)):
+            if first + j:
+                y = y + y @ d_t
+            ys[j] = y
+        finite = np.isfinite(ys).all(axis=(1, 2, 3))
+        if not finite.all():
+            raise DivergenceError(f"non-finite state at step {first + int(np.argmin(finite))}")
+        yield first, ys[:, :, 0]
 
 
-def _wrap_pi(x: float) -> float:
-    return x - TWO_PI * round(x / TWO_PI)
+class _Batch:
+    """Runs that share dt and step count, each started on the principal-branch
+    family at its initial state, with their constants as arrays over trials."""
+
+    def __init__(self, configs: list):
+        dt = configs[0].dt
+        states = [c.initial_state() for c in configs]
+        self.h0 = np.array([hamiltonian(s) for s in states])
+        if np.any(self.h0 <= 0.0):
+            raise DegenerateStateError("initial state has zero energy")
+        self.n_steps = max(1, round(configs[0].t_end / dt))
+        self.w = np.array([s.omega for s in states])
+        self.theta0 = np.array([principal_theta(s) for s in states])
+        self.cs = np.array([c.params.c for c in configs]).T  # (8, trials)
+        self.y0 = np.array([[s.q, s.p, *mu_family(s, c.params).coeffs]
+                            for s, c in zip(states, configs)])
+        self.d = np.stack([_increment_matrix(s.omega, lax_matrices(s)[1], dt) for s in states])
+
+    def analytic_qp(self, t: np.ndarray) -> tuple:
+        """Closed-form (q, p) at times t, an array that broadcasts against (trials,)."""
+        w, q0, p0 = self.w, self.y0[:, 0], self.y0[:, 1]
+        wt = w * t
+        return q0 * np.cos(wt) + p0 / w * np.sin(wt), p0 * np.cos(wt) - w * q0 * np.sin(wt)
+
+    def analytic_mu(self, t: np.ndarray) -> np.ndarray:
+        """Reference mu on the continuous branch at times t, with a trailing axis of 8."""
+        qa, pa = self.analytic_qp(t)
+        h = 0.5 * (pa * pa + self.w * self.w * qa * qa)
+        return _family_coeffs(*_aux_values(self.theta0 + self.w * t, h), self.cs)
+
+    def compare(self, t: np.ndarray, ys: np.ndarray) -> tuple:
+        """Energy, analytic mu, worst mu error and relative energy drift of the
+        states ys[j, k] of run k at times t[j] (t of shape (m, 1))."""
+        q, p = ys[..., 0], ys[..., 1]
+        energy = 0.5 * (p * p + self.w * self.w * q * q)
+        mu_ana = self.analytic_mu(t)
+        dev = ys[..., 2:] - mu_ana
+        err = np.max(np.abs(dev, out=dev), axis=-1)
+        return energy, mu_ana, err, np.abs(energy - self.h0) / self.h0
 
 
 def rk4_step(state: SystemState, M: Operation, dt: float) -> SystemState:
-    """One classical RK4 step of the joint ten-component system.
-
-    Advances theta by the wrapped increment of atan2(omega*q, p), which stays
-    below pi per step whenever dt resolves the rotation.
-    """
+    """One classical RK4 step of the joint ten-component system."""
     if dt <= 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
     w = state.osc.omega
-    y = np.concatenate(([state.osc.q, state.osc.p], state.mu.coeffs))
-    y1 = _rk4_vec(y, _coupled_matrix(w, M), dt)
-    if not np.all(np.isfinite(y1)):
-        raise DivergenceError(f"non-finite state at t = {state.t + dt}")
-    osc1 = OscState(w, float(y1[0]), float(y1[1]))
-    theta1 = state.theta + _wrap_pi(principal_theta(osc1) - principal_theta(state.osc))
-    return SystemState(state.t + dt, osc1, Operation(2, 2, y1[2:]), theta1)
+    y0 = np.concatenate(([state.osc.q, state.osc.p], state.mu.coeffs))
+    _, ys = next(_rk4_chunks(y0[None], _increment_matrix(w, M, dt)[None], 1))
+    y1 = ys[1, 0]
+    return SystemState(state.t + dt, OscState(w, float(y1[0]), float(y1[1])),
+                       Operation(2, 2, y1[2:]))
 
 
 def analytic_state(config: IntegratorConfig, t: float) -> OscState:
@@ -255,71 +316,19 @@ def evolve(config: IntegratorConfig) -> Trajectory:
     state, and the relative energy drift.  Arbitrary initial mu is not taken
     here; step a SystemState with rk4_step directly for that.
     """
-    s0 = config.initial_state()
-    h0 = hamiltonian(s0)
-    if h0 <= 0.0:
-        raise DegenerateStateError("initial state has zero energy")
+    batch = _Batch([config])
+    keep = np.arange(batch.n_steps + 1) % config.record_every == 0
+    keep[-1] = True
+    ys = np.concatenate([block[keep[first:first + len(block)]]
+                         for first, block in _rk4_chunks(batch.y0, batch.d, batch.n_steps)])
+    t = np.flatnonzero(keep) * config.dt
+    energy, mu_ana, err, drift = (a[:, 0] for a in batch.compare(t[:, None], ys))
+
     w = config.omega
-    theta0 = principal_theta(s0)
-    mu0 = mu_family(s0, config.params)
-    _, M = lax_matrices(s0)
-    b = _coupled_matrix(w, M)
-
-    n_steps = max(1, round(config.t_end / config.dt))
-    y = np.concatenate(([s0.q, s0.p], mu0.coeffs))
-    theta = theta0
-    prev_angle = theta0
-    kept_idx = [0]
-    kept_y = [y.copy()]
-    kept_theta = [theta0]
-    for i in range(1, n_steps + 1):
-        y = _rk4_vec(y, b, config.dt)
-        if not np.all(np.isfinite(y)):
-            raise DivergenceError(f"non-finite state at step {i}")
-        angle = math.atan2(w * y[0], y[1])
-        theta += _wrap_pi(angle - prev_angle)
-        prev_angle = angle
-        if i % config.record_every == 0 or i == n_steps:
-            kept_idx.append(i)
-            kept_y.append(y.copy())
-            kept_theta.append(theta)
-
-    # Reference values for all records in one vectorized pass; the formulas
-    # are the same ufunc helpers that back analytic_mu and g_functions.
-    t_rec = np.asarray(kept_idx, dtype=float) * config.dt
-    ys = np.vstack(kept_y)
-    q, p = ys[:, 0], ys[:, 1]
-    energy = 0.5 * (p * p + w * w * q * q)
-
-    theta_exact = theta0 + w * t_rec
-    if np.max(np.abs(np.asarray(kept_theta) - theta_exact)) > THETA_SHEET_TOL:
-        raise ValueError("unwrapped integration angle left the analytic sheet")
-    wt = w * t_rec
-    qa = config.q0 * np.cos(wt) + config.p0 / w * np.sin(wt)
-    pa = config.p0 * np.cos(wt) - w * config.q0 * np.sin(wt)
-    h_ana = 0.5 * (pa * pa + w * w * qa * qa)
-    mu_ana = _family_coeffs(*_aux_values(theta_exact, h_ana), config.params.c)
-    err = np.max(np.abs(ys[:, 2:] - mu_ana), axis=1)
-
+    q, p, mu = ys[:, 0, 0], ys[:, 0, 1], ys[:, 0, 2:]
     aux_num = _aux_values(np.arctan2(w * q, p), energy)
-    g_rec = _g_values(w, p, -w * w * q, *aux_num)
-    drift = np.abs(energy - h0) / max(h0, 1e-300)
-
-    records = [
-        StepRecord(
-            t=float(t_rec[n]),
-            q=float(q[n]),
-            p=float(p[n]),
-            energy=float(energy[n]),
-            mu_numeric=tuple(float(v) for v in ys[n, 2:]),
-            mu_analytic=tuple(float(v) for v in mu_ana[n]),
-            err_mu_max=float(err[n]),
-            g_values=tuple(float(gv[n]) for gv in g_rec),
-            energy_drift=float(drift[n]),
-        )
-        for n in range(len(kept_idx))
-    ]
-    return Trajectory(records, config)
+    g = np.stack(_g_values(w, p, -w * w * q, *aux_num), axis=1)
+    return Trajectory(config, t, q, p, energy, mu, mu_ana, err, g, drift)
 
 
 def _stencil_guard(s: OscState, h: float):
@@ -330,8 +339,6 @@ def _stencil_guard(s: OscState, h: float):
     for q, p in ((s.q + h, s.p), (s.q - h, s.p), (s.q, s.p + h), (s.q, s.p - h)):
         theta = math.atan2(s.omega * q, p)
         if math.pi - abs(theta) <= margin:
-            from .errors import BranchCutError
-
             raise BranchCutError(
                 f"stencil point at angle {theta:.6f} is within {margin:.2e} of the cut"
             )
@@ -369,18 +376,11 @@ def rk4_order_check(config: IntegratorConfig) -> float:
     """
 
     def max_err(dt: float) -> float:
-        cfg = IntegratorConfig(dt, config.t_end, config.omega, config.q0, config.p0,
-                               config.params, record_every=1)
-        _, M = lax_matrices(cfg.initial_state())
-        b = _coupled_matrix(cfg.omega, M)
-        mu0 = mu_family(cfg.initial_state(), cfg.params)
-        y = np.concatenate(([cfg.q0, cfg.p0], mu0.coeffs))
-        n = max(1, round(cfg.t_end / dt))
+        batch = _Batch([replace(config, dt=dt)])
         worst = 0.0
-        for i in range(1, n + 1):
-            y = _rk4_vec(y, b, dt)
-            ref = analytic_state(cfg, i * dt)
-            worst = max(worst, abs(y[0] - ref.q), abs(y[1] - ref.p))
+        for first, ys in _rk4_chunks(batch.y0, batch.d, batch.n_steps):
+            ref = np.stack(batch.analytic_qp(np.arange(first, first + len(ys))[:, None] * dt), -1)
+            worst = max(worst, float(np.max(np.abs(ys[..., :2] - ref))))
         return worst
 
     return max_err(config.dt) / max_err(config.dt / 2.0)
@@ -401,12 +401,13 @@ def trajectory_csv_lines(traj: Trajectory):
     17 significant digits), so re-parsing reproduces the doubles bit for bit.
     """
     yield CSV_HEADER
-    for r in traj.records:
-        vals = (r.t, r.q, r.p, r.energy) + r.mu_numeric + r.mu_analytic + (
-            r.err_mu_max,
-            r.energy_drift,
-        )
-        yield ",".join(repr(float(v)) for v in vals)
+    for lo in range(0, len(traj), CHUNK_STEPS):
+        rows = slice(lo, lo + CHUNK_STEPS)
+        table = np.column_stack((traj.t[rows], traj.q[rows], traj.p[rows], traj.H[rows],
+                                 traj.mu[rows], traj.mu_ana[rows], traj.err[rows],
+                                 traj.drift[rows]))
+        for row in table.tolist():
+            yield ",".join(map(repr, row))
 
 
 def _random_config(rng: np.random.Generator, dt: float, t_end: float) -> IntegratorConfig:
@@ -437,47 +438,38 @@ def theorem_suite(
     (det_tol), and half-period antiperiodicity of the analytic branch
     (antiperiod_tol).
     """
+    configs = [_random_config(trial_rng(seed, k), dt, t_end) for k in range(trials)]
+    if not configs:
+        return []
+    batch = _Batch(configs)
+    w, h0 = batch.w, batch.h0
+    err, drift, det_worst, trace_worst = (np.zeros(trials) for _ in range(4))
+    for first, ys in _rk4_chunks(batch.y0, batch.d, batch.n_steps):
+        _, _, e, dr = batch.compare(np.arange(first, first + len(ys))[:, None] * dt, ys)
+        err = np.maximum(err, e.max(axis=0))
+        drift = np.maximum(drift, dr.max(axis=0))
+        # L = [[p, wq], [wq, -p]]: det = -(p^2 + (wq)^2), trace = p + (-p)
+        q, p = ys[..., 0], ys[..., 1]
+        det = p * (-p) - (w * q) * (w * q)
+        det_worst = np.maximum(det_worst, np.abs(det + 2.0 * h0).max(axis=0))
+        trace_worst = np.maximum(trace_worst, np.abs(p + (-p)).max(axis=0))
+
+    # the analytic branch flips sign after one (q, p) period; the closed form
+    # extends past t_end, so base times can range over the whole run
+    t = np.linspace(0.0, t_end, 8)[:, None]
+    anti = batch.analytic_mu(t) + batch.analytic_mu(t + 2.0 * math.pi / w)
+    anti_worst = np.abs(anti).max(axis=(0, 2))
+
+    n = batch.n_steps + 1
     reports = []
     for k in range(trials):
-        rng = trial_rng(seed, k)
-        cfg = _random_config(rng, dt, t_end)
-        traj = evolve(cfg)
-        h0 = hamiltonian(cfg.initial_state())
-
-        # L = [[p, wq], [wq, -p]]: det = -(p^2 + (wq)^2), trace = p + (-p)
-        q = np.array([r.q for r in traj.records])
-        p = np.array([r.p for r in traj.records])
-        det = p * (-p) - (cfg.omega * q) * (cfg.omega * q)
-        det_worst = float(np.max(np.abs(det + 2.0 * h0)))
-        trace_worst = float(np.max(np.abs(p + (-p))))
-
-        # analytic branch flips sign after one (q, p) period; the closed form
-        # extends past t_end, so base times can range over the whole run
-        theta0 = principal_theta(cfg.initial_state())
-        half = TWO_PI / cfg.omega
-        anti_worst = 0.0
-        for t in np.linspace(0.0, t_end, 8):
-            a = analytic_mu(cfg, float(t), theta0 + cfg.omega * float(t)).coeffs
-            b = analytic_mu(cfg, float(t) + half, theta0 + cfg.omega * (float(t) + half)).coeffs
-            anti_worst = max(anti_worst, float(np.max(np.abs(a + b))))
-
-        tag = f"{k:02d}"
-        err = traj.max_err_mu()
-        drift = traj.max_energy_drift()
-        reports.extend(
-            [
-                LawReport(f"antiperiodicity-{tag}", 8, anti_worst, anti_worst <= antiperiod_tol, k),
-                LawReport(f"energy-drift-{tag}", len(traj.records), drift, drift <= drift_tol, k),
-                LawReport(
-                    f"isospectral-{tag}",
-                    len(traj.records),
-                    max(det_worst, trace_worst),
-                    det_worst <= det_tol and trace_worst == 0.0,
-                    k,
-                ),
-                LawReport(f"trajectory-mu-{tag}", len(traj.records), err, err <= tol, k),
-            ]
-        )
+        e, dr, det, trace, anti = (float(x[k]) for x in (err, drift, det_worst, trace_worst,
+                                                          anti_worst))
+        checks = (("antiperiodicity", 8, anti, anti <= antiperiod_tol),
+                  ("energy-drift", n, dr, dr <= drift_tol),
+                  ("isospectral", n, max(det, trace), det <= det_tol and trace == 0.0),
+                  ("trajectory-mu", n, e, e <= tol))
+        reports += [LawReport(f"{law}-{k:02d}", m, r, ok, k) for law, m, r, ok in checks]
     return reports
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .calculus import LawReport, trial_rng
-from .errors import DegenerateStateError, DimensionMismatchError
+from .errors import DegenerateStateError, DimensionMismatchError, EnergyOverflowError
 from .multilinear import Operation, make_operation
 
 __all__ = [
@@ -57,6 +57,8 @@ class OscState:
             raise ValueError(f"omega must be positive and finite, got {self.omega}")
         if not (math.isfinite(self.q) and math.isfinite(self.p)):
             raise ValueError("q and p must be finite")
+        if not math.isfinite(hamiltonian(self)):
+            raise EnergyOverflowError(f"energy of (q, p) = ({self.q!r}, {self.p!r}) overflows")
 
 
 @dataclass(frozen=True)
@@ -152,10 +154,15 @@ def _aux_from_theta(s: OscState, theta: float) -> AuxFunctions:
 
 
 def principal_theta(s: OscState) -> float:
-    """Phase angle atan2(omega*q, p) in (-pi, pi]; zero at the origin."""
+    """Phase angle atan2(omega*q, p) in (-pi, pi]; zero at the origin.
+
+    No answer depends on the sign of a zero: an angle of -0.0 (q = -0.0, or a
+    tiny negative q beside a large p) is reported as 0.0, and -pi as pi.
+    """
     if s.q == 0.0 and s.p == 0.0:
         return 0.0
-    return math.atan2(s.omega * s.q, s.p)
+    theta = math.atan2(s.omega * s.q, s.p) + 0.0
+    return math.pi if theta == -math.pi else theta
 
 
 def aux_functions_principal(s: OscState) -> AuxFunctions:

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -204,3 +208,39 @@ def test_bracket_dim_mismatch(tmp_path, capsys):
     gp.write_text(json.dumps({"dim": 3, "arity": 1, "coeffs": [0.0] * 9}))
     code, _, _ = run(["bracket", str(fp), str(gp)], capsys)
     assert code == 2
+
+
+def run_subprocess(argv, tmp_path):
+    """Run the CLI in a fresh interpreter, so an escaping exception shows as a traceback."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run([sys.executable, "-m", "operlax.cli", *argv], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    return proc.returncode, proc.stderr
+
+
+def test_simulate_coarse_step_exits_0(tmp_path):
+    # the coarsest dt IntegratorConfig accepts at omega = 1; its phase error
+    # over t_end = 20 is far above 1e-6
+    code, stderr = run_subprocess(["simulate", "--omega", "1", "--q0", "0", "--p0", "1",
+                                   "--c", "0,0,0,0,1,0,0,0", "--dt", "0.1", "--t-end", "20",
+                                   "--out", "coarse.csv"], tmp_path)
+    assert code == 0, stderr
+    assert "Traceback" not in stderr
+    assert len((tmp_path / "coarse.csv").read_text().splitlines()) == 202
+
+
+def test_verify_theorem_coarse_step_no_traceback(tmp_path):
+    code, stderr = run_subprocess(["verify", "theorem", "--trials", "2", "--dt", "0.05",
+                                   "--out", "theorem.json"], tmp_path)
+    assert code in (0, 1), stderr
+    assert "Traceback" not in stderr
+    assert len(json.loads((tmp_path / "theorem.json").read_text())["checks"]) == 8
+
+
+def test_simulate_energy_overflow_is_usage_error(tmp_path, capsys):
+    code, _, stderr = run(["simulate", "--omega", "1", "--q0", "0", "--p0", "1e160",
+                           "--out", str(tmp_path / "x.csv")], capsys)
+    assert code == 2
+    assert "overflows" in stderr

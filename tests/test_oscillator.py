@@ -3,10 +3,13 @@ import math
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from operlax import (
     AuxFunctions,
     DegenerateStateError,
+    EnergyOverflowError,
     MuParams,
     OscState,
     aux_functions_continuous,
@@ -22,7 +25,7 @@ from operlax import (
     random_state,
     trial_rng,
 )
-from operlax.oscillator import gamma_structural_zeros
+from operlax.oscillator import gamma_structural_zeros, principal_theta
 
 
 def test_hamiltonian_values():
@@ -42,6 +45,43 @@ def test_state_validation():
         OscState(0.0, 1.0, 1.0)
     with pytest.raises(ValueError):
         OscState(1.0, math.nan, 0.0)
+
+
+def test_state_rejects_energy_overflow():
+    # finite q and p whose energy overflows a double, which would give H = inf
+    with pytest.raises(EnergyOverflowError):
+        OscState(1.0, 0.0, 1e160)
+    with pytest.raises(EnergyOverflowError):
+        OscState(2.0, 1e155, 0.0)
+    assert math.isfinite(hamiltonian(OscState(1.0, 0.0, 1e150)))
+
+
+def test_principal_theta_signed_zero():
+    # q = -0.0 on the negative momentum axis lies on the cut at +pi, with the
+    # same A- as q = +0.0
+    assert principal_theta(OscState(1.0, -0.0, -1.0)) == math.pi
+    assert principal_theta(OscState(1.0, -5e-324, -1.0)) == math.pi
+    assert math.copysign(1.0, principal_theta(OscState(1.0, -0.0, 1.0))) == 1.0
+    neg = aux_functions_principal(OscState(1.0, -0.0, -1.0))
+    pos = aux_functions_principal(OscState(1.0, 0.0, -1.0))
+    assert neg == pos
+    npt.assert_allclose(neg.a_minus, math.sqrt(2.0), rtol=1e-15)
+
+
+@settings(derandomize=True, database=None)
+@given(
+    st.sampled_from([0.5, 1.0, 2.0]),
+    st.floats(min_value=-1e150, max_value=1e150),
+    st.floats(min_value=-1e150, max_value=1e150),
+)
+@example(1.0, -0.0, -1.0)
+@example(1.0, -0.0, -0.0)
+@example(0.5, -5e-324, -1.0)
+@example(0.5, -2.2250738585e-313, 45035996274.0)
+def test_principal_theta_range(omega, q, p):
+    theta = principal_theta(OscState(omega, q, p))
+    assert -math.pi < theta <= math.pi
+    assert math.copysign(1.0, theta) == 1.0 or theta < 0.0  # never -0.0
 
 
 def test_lax_matrices():

@@ -189,6 +189,21 @@ def random_operation(rng: np.random.Generator, dim: int, arity: int) -> Operatio
     return Operation(dim, arity, rng.uniform(-1.0, 1.0, size=dim ** (arity + 1)))
 
 
+def _worst_case_reports(names, residuals, tol: float) -> list[LawReport]:
+    """One report per name from per-trial residual rows, in trial order.
+
+    Row k holds trial k's residual for each name.  A report keeps the worst
+    residual and the trial that produced it; on a tie the last trial wins.
+    No rows give residual 0.0 and seed -1.
+    """
+    worst = [(0.0, -1)] * len(names)
+    trials = 0
+    for k, row in enumerate(residuals):
+        worst = [(r, k) if r >= w[0] else w for r, w in zip(row, worst)]
+        trials = k + 1
+    return [LawReport(name, trials, r, r <= tol, k) for name, (r, k) in zip(names, worst)]
+
+
 def operad_law_suite(
     trials: int, seed: int, tol: float, max_dim: int = 3, max_arity: int = 3
 ) -> list[LawReport]:
@@ -200,30 +215,18 @@ def operad_law_suite(
     aggregates the worst residual over all trials and records the trial index
     that produced it.
     """
-    names = ["antisymmetry", "composition-relations", "graded-jacobi", "unit-laws"]
-    worst = {n: (0.0, -1) for n in names}
 
-    def note(name, value, k):
-        if value >= worst[name][0]:
-            worst[name] = (value, k)
-
-    for k in range(trials):
+    def residuals(k):
         rng = trial_rng(seed, k)
         d = int(rng.integers(1, max_dim + 1))
         ops = [random_operation(rng, d, int(rng.integers(1, max_arity + 1))) for _ in range(3)]
         h, f, g = ops
-
-        note("composition-relations", check_composition_relations(h, f, g, tol).max_abs_residual, k)
-        note("graded-jacobi", check_graded_jacobi(f, g, h, tol).max_abs_residual, k)
-        for op in ops:
-            note("unit-laws", check_unit_laws(op, tol).max_abs_residual, k)
-
-        lhs = gerstenhaber_bracket(f, g).coeffs
-        rhs = gerstenhaber_bracket(g, f).coeffs
         s = _sign(f.reduced_degree * g.reduced_degree)
-        note("antisymmetry", float(np.max(np.abs(lhs + s * rhs))), k)
+        anti = gerstenhaber_bracket(f, g).coeffs + s * gerstenhaber_bracket(g, f).coeffs
+        return (float(np.max(np.abs(anti))),
+                check_composition_relations(h, f, g, tol).max_abs_residual,
+                check_graded_jacobi(f, g, h, tol).max_abs_residual,
+                max(check_unit_laws(op, tol).max_abs_residual for op in ops))
 
-    return [
-        LawReport(name, trials, worst[name][0], worst[name][0] <= tol, worst[name][1])
-        for name in names
-    ]
+    names = ["antisymmetry", "composition-relations", "graded-jacobi", "unit-laws"]
+    return _worst_case_reports(names, map(residuals, range(trials)), tol)

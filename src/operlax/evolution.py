@@ -14,10 +14,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields, replace
+from functools import cached_property
 
 import numpy as np
 
-from .calculus import LawReport, gerstenhaber_bracket, trial_rng
+from .calculus import LawReport, _worst_case_reports, gerstenhaber_bracket, trial_rng
 from .errors import BranchCutError, DegenerateStateError, DimensionMismatchError, DivergenceError
 from .multilinear import Operation
 from .oscillator import (
@@ -26,7 +27,8 @@ from .oscillator import (
     _aux_values,
     _family_coeffs,
     _g_values,
-    aux_functions_continuous,
+    _polar_state,
+    _principal_angle,
     hamiltonian,
     lax_matrices,
     mu_family,
@@ -53,9 +55,6 @@ __all__ = [
     "trajectory_csv_lines",
     "CSV_HEADER",
 ]
-
-# Angle tolerance for the unwrapped theta a caller offers to analytic_mu.
-THETA_SHEET_TOL = 1e-6
 
 # Steps per chunk of the propagator.  A batch holds one chunk of states and its
 # temporaries at a time, about 1.5 MB at 20 trials; longer chunks buy no speed.
@@ -127,8 +126,8 @@ class IntegratorConfig:
             raise ValueError(f"omega must be positive, got {self.omega}")
         if not (0.0 < self.dt <= 0.1 / self.omega):
             raise ValueError(f"dt must be in (0, 0.1/omega], got {self.dt}")
-        if not (self.t_end > 0.0 and math.isfinite(self.t_end)):
-            raise ValueError(f"t_end must be positive, got {self.t_end}")
+        if not (self.t_end > 0.0 and math.isfinite(self.t_end / self.dt)):
+            raise ValueError(f"t_end must be positive with finitely many steps, got {self.t_end}")
         if self.record_every < 1:
             raise ValueError(f"record_every must be >= 1, got {self.record_every}")
 
@@ -232,18 +231,22 @@ class _Batch:
     family at its initial state, with their constants as arrays over trials."""
 
     def __init__(self, configs: list):
-        dt = configs[0].dt
-        states = [c.initial_state() for c in configs]
-        self.h0 = np.array([hamiltonian(s) for s in states])
+        self.dt = configs[0].dt
+        self.states = [c.initial_state() for c in configs]
+        self.h0 = np.array([hamiltonian(s) for s in self.states])
         if np.any(self.h0 <= 0.0):
             raise DegenerateStateError("initial state has zero energy")
-        self.n_steps = max(1, round(configs[0].t_end / dt))
-        self.w = np.array([s.omega for s in states])
-        self.theta0 = np.array([principal_theta(s) for s in states])
+        self.n_steps = max(1, round(configs[0].t_end / self.dt))
+        self.w = np.array([s.omega for s in self.states])
+        self.theta0 = np.array([principal_theta(s) for s in self.states])
         self.cs = np.array([c.params.c for c in configs]).T  # (8, trials)
         self.y0 = np.array([[s.q, s.p, *mu_family(s, c.params).coeffs]
-                            for s, c in zip(states, configs)])
-        self.d = np.stack([_increment_matrix(s.omega, lax_matrices(s)[1], dt) for s in states])
+                            for s, c in zip(self.states, configs)])
+
+    @cached_property
+    def d(self) -> np.ndarray:
+        return np.stack([_increment_matrix(s.omega, lax_matrices(s)[1], self.dt)
+                         for s in self.states])
 
     def analytic_qp(self, t: np.ndarray) -> tuple:
         """Closed-form (q, p) at times t, an array that broadcasts against (trials,)."""
@@ -281,30 +284,19 @@ def rk4_step(state: SystemState, M: Operation, dt: float) -> SystemState:
 
 
 def analytic_state(config: IntegratorConfig, t: float) -> OscState:
-    """Closed-form solution of the canonical equations at time t."""
-    w = config.omega
-    c, s = math.cos(w * t), math.sin(w * t)
-    return OscState(w, config.q0 * c + config.p0 / w * s, config.p0 * c - w * config.q0 * s)
+    """Closed-form solution of the canonical equations at time t (H > 0)."""
+    q, p = _Batch([config]).analytic_qp(t)
+    return OscState(config.omega, float(q[0]), float(p[0]))
 
 
-def analytic_mu(config: IntegratorConfig, t: float, theta_unwrapped: float) -> Operation:
+def analytic_mu(config: IntegratorConfig, t: float) -> Operation:
     """Reference mu at time t on the continuous branch.
 
-    The closed-form flow advances the phase angle linearly, so the exact
-    unwrapped angle is theta0 + omega*t with theta0 the principal angle of
-    the initial state.  The caller's theta_unwrapped picks no sheet of its
-    own; it is only validated against the exact angle so that a drifting
-    integration cannot silently compare against the wrong sheet.
+    The closed-form flow advances the phase angle linearly, so the branch is
+    picked by the exact unwrapped angle theta0 + omega*t, with theta0 the
+    principal angle of the initial state.  Requires H > 0.
     """
-    s = analytic_state(config, t)
-    if hamiltonian(s) <= 0.0:
-        raise DegenerateStateError("no analytic reference at zero energy")
-    theta_exact = principal_theta(config.initial_state()) + config.omega * t
-    if abs(theta_unwrapped - theta_exact) > THETA_SHEET_TOL:
-        raise ValueError(
-            f"unwrapped theta {theta_unwrapped!r} is not the trajectory angle {theta_exact!r}"
-        )
-    return mu_family(s, config.params, aux_functions_continuous(s, theta_exact))
+    return Operation(2, 2, _Batch([config]).analytic_mu(t)[0])
 
 
 def evolve(config: IntegratorConfig) -> Trajectory:
@@ -326,7 +318,7 @@ def evolve(config: IntegratorConfig) -> Trajectory:
 
     w = config.omega
     q, p, mu = ys[:, 0, 0], ys[:, 0, 1], ys[:, 0, 2:]
-    aux_num = _aux_values(np.arctan2(w * q, p), energy)
+    aux_num = _aux_values(_principal_angle(w * q, p, np.arctan2), energy)
     g = np.stack(_g_values(w, p, -w * w * q, *aux_num), axis=1)
     return Trajectory(config, t, q, p, energy, mu, mu_ana, err, g, drift)
 
@@ -337,7 +329,7 @@ def _stencil_guard(s: OscState, h: float):
         raise DegenerateStateError("PDE stencil needs positive energy")
     margin = 10.0 * h / math.sqrt(2.0 * h0)
     for q, p in ((s.q + h, s.p), (s.q - h, s.p), (s.q, s.p + h), (s.q, s.p - h)):
-        theta = math.atan2(s.omega * q, p)
+        theta = _principal_angle(s.omega * q, p)
         if math.pi - abs(theta) <= margin:
             raise BranchCutError(
                 f"stencil point at angle {theta:.6f} is within {margin:.2e} of the cut"
@@ -410,13 +402,16 @@ def trajectory_csv_lines(traj: Trajectory):
             yield ",".join(map(repr, row))
 
 
+# Frequencies the theorem and PDE suites sample.
+_OMEGAS = (0.5, 1.0, 2.0)
+
+
 def _random_config(rng: np.random.Generator, dt: float, t_end: float) -> IntegratorConfig:
-    w = float(rng.choice([0.5, 1.0, 2.0]))
+    w = float(rng.choice(_OMEGAS))
     h = float(rng.uniform(0.1, 10.0))
-    theta = float(rng.uniform(-math.pi, math.pi))
-    r = math.sqrt(2.0 * h)
+    s = _polar_state(w, h, float(rng.uniform(-math.pi, math.pi)))
     params = MuParams(tuple(rng.uniform(-1.0, 1.0, size=8)))
-    return IntegratorConfig(dt, t_end, w, r * math.sin(theta) / w, r * math.cos(theta), params)
+    return IntegratorConfig(dt, t_end, w, s.q, s.p, params)
 
 
 def theorem_suite(
@@ -436,8 +431,12 @@ def theorem_suite(
     record: worst |mu_numeric - mu_analytic| (tol), relative energy drift
     (drift_tol), the spectral invariant |det L + 2 H0| with trace L = 0
     (det_tol), and half-period antiperiodicity of the analytic branch
-    (antiperiod_tol).
+    (antiperiod_tol).  dt must satisfy IntegratorConfig's dt <= 0.1/omega for
+    the largest omega, whatever omegas the seed draws.
     """
+    if not 0.0 < dt <= 0.1 / max(_OMEGAS):
+        raise ValueError(f"dt: theorem trials sample omega up to {max(_OMEGAS)}, "
+                         f"so dt must be in (0, {0.1 / max(_OMEGAS)}], got {dt}")
     configs = [_random_config(trial_rng(seed, k), dt, t_end) for k in range(trials)]
     if not configs:
         return []
@@ -504,40 +503,27 @@ def pde_suite(
         MuParams(tuple(trial_rng(seed, 10_000 + j).uniform(-1.0, 1.0, size=8)))
         for j in range(n_params)
     ]
-    worst_r1 = (0.0, -1)
-    for k in range(n_states):
+
+    def residual(k):
         rng = trial_rng(seed, k)
-        w = float(rng.choice([0.5, 1.0, 2.0]))
+        w = float(rng.choice(_OMEGAS))
         hh = float(np.exp(rng.uniform(math.log(0.1), math.log(10.0))))
-        theta = float(rng.uniform(-0.95 * math.pi, 0.95 * math.pi))
-        r = math.sqrt(2.0 * hh)
-        s = OscState(w, r * math.sin(theta) / w, r * math.cos(theta))
-        r1 = pde_residual(s, params_pool[k % n_params], h)
-        if r1 >= worst_r1[0]:
-            worst_r1 = (r1, k)
+        s = _polar_state(w, hh, float(rng.uniform(-0.95 * math.pi, 0.95 * math.pi)))
+        return (pde_residual(s, params_pool[k % n_params], h),)
 
-    probe_max = {h: 0.0, 0.5 * h: 0.0}
-    worst_probe = -1
-    for k in range(n_probe_states):
+    def probe(k):
+        # worst residual over the eight generators, at steps h and h/2
         rng = trial_rng(seed, 20_000 + k)
-        w = float(rng.choice([0.5, 1.0, 2.0]))
+        w = float(rng.choice(_OMEGAS))
         hh = float(np.exp(rng.uniform(math.log(0.1), math.log(10.0))))
-        s = OscState(w, 0.0, math.sqrt(2.0 * hh))
-        for nu in range(8):
-            basis = [0.0] * 8
-            basis[nu] = 1.0
-            params = MuParams(tuple(basis))
-            for step in probe_max:
-                r1 = pde_residual(s, params, step)
-                if step == h and r1 >= probe_max[h]:
-                    worst_probe = k
-                probe_max[step] = max(probe_max[step], r1)
-    factor = probe_max[h] / probe_max[0.5 * h]
-    outside = max(0.0, 3.0 - factor, factor - 5.0)
+        s = _polar_state(w, hh, 0.0)
+        return tuple(max(pde_residual(s, MuParams(tuple(basis)), step) for basis in np.eye(8))
+                     for step in (h, 0.5 * h))
 
-    return [
-        LawReport("pde-residual", n_states, worst_r1[0], worst_r1[0] <= tol, worst_r1[1]),
-        LawReport(
-            "pde-residual-halving", 8 * n_probe_states, outside, outside == 0.0, worst_probe
-        ),
+    at_h, at_half = _worst_case_reports(("h", "h/2"), map(probe, range(n_probe_states)), tol)
+    factor = at_h.max_abs_residual / at_half.max_abs_residual
+    outside = max(0.0, 3.0 - factor, factor - 5.0)
+    return _worst_case_reports(["pde-residual"], map(residual, range(n_states)), tol) + [
+        LawReport("pde-residual-halving", 8 * n_probe_states, outside, outside == 0.0,
+                  at_h.worst_case_seed),
     ]

@@ -124,7 +124,6 @@ def operation_to_dict(f: Operation) -> dict:
 
 def operation_from_dict(obj: dict) -> Operation:
     try:
-        dim, arity, coeffs = obj["dim"], obj["arity"], obj["coeffs"]
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"operation object needs dim/arity/coeffs: {exc}") from exc
-    return make_operation(int(dim), int(arity), coeffs)
+        return make_operation(int(obj["dim"]), int(obj["arity"]), obj["coeffs"])
+    except (KeyError, TypeError, OverflowError) as exc:
+        raise ValueError(f"operation object needs int dim/arity, numeric coeffs: {exc}") from exc

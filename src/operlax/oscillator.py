@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calculus import LawReport, trial_rng
+from .calculus import LawReport, _worst_case_reports, trial_rng
 from .errors import DegenerateStateError, DimensionMismatchError, EnergyOverflowError
 from .multilinear import Operation, make_operation
 
@@ -153,16 +153,21 @@ def _aux_from_theta(s: OscState, theta: float) -> AuxFunctions:
     return AuxFunctions(float(ap), float(am), float(dp), float(dm), theta)
 
 
-def principal_theta(s: OscState) -> float:
-    """Phase angle atan2(omega*q, p) in (-pi, pi]; zero at the origin.
+def _principal_angle(y, x, atan2=math.atan2):
+    """Angle of the point (x, y) in (-pi, pi]: floats with math.atan2, arrays with np.arctan2.
 
-    No answer depends on the sign of a zero: an angle of -0.0 (q = -0.0, or a
-    tiny negative q beside a large p) is reported as 0.0, and -pi as pi.
+    No answer depends on the sign of a zero: an angle of -0.0 (y = -0.0, or a
+    tiny negative y beside a large x) is reported as 0.0, and -pi as pi.
     """
+    theta = atan2(y, x) + 0.0
+    return theta + TWO_PI * (theta == -math.pi)
+
+
+def principal_theta(s: OscState) -> float:
+    """Principal phase angle of (p, omega*q) in (-pi, pi]; zero at the origin."""
     if s.q == 0.0 and s.p == 0.0:
         return 0.0
-    theta = math.atan2(s.omega * s.q, s.p) + 0.0
-    return math.pi if theta == -math.pi else theta
+    return _principal_angle(s.omega * s.q, s.p)
 
 
 def aux_functions_principal(s: OscState) -> AuxFunctions:
@@ -179,7 +184,7 @@ def aux_functions_principal(s: OscState) -> AuxFunctions:
 def aux_functions_continuous(s: OscState, theta_unwrapped: float) -> AuxFunctions:
     """Branch-continuous evaluation at an unwrapped phase angle.
 
-    theta_unwrapped must agree with atan2(omega*q, p) modulo 2*pi; no
+    theta_unwrapped must agree with principal_theta(s) modulo 2*pi; no
     reduction to the principal range is applied, so consecutive sheets give
     opposite signs for all four phase functions.
     """
@@ -318,17 +323,18 @@ def proof_identity_residuals(s: OscState) -> tuple:
     return (r_delta, r_minus, r_plus)
 
 
-def random_state(
-    rng: np.random.Generator,
-    omega_range: tuple = (0.5, 2.0),
-    h_range: tuple = (0.1, 10.0),
-) -> OscState:
-    """State with omega uniform in omega_range and energy uniform in h_range."""
-    w = float(rng.uniform(*omega_range))
-    h = float(rng.uniform(*h_range))
-    theta = float(rng.uniform(-math.pi, math.pi))
+def _polar_state(omega: float, h: float, theta: float) -> OscState:
+    """The state of energy h at principal angle theta (theta = 0 puts q = 0, p > 0)."""
     r = math.sqrt(2.0 * h)
-    return OscState(w, r * math.sin(theta) / w, r * math.cos(theta))
+    return OscState(omega, r * math.sin(theta) / omega, r * math.cos(theta))
+
+
+def random_state(rng: np.random.Generator) -> OscState:
+    """State with omega uniform in [0.5, 2], energy uniform in [0.1, 10] and
+    angle uniform in [-pi, pi]."""
+    w = float(rng.uniform(0.5, 2.0))
+    h = float(rng.uniform(0.1, 10.0))
+    return _polar_state(w, h, float(rng.uniform(-math.pi, math.pi)))
 
 
 def proof_identity_suite(trials: int, seed: int, tol: float) -> list:
@@ -338,6 +344,37 @@ def proof_identity_suite(trials: int, seed: int, tol: float) -> list:
     by 1 + sqrt(2H), the determinant identities by 1 + H^(3/2), and the G and
     Gamma checks by 1 + H.
     """
+    zero_mask = gamma_structural_zeros()
+
+    def residuals(k):
+        rng = trial_rng(seed, k)
+        s = random_state(rng)
+        h = hamiltonian(s)
+        aux = aux_functions_principal(s)
+        sq2h = math.sqrt(2.0 * h)
+        rel = max(
+            abs(aux.a_plus ** 2 + aux.a_minus ** 2 - 2.0 * sq2h),
+            abs(aux.a_plus ** 2 - aux.a_minus ** 2 - 2.0 * s.p),
+            abs(aux.a_plus * aux.a_minus - s.omega * s.q),
+        )
+        r_delta, r_minus, r_plus = proof_identity_residuals(s)
+        g_on = g_functions(s, *hamilton_rhs(s))
+
+        dq, dp = rng.uniform(-2.0, 2.0, size=2)
+        da_p, da_m = _a_dots(s.omega, dq, dp, aux.a_plus, aux.a_minus)
+        row1 = (aux.a_plus * da_p + aux.a_minus * da_m) - (
+            s.p * dp + s.omega ** 2 * s.q * dq
+        ) / sq2h
+        gamma_off = _gamma_from_g(g_functions(s, dq, dp))
+        return (
+            rel / (1.0 + sq2h),
+            abs(row1) / (1.0 + h),
+            max(map(abs, (r_delta, r_minus, r_plus))) / (1.0 + h ** 1.5),
+            max(map(abs, g_on)) / (1.0 + h),
+            float(np.max(np.abs(_gamma_from_g(g_on)))) / (1.0 + h),
+            float(np.max(np.abs(gamma_off[zero_mask]))),
+        )
+
     names = [
         "aux-defining-relations",
         "aux-derivative-row1",
@@ -346,45 +383,4 @@ def proof_identity_suite(trials: int, seed: int, tol: float) -> list:
         "gamma-onshell",
         "gamma-sparsity",
     ]
-    worst = {n: (0.0, -1) for n in names}
-
-    def note(name, value, k):
-        if value >= worst[name][0]:
-            worst[name] = (value, k)
-
-    zero_mask = gamma_structural_zeros()
-    for k in range(trials):
-        rng = trial_rng(seed, k)
-        s = random_state(rng)
-        h = hamiltonian(s)
-        aux = aux_functions_principal(s)
-        sq2h = math.sqrt(2.0 * h)
-
-        rel = max(
-            abs(aux.a_plus ** 2 + aux.a_minus ** 2 - 2.0 * sq2h),
-            abs(aux.a_plus ** 2 - aux.a_minus ** 2 - 2.0 * s.p),
-            abs(aux.a_plus * aux.a_minus - s.omega * s.q),
-        )
-        note("aux-defining-relations", rel / (1.0 + sq2h), k)
-
-        r_delta, r_minus, r_plus = proof_identity_residuals(s)
-        note("cramer-identities", max(map(abs, (r_delta, r_minus, r_plus))) / (1.0 + h ** 1.5), k)
-
-        g_on = g_functions(s, *hamilton_rhs(s))
-        note("g-onshell", max(map(abs, g_on)) / (1.0 + h), k)
-        note("gamma-onshell", float(np.max(np.abs(_gamma_from_g(g_on)))) / (1.0 + h), k)
-
-        dq, dp = rng.uniform(-2.0, 2.0, size=2)
-        da_p, da_m = _a_dots(s.omega, dq, dp, aux.a_plus, aux.a_minus)
-        row1 = (aux.a_plus * da_p + aux.a_minus * da_m) - (
-            s.p * dp + s.omega ** 2 * s.q * dq
-        ) / sq2h
-        note("aux-derivative-row1", abs(row1) / (1.0 + h), k)
-
-        gamma_off = _gamma_from_g(g_functions(s, dq, dp))
-        note("gamma-sparsity", float(np.max(np.abs(gamma_off[zero_mask]))), k)
-
-    return [
-        LawReport(name, trials, worst[name][0], worst[name][0] <= tol, worst[name][1])
-        for name in names
-    ]
+    return _worst_case_reports(names, map(residuals, range(trials)), tol)

@@ -190,6 +190,14 @@ def test_degree_bookkeeping():
         assert gerstenhaber_bracket(f, g).arity == nf + ng - 1
 
 
+def test_operad_law_suite_tie_names_last_trial():
+    # the unit laws hold exactly, so every trial ties at 0.0
+    reports = {r.law_name: r for r in operad_law_suite(trials=20, seed=0, tol=1e-10)}
+    assert (reports["unit-laws"].max_abs_residual, reports["unit-laws"].worst_case_seed) == (0.0, 19)
+    assert {(r.max_abs_residual, r.worst_case_seed) for r in operad_law_suite(0, 0, 1e-10)} == {
+        (0.0, -1)}
+
+
 def test_operad_law_suite_reports():
     reports = operad_law_suite(trials=30, seed=42, tol=1e-10)
     names = [r.law_name for r in reports]

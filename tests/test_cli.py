@@ -1,13 +1,19 @@
+import contextlib
+import io
 import json
+import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from operlax import ConfigError, gerstenhaber_bracket, make_operation, operation_from_dict
+from operlax import ConfigError, cli, gerstenhaber_bracket, make_operation, operation_from_dict
 from operlax.cli import build_config, load_config, main
 from operlax.evolution import CSV_HEADER
 
@@ -106,6 +112,12 @@ def test_verify_theorem_small(capsys):
     report = json.loads(stdout)
     assert report["overall_pass"] is True
     assert len(report["checks"]) == 4
+
+
+def test_verify_theorem_coarse_dt_is_usage_error(capsys):
+    code, _, stderr = run(["verify", "theorem", "--trials", "1", "--dt", "0.07"], capsys)
+    assert code == 2
+    assert "usage:" in stderr and "dt" in stderr
 
 
 def test_pde_check(capsys):
@@ -210,6 +222,18 @@ def test_bracket_dim_mismatch(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("obj", [{"dim": [1], "arity": 1, "coeffs": [1.0]},
+                                 {"dim": 1, "arity": 1, "coeffs": {"a": 1.0}},
+                                 {"dim": 1e400, "arity": 1, "coeffs": [1.0]}, [1.0]])
+def test_bracket_malformed_operation_is_usage_error(obj, tmp_path, capsys):
+    fp, gp = tmp_path / "f.json", tmp_path / "g.json"
+    fp.write_text(json.dumps(obj))
+    gp.write_text(json.dumps({"dim": 1, "arity": 1, "coeffs": [1.0]}))
+    code, _, stderr = run(["bracket", str(fp), str(gp)], capsys)
+    assert code == 2
+    assert "operation object" in stderr
+
+
 def run_subprocess(argv, tmp_path):
     """Run the CLI in a fresh interpreter, so an escaping exception shows as a traceback."""
     src = str(Path(__file__).resolve().parents[1] / "src")
@@ -244,3 +268,60 @@ def test_simulate_energy_overflow_is_usage_error(tmp_path, capsys):
                            "--out", str(tmp_path / "x.csv")], capsys)
     assert code == 2
     assert "overflows" in stderr
+
+
+@pytest.mark.parametrize("argv, config", [
+    (["verify", "theorem", "--trials", "1", "--t-end", "1e308"], None),
+    (["verify", "operad", "--trials", "1"], b'{"out": ["a"]}'),
+    (SIM_ARGS[:7] + ["--out", "x.csv"], b'{"c": 5}'),
+    (SIM_ARGS[:7] + ["--t-end", "1e300", "--out", "x.csv"], None),
+    (["verify", "operad", "--trials", "1"], b'\xff\xfe{"seed": 1}'),
+], ids=["t-end-overflow", "out-not-a-path", "c-not-a-list", "t-end-huge", "config-not-utf8"])
+def test_rejected_input_is_usage_error(argv, config, tmp_path):
+    if config is not None:
+        (tmp_path / "run.json").write_bytes(config)
+        argv = argv + ["--config", "run.json"]
+    code, stderr = run_subprocess(argv, tmp_path)
+    assert code == 2, stderr
+    assert "Traceback" not in stderr and "usage:" in stderr
+
+
+# The smallest positive number, 0.2, caps an accepted dt at 0.1/0.2 = 0.5, so
+# t_end = 1e308 always overflows t_end/dt and every other t_end is at most 3:
+# an accepted config runs at most 3000 steps (at the default dt 1e-3).  A huge
+# whole trial count is a valid request, so trials never draws 1e308.
+_NUMBERS = [math.nan, math.inf, -math.inf, 1e308, -1.0, 0.0, 0.2, 0.5, -1, 0, 1, 3]
+
+
+def _json_values(numbers):
+    atoms = st.one_of(st.none(), st.booleans(), st.sampled_from(numbers),
+                      st.sampled_from(["", ".", "x", "1,2,3,4,5,6,7,8", "nan"]))
+    return st.one_of(atoms, st.lists(st.sampled_from(numbers), min_size=8, max_size=8),
+                     st.lists(atoms, max_size=3),
+                     st.dictionaries(st.sampled_from(["a", "dim"]), atoms, max_size=2))
+
+
+# a key left out takes its default, like a null one
+_CONFIGS = st.fixed_dictionaries({}, optional={
+    key: _json_values([x for x in _NUMBERS if key != "trials" or x != 1e308])
+    for key in ("mode",) + cli._FIELDS
+})
+_COMMANDS = st.sampled_from([["simulate"], ["verify", "operad"], ["verify", "theorem"],
+                             ["verify", "identities"], ["pde-check"]])
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(_COMMANDS, _CONFIGS)
+def test_config_fuzz_exits_0_1_or_2(command, config):
+    # null keys fall back to the defaults; shrink those sizes to keep every run small
+    small = {"trials": 2, "t_end": 1.0}
+    defaults = {mode: {k: small.get(k, v) for k, v in d.items()}
+                for mode, d in cli._DEFAULTS.items()}
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "_DEFAULTS", defaults)
+        mp.chdir(tmp)
+        Path("run.json").write_text(json.dumps(config))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(command + ["--config", "run.json"])
+    assert code in (0, 1, 2), err.getvalue()

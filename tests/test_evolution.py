@@ -37,7 +37,6 @@ from operlax import (
     trial_rng,
 )
 from operlax.evolution import CSV_HEADER, _random_config, _rk4_chunks
-from operlax.oscillator import principal_theta
 
 C5 = MuParams((0, 0, 0, 0, 1, 0, 0, 0))
 
@@ -191,6 +190,12 @@ def test_theorem_batch_matches_single_runs():
         assert reports[f"trajectory-mu-{tag}"].trials == len(traj)
 
 
+def test_theorem_suite_dt_guard_is_seed_independent():
+    # dt = 0.07 suits the omegas 0.5 and 1 but not 2, and seed 1 draws no omega 2
+    with pytest.raises(ValueError, match="dt"):
+        theorem_suite(1, seed=1, tol=1e-6, dt=0.07, t_end=0.5)
+
+
 def _theorem_with_peak(t_end):
     tracemalloc.start()
     try:
@@ -221,8 +226,7 @@ def test_analytic_state():
 
 def test_analytic_mu_initial_agreement():
     cfg = IntegratorConfig(dt=1e-3, t_end=20.0, omega=1.0, q0=0.3, p0=0.8, params=C5)
-    theta0 = principal_theta(cfg.initial_state())
-    npt.assert_array_equal(analytic_mu(cfg, 0.0, theta0).coeffs,
+    npt.assert_array_equal(analytic_mu(cfg, 0.0).coeffs,
                            mu_family(cfg.initial_state(), cfg.params).coeffs)
 
 
@@ -231,21 +235,13 @@ def test_analytic_mu_antiperiodicity():
     for omega in (0.5, 1.0, 2.0):
         params = MuParams(tuple(rng.uniform(-1, 1, 8)))
         cfg = IntegratorConfig(dt=1e-3, t_end=40.0, omega=omega, q0=0.4, p0=1.1, params=params)
-        theta0 = principal_theta(cfg.initial_state())
         period = 2.0 * math.pi / omega
         for t in (0.0, 1.3, 5.7):
-            a = analytic_mu(cfg, t, theta0 + omega * t).coeffs
-            b = analytic_mu(cfg, t + period, theta0 + omega * (t + period)).coeffs
-            c = analytic_mu(cfg, t + 2 * period, theta0 + omega * (t + 2 * period)).coeffs
+            a = analytic_mu(cfg, t).coeffs
+            b = analytic_mu(cfg, t + period).coeffs
+            c = analytic_mu(cfg, t + 2 * period).coeffs
             assert np.max(np.abs(a + b)) <= 1e-9
             assert np.max(np.abs(a - c)) <= 1e-9
-
-
-def test_analytic_mu_rejects_wrong_sheet():
-    cfg = IntegratorConfig(dt=1e-3, t_end=20.0, omega=1.0, q0=0.0, p0=1.0, params=C5)
-    theta0 = principal_theta(cfg.initial_state())
-    with pytest.raises(ValueError):
-        analytic_mu(cfg, 1.0, theta0 + 1.0 + 2.0 * math.pi)
 
 
 def test_evolve_matches_family():
@@ -280,9 +276,8 @@ def test_evolve_records_match_scalar_api():
     cfg = IntegratorConfig(dt=1e-3, t_end=3.0, omega=2.0, q0=0.5, p0=-0.4,
                            params=params, record_every=250)
     traj = evolve(cfg)
-    theta0 = principal_theta(cfg.initial_state())
     for n, t in enumerate(traj.t.tolist()):
-        ref = analytic_mu(cfg, t, theta0 + cfg.omega * t).coeffs
+        ref = analytic_mu(cfg, t).coeffs
         assert np.max(np.abs(traj.mu_ana[n] - ref)) <= 1e-13
         s = OscState(cfg.omega, float(traj.q[n]), float(traj.p[n]))
         g_ref = g_functions(s, *hamilton_rhs(s))
@@ -306,6 +301,12 @@ def test_evolve_g_values_stay_onshell():
     assert worst <= 1e-9
 
 
+def test_evolve_g_ignores_sign_of_zero_q():
+    g = [evolve(IntegratorConfig(dt=1e-3, t_end=0.002, omega=1.0, q0=q0, p0=-1.0)).g
+         for q0 in (-0.0, 0.0)]
+    assert g[0].tobytes() == g[1].tobytes()
+
+
 def test_evolve_l_spectrum_is_constant():
     cfg = IntegratorConfig(dt=1e-3, t_end=10.0, omega=2.0, q0=0.8, p0=0.3, params=C5)
     traj = evolve(cfg)
@@ -323,6 +324,8 @@ def test_integrator_config_validation():
         IntegratorConfig(dt=1e-3, t_end=-1.0, omega=1.0, q0=0.0, p0=1.0)
     with pytest.raises(ValueError):
         IntegratorConfig(dt=1e-3, t_end=1.0, omega=1.0, q0=0.0, p0=1.0, record_every=0)
+    with pytest.raises(ValueError):
+        IntegratorConfig(dt=1e-3, t_end=1e308, omega=1.0, q0=0.0, p0=1.0)  # t_end/dt = inf
 
 
 def test_pde_residual_family_is_solution():

@@ -268,7 +268,7 @@ def main(argv=None) -> int:
         if mode == "simulate":
             return cmd_simulate(cfg)
         return cmd_verify(cfg)
-    except (DegenerateStateError, DivergenceError, BranchCutError, OSError) as exc:
+    except (DegenerateStateError, DivergenceError, BranchCutError, OSError, MemoryError) as exc:
         print(f"operlax: error: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:  # ConfigError, or any input a library type rejects

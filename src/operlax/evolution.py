@@ -3,9 +3,10 @@
 The state is ten numbers: (q, p) plus the eight structure constants of the
 binary operation mu.  Both obey linear ODEs, (q, p) through the canonical
 equations and mu through the bracket with the constant rotation generator M,
-so a classical RK4 step of the joint system is one fixed linear map, applied
-to a batch of runs at a time, that holds the analytic reference well below
-the acceptance tolerances.  Everything needed to check the construction is
+so a classical RK4 step of the joint system is one fixed linear map, and a
+chunk of steps is one product with its powers, applied to a batch of runs at
+a time; it holds the analytic reference well below the acceptance
+tolerances.  Everything needed to check the construction is
 computed here: analytic references on the continuous branch, finite-difference
 PDE residuals, order measurements, and the randomized verification suites.
 """
@@ -14,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields, replace
-from functools import cached_property
 
 import numpy as np
 
@@ -56,8 +56,10 @@ __all__ = [
     "CSV_HEADER",
 ]
 
-# Steps per chunk of the propagator.  A batch holds one chunk of states and its
-# temporaries at a time, about 1.5 MB at 20 trials; longer chunks buy no speed.
+# Steps per chunk of the propagator.  A batch holds one chunk of states, its
+# temporaries and the chunk's increment powers (10 x 2570 doubles per distinct
+# omega) at a time: theorem_suite peaks near 2.4 MB at 20 trials.  That batch runs
+# fastest here: shorter chunks take more products, longer ones more powers.
 CHUNK_STEPS = 256
 
 
@@ -126,8 +128,9 @@ class IntegratorConfig:
             raise ValueError(f"omega must be positive, got {self.omega}")
         if not (0.0 < self.dt <= 0.1 / self.omega):
             raise ValueError(f"dt must be in (0, 0.1/omega], got {self.dt}")
-        if not (self.t_end > 0.0 and math.isfinite(self.t_end / self.dt)):
-            raise ValueError(f"t_end must be positive with finitely many steps, got {self.t_end}")
+        # times are step * dt, exact only while the step index is
+        if not (self.t_end > 0.0 and self.t_end / self.dt <= 2.0 ** 53):
+            raise ValueError(f"t_end must be positive with at most 2**53 steps, got {self.t_end}")
         if self.record_every < 1:
             raise ValueError(f"record_every must be >= 1, got {self.record_every}")
 
@@ -202,28 +205,61 @@ def _increment_matrix(omega: float, M: Operation, dt: float) -> np.ndarray:
     return z + z2 / 2.0 + z2 @ z / 6.0 + z2 @ z2 / 24.0
 
 
-def _rk4_chunks(y0: np.ndarray, d: np.ndarray, n_steps: int):
+def _increment_powers(d: np.ndarray, count: int) -> np.ndarray:
+    """E[j] = (I + D)^j - I for j = 0..count, for each D of a stack d (g, 10, 10).
+
+    The powers come transposed and side by side, shape (g, 10, 10 * (count + 1))
+    with E[j]^T in columns 10j..10j+9, so one product y @ e[:, :10 * r] gives
+    y E[j]^T for r steps at once.  They are built by doubling in increment
+    form, (I + E[m])(I + E[i]) - I = E[m] + E[i] + E[i] E[m]: the stack never
+    holds I + E, so the O(dt) terms keep the low bits that I + D would lose.
+    """
+    g, n = d.shape[:2]
+    e = np.zeros((g, n, n * (count + 1)))
+    e[:, :, n:2 * n] = np.swapaxes(d, 1, 2)
+    m = 1
+    while m < count:
+        k = min(m, count - m)
+        low, top = e[:, :, n:n * (k + 1)], e[:, :, n * m:n * (m + 1)]
+        # E[m+i]^T = E[m]^T + E[i]^T + E[m]^T E[i]^T for i = 1..k
+        new = e[:, :, n * (m + 1):n * (m + k + 1)].reshape(g, n, k, n)
+        np.add(top[:, :, None, :], low.reshape(g, n, k, n), out=new)
+        new += (top @ low).reshape(g, n, k, n)
+        m += k
+    return e
+
+
+def _rk4_chunks(y0: np.ndarray, d: np.ndarray, n_steps: int, group=None):
     """Classical RK4 on a batch of runs, y -> y + D y, CHUNK_STEPS steps at a time.
 
-    y0 has shape (trials, 10) and d shape (trials, 10, 10), one increment
-    matrix per trial.  Yields (first, ys) where ys[j, k] is the state of
-    trial k at step first + j, from step 0 (y0 itself) through n_steps.
-    Every ys is a view of one buffer, which the next chunk overwrites.
-    Raises DivergenceError naming the first step with a non-finite value.
+    y0 has shape (trials, 10) and d shape (g, 10, 10); trial k steps with
+    d[group[k]], by default d[k].  Yields (first, ys) where ys[j, k] is the
+    state of trial k at step first + j, from step 0 (y0 itself) through
+    n_steps.  The steps of a chunk are one product per trial, ys[j] =
+    y + y E[j]^T with y the chunk's first state, so a trial's numbers do not
+    depend on which trials share its batch.  Every ys is a view of one
+    buffer, which the next chunk overwrites.  Raises DivergenceError naming
+    the first step with a non-finite value.
     """
-    d_t = np.swapaxes(d, 1, 2)
-    y = np.array(y0, dtype=float)[:, None, :]  # one row vector per trial
-    buf = np.empty((min(CHUNK_STEPS, n_steps + 1),) + y.shape)
-    for first in range(0, n_steps + 1, CHUNK_STEPS):
-        ys = buf[:n_steps + 1 - first]
-        for j in range(len(ys)):
-            if first + j:
-                y = y + y @ d_t
-            ys[j] = y
-        finite = np.isfinite(ys).all(axis=(1, 2, 3))
+    y = np.array(y0, dtype=float)
+    group = range(len(y)) if group is None else group
+    span = min(CHUNK_STEPS, n_steps)
+    e = _increment_powers(d, span)
+    buf = np.empty((span + 1,) + y.shape)
+    for first in range(0, n_steps + 1, span):
+        rows = min(span, n_steps - first) + 1  # through the next chunk's first state
+        ys = buf[:rows]
+        for k, g in enumerate(group):
+            ys[:, k] = (y[k] @ e[g, :, :y.shape[1] * rows]).reshape(rows, -1)
+        ys += y
+        finite = np.isfinite(ys).all(axis=(1, 2))
         if not finite.all():
             raise DivergenceError(f"non-finite state at step {first + int(np.argmin(finite))}")
-        yield first, ys[:, :, 0]
+        if first + rows - 1 == n_steps:
+            yield first, ys
+            return
+        y = ys[span].copy()
+        yield first, ys[:span]
 
 
 class _Batch:
@@ -243,10 +279,15 @@ class _Batch:
         self.y0 = np.array([[s.q, s.p, *mu_family(s, c.params).coeffs]
                             for s, c in zip(self.states, configs)])
 
-    @cached_property
-    def d(self) -> np.ndarray:
-        return np.stack([_increment_matrix(s.omega, lax_matrices(s)[1], self.dt)
-                         for s in self.states])
+    def chunks(self):
+        """The runs stepped together by _rk4_chunks, from step 0 through n_steps.
+
+        D depends only on (omega, dt), so it is built once per distinct omega.
+        """
+        _, firsts, group = np.unique(self.w, return_index=True, return_inverse=True)
+        d = np.stack([_increment_matrix(self.w[i], lax_matrices(self.states[i])[1], self.dt)
+                      for i in firsts])
+        return _rk4_chunks(self.y0, d, self.n_steps, group)
 
     def analytic_qp(self, t: np.ndarray) -> tuple:
         """Closed-form (q, p) at times t, an array that broadcasts against (trials,)."""
@@ -309,11 +350,14 @@ def evolve(config: IntegratorConfig) -> Trajectory:
     here; step a SystemState with rk4_step directly for that.
     """
     batch = _Batch([config])
-    keep = np.arange(batch.n_steps + 1) % config.record_every == 0
-    keep[-1] = True
-    ys = np.concatenate([block[keep[first:first + len(block)]]
-                         for first, block in _rk4_chunks(batch.y0, batch.d, batch.n_steps)])
-    t = np.flatnonzero(keep) * config.dt
+    kept, steps = [], []
+    for first, block in batch.chunks():
+        j = np.arange(first, first + len(block))
+        keep = (j % config.record_every == 0) | (j == batch.n_steps)
+        kept.append(block[keep])
+        steps.append(j[keep])
+    ys = np.concatenate(kept)
+    t = np.concatenate(steps) * config.dt
     energy, mu_ana, err, drift = (a[:, 0] for a in batch.compare(t[:, None], ys))
 
     w = config.omega
@@ -370,7 +414,7 @@ def rk4_order_check(config: IntegratorConfig) -> float:
     def max_err(dt: float) -> float:
         batch = _Batch([replace(config, dt=dt)])
         worst = 0.0
-        for first, ys in _rk4_chunks(batch.y0, batch.d, batch.n_steps):
+        for first, ys in batch.chunks():
             ref = np.stack(batch.analytic_qp(np.arange(first, first + len(ys))[:, None] * dt), -1)
             worst = max(worst, float(np.max(np.abs(ys[..., :2] - ref))))
         return worst
@@ -443,7 +487,7 @@ def theorem_suite(
     batch = _Batch(configs)
     w, h0 = batch.w, batch.h0
     err, drift, det_worst, trace_worst = (np.zeros(trials) for _ in range(4))
-    for first, ys in _rk4_chunks(batch.y0, batch.d, batch.n_steps):
+    for first, ys in batch.chunks():
         _, _, e, dr = batch.compare(np.arange(first, first + len(ys))[:, None] * dt, ys)
         err = np.maximum(err, e.max(axis=0))
         drift = np.maximum(drift, dr.max(axis=0))

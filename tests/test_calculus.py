@@ -1,6 +1,9 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from operlax import (
     DimensionMismatchError,
@@ -142,6 +145,34 @@ def test_graded_jacobi():
     rep = check_graded_jacobi(rand_op(rng, 2, 1), rand_op(rng, 2, 2), rand_op(rng, 2, 3),
                               tol=1e-10)
     assert rep.passed
+
+
+def _operations(dim):
+    # any arity <= 3, coefficients anywhere in [-1, 1]
+    return st.integers(1, 3).flatmap(lambda n: arrays(
+        np.float64, dim ** (n + 1), elements=st.floats(-1.0, 1.0)).map(
+        lambda coeffs: make_operation(dim, n, coeffs)))
+
+
+# three operations on one space of dimension <= 3
+_TRIPLES = st.integers(1, 3).flatmap(lambda d: st.tuples(*[_operations(d)] * 3))
+_LARGEST = tuple(random_operation(trial_rng(1, 7), 3, 3) for _ in range(3))
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(_TRIPLES)
+@example(_LARGEST)
+def test_composition_relations_hold_for_all_operations(ops):
+    rep = check_composition_relations(*ops, tol=1e-10)
+    assert rep.passed, rep.max_abs_residual
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(_TRIPLES)
+@example(_LARGEST)
+def test_graded_jacobi_holds_for_all_operations(ops):
+    rep = check_graded_jacobi(*ops, tol=1e-10)
+    assert rep.passed, rep.max_abs_residual
 
 
 def test_unit_laws_are_exact():

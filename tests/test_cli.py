@@ -276,7 +276,9 @@ def test_simulate_energy_overflow_is_usage_error(tmp_path, capsys):
     (SIM_ARGS[:7] + ["--out", "x.csv"], b'{"c": 5}'),
     (SIM_ARGS[:7] + ["--t-end", "1e300", "--out", "x.csv"], None),
     (["verify", "operad", "--trials", "1"], b'\xff\xfe{"seed": 1}'),
-], ids=["t-end-overflow", "out-not-a-path", "c-not-a-list", "t-end-huge", "config-not-utf8"])
+    (["verify", "theorem", "--trials", "1", "--t-end", "1e300"], None),
+], ids=["t-end-overflow", "out-not-a-path", "c-not-a-list", "t-end-huge", "config-not-utf8",
+        "theorem-steps-above-2**53"])
 def test_rejected_input_is_usage_error(argv, config, tmp_path):
     if config is not None:
         (tmp_path / "run.json").write_bytes(config)
@@ -284,6 +286,16 @@ def test_rejected_input_is_usage_error(argv, config, tmp_path):
     code, stderr = run_subprocess(argv, tmp_path)
     assert code == 2, stderr
     assert "Traceback" not in stderr and "usage:" in stderr
+
+
+def test_simulate_out_of_memory_exits_1(tmp_path, capsys, monkeypatch):
+    def no_memory(config):
+        raise MemoryError("Unable to allocate 7.28 TiB")
+
+    monkeypatch.setattr(cli, "evolve", no_memory)
+    code, _, stderr = run(SIM_ARGS + ["--out", str(tmp_path / "x.csv")], capsys)
+    assert code == 1
+    assert stderr == "operlax: error: Unable to allocate 7.28 TiB\n"
 
 
 # The smallest positive number, 0.2, caps an accepted dt at 0.1/0.2 = 0.5, so
@@ -324,4 +336,49 @@ def test_config_fuzz_exits_0_1_or_2(command, config):
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(command + ["--config", "run.json"])
+    assert code in (0, 1, 2), err.getvalue()
+
+
+# Flag values: NaN, infinities, zeros, negatives and 1e300 beside valid ones.
+# Accepted runs stay small: a positive t_end is at most 3 (3000 steps at the
+# default dt 1e-3; a larger accepted dt only shortens the run) or 1e300, whose
+# t_end/dt is above 2**53 for every dt a finite omega accepts, and a positive
+# integer is at most 3, so a theorem run has at most 3 trials.
+# Half the draws come from the valid list, so that some runs are accepted.
+_FLAG_NUMBERS = (st.sampled_from(["nan", "inf", "-inf", "0", "-0.0", "-1", "1e300"])
+                 | st.sampled_from(["1e-3", "0.5", "2", "3"]))
+_FLAG_C = st.sampled_from(["0,0,0,0,1,0,0,0", "1e300,0,0,0,0,0,0,-1e300", "nan,0,0,0,0,0,0,0",
+                           "1,2", "x"])
+# (command, flags drawn or left out, flags always drawn: simulate's state, and
+# the sizes whose defaults are large)
+_FLAG_COMMANDS = [
+    (["simulate", "--out=traj.csv"], ["--c", "--dt", "--record-every", "--seed"],
+     ["--omega", "--q0", "--p0", "--t-end"]),
+    (["verify", "theorem", "--out=report.json"], ["--dt", "--tol", "--seed"],
+     ["--t-end", "--trials"]),
+    (["pde-check", "--out=report.json"], ["--tol", "--seed"], ["--trials"]),
+]
+
+
+@st.composite
+def _flag_argv(draw):
+    argv, optional, required = draw(st.sampled_from(_FLAG_COMMANDS))
+    for flag in optional + required:
+        if flag in required or draw(st.booleans()):
+            value = draw(_FLAG_C if flag == "--c" else _FLAG_NUMBERS)
+            argv = argv + [f"{flag}={value}"]  # "=" keeps "-inf" a value, not a flag
+    return argv
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(_flag_argv())
+def test_flag_fuzz_exits_0_1_or_2(argv):
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        mp.chdir(tmp)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse rejects a malformed value this way
+                code = exc.code
     assert code in (0, 1, 2), err.getvalue()

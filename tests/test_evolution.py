@@ -36,7 +36,8 @@ from operlax import (
     trajectory_csv_lines,
     trial_rng,
 )
-from operlax.evolution import CSV_HEADER, _random_config, _rk4_chunks
+from operlax import evolution
+from operlax.evolution import CHUNK_STEPS, CSV_HEADER, _Batch, _random_config, _rk4_chunks
 
 C5 = MuParams((0, 0, 0, 0, 1, 0, 0, 0))
 
@@ -177,6 +178,55 @@ def test_propagator_divergence_names_first_step():
         with pytest.raises(DivergenceError, match="step 2$"):
             for _ in _rk4_chunks(np.ones((1, 10)), d, 3000):
                 pass
+
+
+@pytest.mark.parametrize("n_steps", [1, CHUNK_STEPS - 1, CHUNK_STEPS, CHUNK_STEPS + 1, 20000])
+def test_chunk_kernel_matches_per_step_loop(n_steps):
+    configs = [_random_config(trial_rng(5, k), 1e-3, 1.0) for k in range(3)]
+    d = np.stack([evolution._increment_matrix(c.omega, lax_matrices(c.initial_state())[1], c.dt)
+                  for c in configs])
+    y0 = _Batch(configs).y0
+    got = np.concatenate([ys.copy() for _, ys in _rk4_chunks(y0, d, n_steps)])
+    want = [y0]
+    for _ in range(n_steps):
+        want.append(want[-1] + np.einsum("kij,kj->ki", d, want[-1]))
+    want = np.array(want)
+    assert got.shape == (n_steps + 1, 3, 10)
+    assert np.array_equal(got[0], y0)
+    # both round at ~eps*|y| per step: 5e-15 to 1e-14 of the largest state
+    # value after 20k steps, over nine sampled configs
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_propagator_divergence_in_later_chunk():
+    # 1.5**1751 is the first power above the largest double
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(DivergenceError, match="step 1751$"):
+            for _ in _rk4_chunks(np.ones((1, 10)), 0.5 * np.eye(10)[None], 3000):
+                pass
+
+
+def test_mixed_omega_batch_matches_single_runs():
+    configs = [_random_config(trial_rng(12, k), 1e-3, 0.6) for k in range(12)]
+    assert {c.omega for c in configs} == {0.5, 1.0, 2.0}
+    batch = np.concatenate([ys.copy() for _, ys in _Batch(configs).chunks()])
+    for k, c in enumerate(configs):
+        single = np.concatenate([ys.copy() for _, ys in _Batch([c]).chunks()])
+        assert np.max(np.abs(batch[:, k] - single[:, 0])) <= 1e-15
+
+
+def test_increment_matrix_built_once_per_distinct_omega(monkeypatch):
+    built = []
+    original = evolution._increment_matrix
+
+    def counting(omega, M, dt):
+        built.append(omega)
+        return original(omega, M, dt)
+
+    monkeypatch.setattr(evolution, "_increment_matrix", counting)
+    theorem_suite(20, seed=7, tol=1e-6, t_end=0.3)
+    omegas = {_random_config(trial_rng(7, k), 1e-3, 0.3).omega for k in range(20)}
+    assert sorted(built) == sorted(omegas)
 
 
 def test_theorem_batch_matches_single_runs():
@@ -326,6 +376,30 @@ def test_integrator_config_validation():
         IntegratorConfig(dt=1e-3, t_end=1.0, omega=1.0, q0=0.0, p0=1.0, record_every=0)
     with pytest.raises(ValueError):
         IntegratorConfig(dt=1e-3, t_end=1e308, omega=1.0, q0=0.0, p0=1.0)  # t_end/dt = inf
+
+
+def test_integrator_config_bounds_step_count():
+    # times are step * dt, and a step index above 2**53 is not exact in a double
+    IntegratorConfig(dt=1.0, t_end=2.0 ** 53, omega=0.1, q0=0.0, p0=1.0)
+    with pytest.raises(ValueError, match="2\\*\\*53"):
+        IntegratorConfig(dt=1.0, t_end=2.0 ** 54, omega=0.1, q0=0.0, p0=1.0)
+    with pytest.raises(ValueError, match="2\\*\\*53"):
+        IntegratorConfig(dt=1e-3, t_end=1e300, omega=1.0, q0=0.0, p0=1.0)
+
+
+def test_evolve_memory_follows_records_not_steps():
+    # 1e6 steps kept as 5 records; a per-step index array alone would be 8 MB
+    cfg = IntegratorConfig(dt=1e-3, t_end=1000.0, omega=1.0, q0=0.0, p0=1.0,
+                           params=C5, record_every=250_000)
+    tracemalloc.start()
+    try:
+        traj = evolve(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [round(t / cfg.dt) for t in traj.t.tolist()] == [0, 250_000, 500_000, 750_000,
+                                                             1_000_000]
+    assert peak <= 2 * 2 ** 20
 
 
 def test_pde_residual_family_is_solution():

@@ -9,7 +9,6 @@ all of it as the ``operlax`` command.
 
 from .calculus import (
     LawReport,
-    check_compose_evaluate_consistency,
     check_composition_relations,
     check_graded_jacobi,
     check_unit_laws,

@@ -253,19 +253,20 @@ _GAMMA_PATTERN = [
 ]
 
 
+# The pattern parsed once: which of (0, p, m, P, M) each entry takes, and its sign.
+_GAMMA_INDEX = np.array([["0pmPM".index(tok[-1]) for tok in row.split()]
+                         for row in _GAMMA_PATTERN])
+_GAMMA_SIGN = np.array([[-1.0 if tok[0] == "-" else 1.0 for tok in row.split()]
+                        for row in _GAMMA_PATTERN])
+
+
 def _gamma_from_g(g: tuple) -> np.ndarray:
-    lookup = {"p": g[0], "m": g[1], "P": g[2], "M": g[3]}
-    out = np.zeros((8, 8))
-    for a, row in enumerate(_GAMMA_PATTERN):
-        for b, tok in enumerate(row.split()):
-            if tok != "0":
-                out[a, b] = lookup[tok[1]] * (1.0 if tok[0] == "+" else -1.0)
-    return out
+    return np.array((0.0, *g))[_GAMMA_INDEX] * _GAMMA_SIGN
 
 
 def gamma_structural_zeros() -> np.ndarray:
     """Boolean 8x8 mask of the entries that are zero for every state."""
-    return np.array([[tok == "0" for tok in row.split()] for row in _GAMMA_PATTERN])
+    return _GAMMA_INDEX == 0
 
 
 def gamma_matrix(s: OscState, dq: float, dp: float) -> GammaMatrix:

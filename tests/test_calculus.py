@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -7,7 +9,6 @@ from hypothesis.extra.numpy import arrays
 
 from operlax import (
     DimensionMismatchError,
-    check_compose_evaluate_consistency,
     check_composition_relations,
     check_graded_jacobi,
     check_unit_laws,
@@ -21,6 +22,7 @@ from operlax import (
     total_compose,
     trial_rng,
 )
+from operlax.calculus import _compose, _worst_case_reports
 
 
 def rand_op(rng, d, n):
@@ -175,6 +177,41 @@ def test_graded_jacobi_holds_for_all_operations(ops):
     assert rep.passed, rep.max_abs_residual
 
 
+def _compose_reference(f, g, i):
+    # g into slot i of f as a general tensor contraction
+    m, n = f.arity, g.arity
+    tmp = np.tensordot(f.tensor, g.tensor, axes=([1 + i], [0]))
+    res = np.moveaxis(tmp, list(range(m, m + n)), list(range(1 + i, 1 + i + n)))
+    return (-1.0 if i * (n - 1) % 2 else 1.0) * res.reshape(-1)
+
+
+_PAIRS = st.integers(1, 3).flatmap(lambda d: st.tuples(*[_operations(d)] * 2))
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(_PAIRS)
+@example(_LARGEST[:2])
+def test_compose_kernel_matches_tensordot(ops):
+    f, g = ops
+    for i in range(f.arity):
+        got = _compose(f.dim, f.coeffs, f.arity, g.coeffs, g.arity, i)
+        assert np.max(np.abs(got - _compose_reference(f, g, i))) <= 1e-14
+
+
+def test_law_checks_raise_when_an_intermediate_overflows():
+    # every coefficient is finite, but a product of three of them is not
+    rng = trial_rng(6, 0)
+    h, f, g = (make_operation(2, n, rng.uniform(-1.0, 1.0, size=2 ** (n + 1)) * 1e150)
+               for n in (2, 3, 2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match="coefficients must all be finite"):
+            check_composition_relations(h, f, g, tol=1e-10)
+        with pytest.raises(ValueError, match="coefficients must all be finite"):
+            check_graded_jacobi(h, f, g, tol=1e-10)
+        with pytest.raises(ValueError, match="coefficients must all be finite"):
+            partial_compose(partial_compose(h, f, 0), g, 0)
+
+
 def test_unit_laws_are_exact():
     rng = trial_rng(1, 3)
     assert check_unit_laws(identity_operation(4), tol=1e-15).max_abs_residual == 0.0
@@ -182,18 +219,33 @@ def test_unit_laws_are_exact():
     assert check_unit_laws(rand_op(rng, 2, 3), tol=1e-15).max_abs_residual == 0.0
 
 
+def _compose_evaluate_residual(f, g, i, trials, seed=0):
+    """Worst gap between evaluate(f o_i g, args) and the signed value of f with
+    g applied to its i-th argument block, over random argument tuples: the
+    oracle tying the coefficient formulas to the definition."""
+    rng = trial_rng(seed, 0)
+    comp = partial_compose(f, g, i)
+    sign = -1.0 if (i * g.reduced_degree) % 2 else 1.0
+    worst = 0.0
+    for _ in range(trials):
+        args = [rng.uniform(-1.0, 1.0, size=f.dim) for _ in range(comp.arity)]
+        inner = evaluate(g, args[i : i + g.arity])
+        rhs = sign * evaluate(f, args[:i] + [inner] + args[i + g.arity :])
+        worst = max(worst, float(np.max(np.abs(evaluate(comp, args) - rhs))))
+    return worst
+
+
 def test_compose_evaluate_consistency():
     rng = trial_rng(1, 4)
     f, g = rand_op(rng, 2, 2), rand_op(rng, 2, 2)
-    assert check_compose_evaluate_consistency(f, g, 1, trials=50, tol=1e-12).passed
+    assert _compose_evaluate_residual(f, g, 1, trials=50) <= 1e-12
 
     unit = identity_operation(2)
-    rep = check_compose_evaluate_consistency(f, unit, 0, trials=10, tol=1e-15)
-    assert rep.max_abs_residual == 0.0
+    assert _compose_evaluate_residual(f, unit, 0, trials=10) == 0.0
 
     f1 = make_operation(1, 2, [2.0])
     g1 = make_operation(1, 2, [3.0])
-    assert check_compose_evaluate_consistency(f1, g1, 0, trials=5, tol=1e-13).passed
+    assert _compose_evaluate_residual(f1, g1, 0, trials=5) <= 1e-13
     ones = [np.array([1.0])] * 3
     npt.assert_array_equal(evaluate(partial_compose(f1, g1, 0), ones), [6.0])
 
@@ -237,3 +289,15 @@ def test_operad_law_suite_reports():
         assert r.passed and r.trials == 30 and 0 <= r.worst_case_seed < 30
         d = r.to_dict()
         assert set(d) == {"law", "trials", "max_abs_residual", "pass", "seed"}
+
+
+def test_worst_case_nan_outranks_later_numbers():
+    (rep,) = _worst_case_reports(["x"], [(1e-20,), (math.nan,), (1e-20,)], 1e-10)
+    assert math.isnan(rep.max_abs_residual) and rep.worst_case_seed == 1 and not rep.passed
+
+
+def test_worst_case_nan_only_rows():
+    (rep,) = _worst_case_reports(["x"], [(math.nan,)], 1e-10)
+    assert math.isnan(rep.max_abs_residual) and rep.worst_case_seed == 0 and not rep.passed
+    (rep,) = _worst_case_reports(["x"], [(math.nan,), (math.nan,)], 1e-10)
+    assert rep.worst_case_seed == 1  # a tie still names the last trial

@@ -25,7 +25,12 @@ from operlax import (
     random_state,
     trial_rng,
 )
-from operlax.oscillator import gamma_structural_zeros, principal_theta
+from operlax.oscillator import (
+    _GAMMA_PATTERN,
+    _gamma_from_g,
+    gamma_structural_zeros,
+    principal_theta,
+)
 
 
 def test_hamiltonian_values():
@@ -268,6 +273,16 @@ def test_gamma_structural_sparsity():
         s = random_state(rng)
         gm = gamma_matrix(s, float(rng.uniform(-2, 2)), float(rng.uniform(-2, 2)))
         assert np.all(gm.entries[mask] == 0.0)
+
+
+def test_gamma_arrays_follow_the_pattern():
+    # entry by entry from the pattern's tokens, as the arrays are meant to read it
+    g = (0.3, -1.7, 2.9, -0.05)
+    lookup = dict(zip("pmPM", g))
+    expected = [[0.0 if tok == "0" else float(tok[0] + "1") * lookup[tok[1]] for tok in row.split()]
+                for row in _GAMMA_PATTERN]
+    npt.assert_array_equal(_gamma_from_g(g), expected)
+    npt.assert_array_equal(gamma_structural_zeros(), np.array(expected) == 0.0)
 
 
 def test_gamma_degenerate_state():

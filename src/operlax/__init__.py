@@ -30,18 +30,15 @@ from .errors import (
 from .evolution import (
     CSV_HEADER,
     IntegratorConfig,
-    SystemState,
     Trajectory,
     analytic_mu,
     analytic_state,
     evolve,
-    matrix_lax_rhs,
     operadic_lax_rhs,
     pde_residual,
     pde_residual_field,
     pde_suite,
     rk4_order_check,
-    rk4_step,
     structure_constant_rhs,
     structure_rhs_matrix,
     theorem_suite,
@@ -51,20 +48,16 @@ from .multilinear import (
     Operation,
     evaluate,
     identity_operation,
-    linear_combine,
     make_operation,
     operation_from_dict,
     operation_to_dict,
 )
 from .oscillator import (
     AuxFunctions,
-    GammaMatrix,
     MuParams,
     OscState,
-    aux_functions_continuous,
     aux_functions_principal,
     g_functions,
-    gamma_matrix,
     hamilton_rhs,
     hamiltonian,
     lax_matrices,

@@ -10,6 +10,7 @@ worst residual seen.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -43,13 +44,27 @@ class LawReport:
     worst_case_seed: int = -1
 
     def to_dict(self) -> dict:
+        r = float(self.max_abs_residual)
         return {
             "law": self.law_name,
             "trials": self.trials,
-            "max_abs_residual": float(self.max_abs_residual),
+            # strict JSON has no NaN or infinity: such a residual (which fails) is null
+            "max_abs_residual": r if math.isfinite(r) else None,
             "pass": bool(self.passed),
             "seed": int(self.worst_case_seed),
         }
+
+
+def _quiet(fn):
+    """Run fn with numpy's overflow and invalid-value warnings off: an overflowed
+    intermediate surfaces as the finite check's ValueError, not as stderr lines."""
+
+    @functools.wraps(fn)
+    def quiet(*args, **kwargs):
+        with np.errstate(over="ignore", invalid="ignore"):
+            return fn(*args, **kwargs)
+
+    return quiet
 
 
 def _require_same_dim(*ops: Operation):
@@ -91,6 +106,7 @@ def _residual(diffs) -> float:
     return worst
 
 
+@_quiet
 def partial_compose(f: Operation, g: Operation, i: int) -> Operation:
     """Insert g into input slot i (zero-based) of f.
 
@@ -105,6 +121,7 @@ def partial_compose(f: Operation, g: Operation, i: int) -> Operation:
     return Operation(f.dim, f.arity + g.arity - 1, coeffs)
 
 
+@_quiet
 def total_compose(f: Operation, g: Operation) -> Operation:
     """Sum of g inserted into every slot of f; arity adds as for partial_compose."""
     _require_same_dim(f, g)
@@ -112,6 +129,7 @@ def total_compose(f: Operation, g: Operation) -> Operation:
     return Operation(f.dim, f.arity + g.arity - 1, coeffs)
 
 
+@_quiet
 def gerstenhaber_bracket(f: Operation, g: Operation) -> Operation:
     """Graded commutator f*g - (-1)^(|f||g|) g*f of total compositions."""
     _require_same_dim(f, g)
@@ -119,6 +137,7 @@ def gerstenhaber_bracket(f: Operation, g: Operation) -> Operation:
     return Operation(f.dim, f.arity + g.arity - 1, coeffs)
 
 
+@_quiet
 def check_composition_relations(h: Operation, f: Operation, g: Operation, tol: float) -> LawReport:
     """Verify the three-case composition (associativity) relations for (h, f, g).
 
@@ -148,6 +167,7 @@ def check_composition_relations(h: Operation, f: Operation, g: Operation, tol: f
     return LawReport("composition-relations", l * (l + m - 1), worst, worst <= tol)
 
 
+@_quiet
 def check_graded_jacobi(f: Operation, g: Operation, h: Operation, tol: float) -> LawReport:
     """Three-term graded Jacobi sum for the bracket; residual is its max coefficient.
 
@@ -164,6 +184,7 @@ def check_graded_jacobi(f: Operation, g: Operation, h: Operation, tol: float) ->
     return LawReport("graded-jacobi", 1, worst, worst <= tol)
 
 
+@_quiet
 def check_unit_laws(f: Operation, tol: float) -> LawReport:
     """Left unit in slot 0 and right unit in every slot must reproduce f exactly."""
     d, c, n = f.dim, f.coeffs, f.arity
@@ -186,6 +207,21 @@ def trial_rng(seed: int, trial: int) -> np.random.Generator:
 def random_operation(rng: np.random.Generator, dim: int, arity: int) -> Operation:
     """Operation with coefficients drawn uniformly from [-1, 1]."""
     return Operation(dim, arity, rng.uniform(-1.0, 1.0, size=dim ** (arity + 1)))
+
+
+# Trials per block of a trial-vectorised suite: memory follows the block, not
+# the trial count.
+TRIAL_BLOCK = 256
+
+
+def _blocked_rows(trials: int, block_rows):
+    """Residual rows of trials 0..trials-1 as lists of floats, in trial order.
+
+    block_rows(first, stop) gives an array with one row per trial in
+    first..stop-1; it is called for TRIAL_BLOCK trials at a time.
+    """
+    for first in range(0, trials, TRIAL_BLOCK):
+        yield from block_rows(first, min(first + TRIAL_BLOCK, trials)).tolist()
 
 
 def _worst_case_reports(names, residuals, tol: float) -> list[LawReport]:

@@ -18,7 +18,13 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .calculus import LawReport, _worst_case_reports, gerstenhaber_bracket, trial_rng
+from .calculus import (
+    LawReport,
+    _blocked_rows,
+    _worst_case_reports,
+    gerstenhaber_bracket,
+    trial_rng,
+)
 from .errors import BranchCutError, DegenerateStateError, DimensionMismatchError, DivergenceError
 from .multilinear import Operation
 from .oscillator import (
@@ -29,6 +35,7 @@ from .oscillator import (
     _g_values,
     _polar_state,
     _principal_angle,
+    _principal_aux,
     hamiltonian,
     lax_matrices,
     mu_family,
@@ -36,14 +43,11 @@ from .oscillator import (
 )
 
 __all__ = [
-    "SystemState",
     "Trajectory",
     "IntegratorConfig",
-    "matrix_lax_rhs",
     "operadic_lax_rhs",
     "structure_constant_rhs",
     "structure_rhs_matrix",
-    "rk4_step",
     "analytic_state",
     "analytic_mu",
     "evolve",
@@ -61,19 +65,6 @@ __all__ = [
 # omega) at a time: theorem_suite peaks near 2.4 MB at 20 trials.  That batch runs
 # fastest here: shorter chunks take more products, longer ones more powers.
 CHUNK_STEPS = 256
-
-
-@dataclass(frozen=True)
-class SystemState:
-    """Integrator state: time, phase point and current mu."""
-
-    t: float
-    osc: OscState
-    mu: Operation
-
-    def __post_init__(self):
-        if (self.mu.dim, self.mu.arity) != (2, 2):
-            raise DimensionMismatchError("mu must be a binary operation on a 2-dim space")
 
 
 @dataclass(frozen=True)
@@ -136,16 +127,6 @@ class IntegratorConfig:
 
     def initial_state(self) -> OscState:
         return OscState(self.omega, self.q0, self.p0)
-
-
-def matrix_lax_rhs(L: Operation, M: Operation) -> Operation:
-    """Classical commutator ML - LM for two linear operations."""
-    if L.arity != 1 or M.arity != 1:
-        raise DimensionMismatchError("matrix commutator needs two arity-1 operations")
-    if L.dim != M.dim:
-        raise DimensionMismatchError(f"dimension mismatch: {L.dim} vs {M.dim}")
-    lm = M.tensor @ L.tensor - L.tensor @ M.tensor
-    return Operation(L.dim, 1, lm.reshape(-1))
 
 
 def operadic_lax_rhs(mu: Operation, M: Operation) -> Operation:
@@ -312,18 +293,6 @@ class _Batch:
         return energy, mu_ana, err, np.abs(energy - self.h0) / self.h0
 
 
-def rk4_step(state: SystemState, M: Operation, dt: float) -> SystemState:
-    """One classical RK4 step of the joint ten-component system."""
-    if dt <= 0.0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    w = state.osc.omega
-    y0 = np.concatenate(([state.osc.q, state.osc.p], state.mu.coeffs))
-    _, ys = next(_rk4_chunks(y0[None], _increment_matrix(w, M, dt)[None], 1))
-    y1 = ys[1, 0]
-    return SystemState(state.t + dt, OscState(w, float(y1[0]), float(y1[1])),
-                       Operation(2, 2, y1[2:]))
-
-
 def analytic_state(config: IntegratorConfig, t: float) -> OscState:
     """Closed-form solution of the canonical equations at time t (H > 0)."""
     q, p = _Batch([config]).analytic_qp(t)
@@ -346,8 +315,7 @@ def evolve(config: IntegratorConfig) -> Trajectory:
     The initial mu is the family evaluated on the principal branch at the
     initial state.  Each record carries the numeric and analytic structure
     constants, their worst difference, the on-shell G values at the numeric
-    state, and the relative energy drift.  Arbitrary initial mu is not taken
-    here; step a SystemState with rk4_step directly for that.
+    state, and the relative energy drift.
     """
     batch = _Batch([config])
     kept, steps = [], []
@@ -399,9 +367,36 @@ def pde_residual_field(s: OscState, mu_field, omega: float, h: float) -> float:
     return float(np.max(np.abs(resid)))
 
 
+def _pde_residuals(states: list, cs, h: float) -> np.ndarray:
+    """pde_residual of the principal-branch family with parameters cs[k] at
+    states[k], for every k at once.
+
+    The family is evaluated at the centre and the four stencil points of
+    every state as one array, with the one-state path's values bit for bit,
+    since the central differences magnify a last-bit change by 1/h.  [M, mu]
+    is structure_rhs_matrix(M) @ mu with one matrix per distinct omega and one
+    product per state, so a state's numbers do not depend on its batch.
+    """
+    for s in states:
+        _stencil_guard(s, h)
+    w, q, p = (np.array([[getattr(s, f)] for s in states]) for f in ("omega", "q", "p"))
+    qs, ps = q + [0.0, h, -h, 0.0, 0.0], p + [0.0, 0.0, 0.0, h, -h]
+    aux = _principal_aux(w, qs, ps, 0.5 * (ps * ps + w * w * qs * qs))
+    mu = _family_coeffs(*aux, np.asarray(cs, dtype=float).T[:, :, None])
+    _, firsts, group = np.unique(w[:, 0], return_index=True, return_inverse=True)
+    rhs = np.stack([structure_rhs_matrix(lax_matrices(states[i])[1]) for i in firsts])
+    # a sum of exact products, added pairwise by numpy: each coefficient rounds as
+    # a - (b0 + b1), the order gerstenhaber_bracket adds the same products in
+    bracket = (rhs[group] * mu[:, 0, None, :]).sum(axis=-1)
+    dmu_dq = (mu[:, 1] - mu[:, 2]) / (2.0 * h)
+    dmu_dp = (mu[:, 3] - mu[:, 4]) / (2.0 * h)
+    resid = p * dmu_dq - w * w * q * dmu_dp - bracket
+    return np.max(np.abs(resid), axis=1)
+
+
 def pde_residual(s: OscState, params: MuParams, h: float) -> float:
     """PDE residual of the principal-branch family at one state; O(h^2) exact."""
-    return pde_residual_field(s, lambda st: mu_family(st, params), s.omega, h)
+    return float(_pde_residuals([s], [params.c], h)[0])
 
 
 def rk4_order_check(config: IntegratorConfig) -> float:
@@ -516,6 +511,16 @@ def theorem_suite(
     return reports
 
 
+def _pde_state(seed: int, k: int, probe: bool = False) -> OscState:
+    """State k of the PDE suite: omega from _OMEGAS, energy log-uniform in
+    [0.1, 10], angle uniform within 0.95 pi of zero, or zero on the probe."""
+    rng = trial_rng(seed, k)
+    w = float(rng.choice(_OMEGAS))
+    hh = float(np.exp(rng.uniform(math.log(0.1), math.log(10.0))))
+    theta = 0.0 if probe else float(rng.uniform(-0.95 * math.pi, 0.95 * math.pi))
+    return _polar_state(w, hh, theta)
+
+
 def pde_suite(
     n_states: int,
     seed: int,
@@ -543,31 +548,24 @@ def pde_suite(
     quadratic law is cleanly resolvable.  Linearity of the family in its
     parameters extends the law from the generators to every parameter vector.
     """
-    params_pool = [
-        MuParams(tuple(trial_rng(seed, 10_000 + j).uniform(-1.0, 1.0, size=8)))
-        for j in range(n_params)
-    ]
+    params_pool = np.array([trial_rng(seed, 10_000 + j).uniform(-1.0, 1.0, size=8)
+                            for j in range(n_params)])
 
-    def residual(k):
-        rng = trial_rng(seed, k)
-        w = float(rng.choice(_OMEGAS))
-        hh = float(np.exp(rng.uniform(math.log(0.1), math.log(10.0))))
-        s = _polar_state(w, hh, float(rng.uniform(-0.95 * math.pi, 0.95 * math.pi)))
-        return (pde_residual(s, params_pool[k % n_params], h),)
+    def residuals(first, stop):
+        ks = range(first, stop)
+        return _pde_residuals([_pde_state(seed, k) for k in ks],
+                              params_pool[np.remainder(ks, n_params)], h)[:, None]
 
-    def probe(k):
-        # worst residual over the eight generators, at steps h and h/2
-        rng = trial_rng(seed, 20_000 + k)
-        w = float(rng.choice(_OMEGAS))
-        hh = float(np.exp(rng.uniform(math.log(0.1), math.log(10.0))))
-        s = _polar_state(w, hh, 0.0)
-        return tuple(max(pde_residual(s, MuParams(tuple(basis)), step) for basis in np.eye(8))
-                     for step in (h, 0.5 * h))
-
-    at_h, at_half = _worst_case_reports(("h", "h/2"), map(probe, range(n_probe_states)), tol)
+    # worst residual over the eight generators of each probe state, at steps h and h/2
+    probes = [_pde_state(seed, 20_000 + k, probe=True) for k in range(n_probe_states)]
+    pairs = [s for s in probes for _ in range(8)]
+    generators = np.tile(np.eye(8), (n_probe_states, 1))
+    worst = [_pde_residuals(pairs, generators, step).reshape(-1, 8).max(axis=1).tolist()
+             for step in (h, 0.5 * h)]
+    at_h, at_half = _worst_case_reports(("h", "h/2"), zip(*worst), tol)
     factor = at_h.max_abs_residual / at_half.max_abs_residual
     outside = max(0.0, 3.0 - factor, factor - 5.0)
-    return _worst_case_reports(["pde-residual"], map(residual, range(n_states)), tol) + [
+    return _worst_case_reports(["pde-residual"], _blocked_rows(n_states, residuals), tol) + [
         LawReport("pde-residual-halving", 8 * n_probe_states, outside, outside == 0.0,
                   at_h.worst_case_seed),
     ]

@@ -19,7 +19,6 @@ __all__ = [
     "make_operation",
     "identity_operation",
     "evaluate",
-    "linear_combine",
     "operation_to_dict",
     "operation_from_dict",
 ]
@@ -106,15 +105,6 @@ def evaluate(f: Operation, args) -> np.ndarray:
     for a in args:
         res = np.tensordot(res, _as_vector(a, f.dim), axes=([1], [0]))
     return res
-
-
-def linear_combine(a: float, f: Operation, b: float, g: Operation) -> Operation:
-    """Coefficient-wise a*f + b*g; f and g must have equal dim and arity."""
-    if (f.dim, f.arity) != (g.dim, g.arity):
-        raise DimensionMismatchError(
-            f"cannot combine (dim={f.dim}, arity={f.arity}) with (dim={g.dim}, arity={g.arity})"
-        )
-    return Operation(f.dim, f.arity, a * f.coeffs + b * g.coeffs)
 
 
 def operation_to_dict(f: Operation) -> dict:

@@ -5,9 +5,9 @@ functions (A+, A-, D+, D-).  They are half-angle functions of the phase-space
 point: writing z = p + i*omega*q, the pair (A+, A-) is sqrt(2)*sqrt(z) and
 (D+, D-) is z**(3/2)/sqrt(2) split into real and imaginary parts.  Being
 half-angle objects they are double-valued over phase space; this module
-provides both the single-valued principal branch (for pointwise work such as
-PDE stencils) and a branch-continuous evaluation driven by an unwrapped phase
-angle (for comparisons along trajectories).
+provides the single-valued principal branch (for pointwise work such as PDE
+stencils), and its array form takes any angle, so an unwrapped one follows the
+continuous branch along a trajectory.
 """
 
 from __future__ import annotations
@@ -17,24 +17,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calculus import LawReport, _worst_case_reports, trial_rng
-from .errors import DegenerateStateError, DimensionMismatchError, EnergyOverflowError
+from .calculus import _blocked_rows, _worst_case_reports, trial_rng
+from .errors import DegenerateStateError, EnergyOverflowError
 from .multilinear import Operation, make_operation
 
 __all__ = [
     "OscState",
     "AuxFunctions",
     "MuParams",
-    "GammaMatrix",
     "hamiltonian",
     "hamilton_rhs",
     "lax_matrices",
     "principal_theta",
     "aux_functions_principal",
-    "aux_functions_continuous",
     "g_functions",
     "mu_family",
-    "gamma_matrix",
     "gamma_structural_zeros",
     "proof_identity_residuals",
     "random_state",
@@ -105,21 +102,6 @@ class MuParams:
         return cls((0.0,) * 8)
 
 
-@dataclass(frozen=True)
-class GammaMatrix:
-    """The 8x8 constraint matrix assembled from the four G values."""
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        e = np.asarray(self.entries, dtype=float)
-        if e.shape != (8, 8):
-            raise DimensionMismatchError(f"expected an 8x8 matrix, got {e.shape}")
-        e = e.copy()
-        e.flags.writeable = False
-        object.__setattr__(self, "entries", e)
-
-
 def hamiltonian(s: OscState) -> float:
     """H = (p^2 + omega^2 q^2) / 2."""
     return 0.5 * (s.p * s.p + s.omega * s.omega * s.q * s.q)
@@ -138,19 +120,22 @@ def lax_matrices(s: OscState) -> tuple:
     return L, M
 
 
+def _aux_radius(h):
+    # |A| = sqrt(2) (2H)^(1/4); a float takes libm's pow, an array numpy's
+    return math.sqrt(2.0) * (2.0 * h) ** 0.25
+
+
 def _aux_values(theta, h):
-    # ufunc form shared by the scalar API and the vectorized trajectory path
-    r = math.sqrt(2.0) * (2.0 * h) ** 0.25
+    # ufunc form shared by the scalar API and the array paths
+    return _aux_at_radius(theta, _aux_radius(h))
+
+
+def _aux_at_radius(theta, r):
     ap = r * np.cos(0.5 * theta)
     am = r * np.sin(0.5 * theta)
     dp = 0.5 * ap * (ap * ap - 3.0 * am * am)
     dm = 0.5 * am * (3.0 * ap * ap - am * am)
     return ap, am, dp, dm
-
-
-def _aux_from_theta(s: OscState, theta: float) -> AuxFunctions:
-    ap, am, dp, dm = _aux_values(theta, hamiltonian(s))
-    return AuxFunctions(float(ap), float(am), float(dp), float(dm), theta)
 
 
 def _principal_angle(y, x, atan2=math.atan2):
@@ -178,23 +163,19 @@ def aux_functions_principal(s: OscState) -> AuxFunctions:
     squares, product) and is the unique choice with A+ >= 0 on this range.
     At H = 0 everything is zero.
     """
-    return _aux_from_theta(s, principal_theta(s))
+    theta = principal_theta(s)
+    ap, am, dp, dm = _aux_values(theta, hamiltonian(s))
+    return AuxFunctions(float(ap), float(am), float(dp), float(dm), theta)
 
 
-def aux_functions_continuous(s: OscState, theta_unwrapped: float) -> AuxFunctions:
-    """Branch-continuous evaluation at an unwrapped phase angle.
-
-    theta_unwrapped must agree with principal_theta(s) modulo 2*pi; no
-    reduction to the principal range is applied, so consecutive sheets give
-    opposite signs for all four phase functions.
-    """
-    if hamiltonian(s) > 0.0:
-        delta = theta_unwrapped - principal_theta(s)
-        if abs(delta - TWO_PI * round(delta / TWO_PI)) > 1e-9:
-            raise ValueError(
-                f"theta {theta_unwrapped!r} does not wrap onto the state's phase angle"
-            )
-    return _aux_from_theta(s, theta_unwrapped)
+def _principal_aux(w, q, p, h) -> tuple:
+    """aux_functions_principal's values over arrays (w, q, p) with energies
+    h > 0, bit for bit: each angle and radius takes libm's atan2 and pow as the
+    one-state path does, where numpy's differ in the last bit for some inputs."""
+    theta = [_principal_angle(y, x) for y, x in zip((w * q).ravel().tolist(),
+                                                    p.ravel().tolist())]
+    r = [_aux_radius(e) for e in h.ravel().tolist()]
+    return _aux_at_radius(np.reshape(theta, h.shape), np.reshape(r, h.shape))
 
 
 def _a_dots(omega, dq, dp, ap, am):
@@ -261,17 +242,13 @@ _GAMMA_SIGN = np.array([[-1.0 if tok[0] == "-" else 1.0 for tok in row.split()]
 
 
 def _gamma_from_g(g: tuple) -> np.ndarray:
-    return np.array((0.0, *g))[_GAMMA_INDEX] * _GAMMA_SIGN
+    # g holds the four G values, floats or arrays over trials: shape (..., 8, 8)
+    return np.stack(np.broadcast_arrays(0.0, *g), axis=-1)[..., _GAMMA_INDEX] * _GAMMA_SIGN
 
 
 def gamma_structural_zeros() -> np.ndarray:
     """Boolean 8x8 mask of the entries that are zero for every state."""
     return _GAMMA_INDEX == 0
-
-
-def gamma_matrix(s: OscState, dq: float, dp: float) -> GammaMatrix:
-    """Assemble the 8x8 constraint matrix from the G values at (dq, dp)."""
-    return GammaMatrix(_gamma_from_g(g_functions(s, dq, dp)))
 
 
 def _family_coeffs(ap, am, dp, dm, c) -> np.ndarray:
@@ -293,18 +270,24 @@ def _family_coeffs(ap, am, dp, dm, c) -> np.ndarray:
     )
 
 
-def mu_family(s: OscState, params: MuParams, aux: AuxFunctions | None = None) -> Operation:
+def mu_family(s: OscState, params: MuParams) -> Operation:
     """Eight-parameter family of evolving binary multiplications on 2-dim V.
 
-    Each structure constant is a fixed signed combination of the phase
-    functions with the caller's C coefficients; the map C -> mu is linear.
-    Uses the principal branch unless an AuxFunctions (e.g. an unwrapped
-    continuous-branch evaluation) is supplied.
+    Each structure constant is a fixed signed combination of the principal-
+    branch phase functions with the caller's C coefficients; the map C -> mu
+    is linear.
     """
-    if aux is None:
-        aux = aux_functions_principal(s)
+    aux = aux_functions_principal(s)
     coeffs = _family_coeffs(aux.a_plus, aux.a_minus, aux.d_plus, aux.d_minus, params.c)
     return make_operation(2, 2, coeffs)
+
+
+def _cramer_residuals(w, q, p, h, ap, am, d_plus, d_minus) -> tuple:
+    # elementwise on arrays as well; Delta = p^2 + (w q)^2 is the Cramer determinant
+    delta = p * p + (w * q) * (w * q)
+    return (delta - 2.0 * h,
+            (d_minus * p - d_plus * w * q) - 2.0 * am * h,
+            (d_plus * p + d_minus * w * q) - 2.0 * ap * h)
 
 
 def proof_identity_residuals(s: OscState) -> tuple:
@@ -314,14 +297,9 @@ def proof_identity_residuals(s: OscState) -> tuple:
     with Delta the 2x2 Cramer determinant p^2 + (w q)^2, all on the principal
     branch.  Callers scale by 1 + H^(3/2) before comparing to a tolerance.
     """
-    w, q, p = s.omega, s.q, s.p
-    h = hamiltonian(s)
     aux = aux_functions_principal(s)
-    delta = p * p + (w * q) * (w * q)
-    r_delta = delta - 2.0 * h
-    r_minus = (aux.d_minus * p - aux.d_plus * w * q) - 2.0 * aux.a_minus * h
-    r_plus = (aux.d_plus * p + aux.d_minus * w * q) - 2.0 * aux.a_plus * h
-    return (r_delta, r_minus, r_plus)
+    return _cramer_residuals(s.omega, s.q, s.p, hamiltonian(s),
+                             aux.a_plus, aux.a_minus, aux.d_plus, aux.d_minus)
 
 
 def _polar_state(omega: float, h: float, theta: float) -> OscState:
@@ -338,6 +316,40 @@ def random_state(rng: np.random.Generator) -> OscState:
     return _polar_state(w, h, float(rng.uniform(-math.pi, math.pi)))
 
 
+def _identity_draws(seed: int, first: int, stop: int) -> np.ndarray:
+    """(omega, q, p, dq, dp) of trials first..stop-1, one column each: the state
+    from random_state, which validates it, then an off-shell flow (dq, dp)
+    uniform in [-2, 2]^2, all from the trial's own stream."""
+    rows = []
+    for k in range(first, stop):
+        rng = trial_rng(seed, k)
+        s = random_state(rng)
+        rows.append((s.omega, s.q, s.p, *rng.uniform(-2.0, 2.0, size=2)))
+    return np.array(rows).T.copy()
+
+
+def _identity_rows(w, q, p, dq, dp) -> np.ndarray:
+    """The six scaled residuals of proof_identity_suite, one row per trial,
+    for arrays (omega, q, p, dq, dp) over trials; H > 0 throughout."""
+    h = 0.5 * (p * p + w * w * q * q)
+    aux = _principal_aux(w, q, p, h)
+    ap, am = aux[:2]
+    sq2h = np.sqrt(2.0 * h)
+    rel = np.maximum.reduce([np.abs(ap ** 2 + am ** 2 - 2.0 * sq2h),
+                             np.abs(ap ** 2 - am ** 2 - 2.0 * p),
+                             np.abs(ap * am - w * q)])
+    da_p, da_m = _a_dots(w, dq, dp, ap, am)
+    row1 = (ap * da_p + am * da_m) - (p * dp + w ** 2 * q * dq) / sq2h
+    cramer = np.max(np.abs(_cramer_residuals(w, q, p, h, *aux)), axis=0)
+    g_on = _g_values(w, p, -w * w * q, *aux)
+    gamma_off = _gamma_from_g(_g_values(w, dq, dp, *aux))[:, gamma_structural_zeros()]
+    return np.column_stack((rel / (1.0 + sq2h), np.abs(row1) / (1.0 + h),
+                            cramer / (1.0 + h ** 1.5),
+                            np.max(np.abs(g_on), axis=0) / (1.0 + h),
+                            np.max(np.abs(_gamma_from_g(g_on)), axis=(1, 2)) / (1.0 + h),
+                            np.max(np.abs(gamma_off), axis=1)))
+
+
 def proof_identity_suite(trials: int, seed: int, tol: float) -> list:
     """Randomized verification of every pointwise identity behind the mu family.
 
@@ -345,37 +357,6 @@ def proof_identity_suite(trials: int, seed: int, tol: float) -> list:
     by 1 + sqrt(2H), the determinant identities by 1 + H^(3/2), and the G and
     Gamma checks by 1 + H.
     """
-    zero_mask = gamma_structural_zeros()
-
-    def residuals(k):
-        rng = trial_rng(seed, k)
-        s = random_state(rng)
-        h = hamiltonian(s)
-        aux = aux_functions_principal(s)
-        sq2h = math.sqrt(2.0 * h)
-        rel = max(
-            abs(aux.a_plus ** 2 + aux.a_minus ** 2 - 2.0 * sq2h),
-            abs(aux.a_plus ** 2 - aux.a_minus ** 2 - 2.0 * s.p),
-            abs(aux.a_plus * aux.a_minus - s.omega * s.q),
-        )
-        r_delta, r_minus, r_plus = proof_identity_residuals(s)
-        g_on = g_functions(s, *hamilton_rhs(s))
-
-        dq, dp = rng.uniform(-2.0, 2.0, size=2)
-        da_p, da_m = _a_dots(s.omega, dq, dp, aux.a_plus, aux.a_minus)
-        row1 = (aux.a_plus * da_p + aux.a_minus * da_m) - (
-            s.p * dp + s.omega ** 2 * s.q * dq
-        ) / sq2h
-        gamma_off = _gamma_from_g(g_functions(s, dq, dp))
-        return (
-            rel / (1.0 + sq2h),
-            abs(row1) / (1.0 + h),
-            max(map(abs, (r_delta, r_minus, r_plus))) / (1.0 + h ** 1.5),
-            max(map(abs, g_on)) / (1.0 + h),
-            float(np.max(np.abs(_gamma_from_g(g_on)))) / (1.0 + h),
-            float(np.max(np.abs(gamma_off[zero_mask]))),
-        )
-
     names = [
         "aux-defining-relations",
         "aux-derivative-row1",
@@ -384,4 +365,5 @@ def proof_identity_suite(trials: int, seed: int, tol: float) -> list:
         "gamma-onshell",
         "gamma-sparsity",
     ]
-    return _worst_case_reports(names, map(residuals, range(trials)), tol)
+    rows = _blocked_rows(trials, lambda k0, k1: _identity_rows(*_identity_draws(seed, k0, k1)))
+    return _worst_case_reports(names, rows, tol)

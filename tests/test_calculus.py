@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -203,13 +204,19 @@ def test_law_checks_raise_when_an_intermediate_overflows():
     rng = trial_rng(6, 0)
     h, f, g = (make_operation(2, n, rng.uniform(-1.0, 1.0, size=2 ** (n + 1)) * 1e150)
                for n in (2, 3, 2))
-    with np.errstate(over="ignore", invalid="ignore"):
+    # the caller's numpy error state would raise on overflow: each entry point
+    # keeps numpy quiet and raises its own ValueError instead
+    with np.errstate(all="raise"):
         with pytest.raises(ValueError, match="coefficients must all be finite"):
             check_composition_relations(h, f, g, tol=1e-10)
         with pytest.raises(ValueError, match="coefficients must all be finite"):
             check_graded_jacobi(h, f, g, tol=1e-10)
         with pytest.raises(ValueError, match="coefficients must all be finite"):
             partial_compose(partial_compose(h, f, 0), g, 0)
+        with pytest.raises(ValueError, match="coefficients must all be finite"):
+            total_compose(total_compose(h, f), g)
+        with pytest.raises(ValueError, match="coefficients must all be finite"):
+            gerstenhaber_bracket(gerstenhaber_bracket(h, f), g)
 
 
 def test_unit_laws_are_exact():
@@ -294,6 +301,19 @@ def test_operad_law_suite_reports():
 def test_worst_case_nan_outranks_later_numbers():
     (rep,) = _worst_case_reports(["x"], [(1e-20,), (math.nan,), (1e-20,)], 1e-10)
     assert math.isnan(rep.max_abs_residual) and rep.worst_case_seed == 1 and not rep.passed
+
+
+def test_non_finite_residual_is_null_in_strict_json():
+    def reject(token):
+        raise ValueError(f"{token} is not strict JSON")
+
+    for bad in (math.nan, math.inf):
+        (rep,) = _worst_case_reports(["x"], [(1e-20,), (bad,)], 1e-10)
+        obj = json.loads(json.dumps(rep.to_dict()), parse_constant=reject)
+        assert obj == {"law": "x", "trials": 2, "max_abs_residual": None, "pass": False, "seed": 1}
+    (rep,) = _worst_case_reports(["x"], [(1e-20,)], 1e-10)
+    assert json.dumps(rep.to_dict()) == ('{"law": "x", "trials": 1, "max_abs_residual": 1e-20, '
+                                         '"pass": true, "seed": 0}')
 
 
 def test_worst_case_nan_only_rows():

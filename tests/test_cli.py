@@ -244,6 +244,17 @@ def run_subprocess(argv, tmp_path):
     return proc.returncode, proc.stderr
 
 
+def test_bracket_overflow_writes_no_numpy_warning(tmp_path):
+    # finite coefficients whose composites overflow: the finite check's error alone
+    (tmp_path / "big.json").write_text(json.dumps({"dim": 2, "arity": 2, "coeffs": [1e200] * 8}))
+    code, stderr = run_subprocess(["bracket", "big.json", "big.json"], tmp_path)
+    assert code == 2
+    usage, error = stderr.splitlines()
+    assert usage.startswith("usage: operlax")
+    assert error == "operlax: error: coefficients must all be finite"
+    assert "Warning" not in stderr
+
+
 def test_simulate_coarse_step_exits_0(tmp_path):
     # the coarsest dt IntegratorConfig accepts at omega = 1; its phase error
     # over t_end = 20 is far above 1e-6

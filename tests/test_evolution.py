@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from collections import namedtuple
 
 import numpy as np
 import numpy.testing as npt
@@ -12,7 +13,6 @@ from operlax import (
     IntegratorConfig,
     MuParams,
     OscState,
-    SystemState,
     analytic_mu,
     analytic_state,
     evolve,
@@ -22,14 +22,12 @@ from operlax import (
     hamiltonian,
     lax_matrices,
     make_operation,
-    matrix_lax_rhs,
     mu_family,
     operadic_lax_rhs,
     pde_residual,
     pde_residual_field,
     random_operation,
     rk4_order_check,
-    rk4_step,
     structure_constant_rhs,
     structure_rhs_matrix,
     theorem_suite,
@@ -37,17 +35,32 @@ from operlax import (
     trial_rng,
 )
 from operlax import evolution
-from operlax.evolution import CHUNK_STEPS, CSV_HEADER, _Batch, _random_config, _rk4_chunks
+from operlax.evolution import (
+    CHUNK_STEPS,
+    CSV_HEADER,
+    _Batch,
+    _increment_matrix,
+    _pde_residuals,
+    _pde_state,
+    _random_config,
+    _rk4_chunks,
+    pde_suite,
+)
 
 C5 = MuParams((0, 0, 0, 0, 1, 0, 0, 0))
 
 
+def _matrix_lax_rhs(L, M):
+    # classical commutator ML - LM of two linear operations
+    return make_operation(L.dim, 1, M.tensor @ L.tensor - L.tensor @ M.tensor)
+
+
 def test_matrix_lax_rhs_frozen():
     L, M = lax_matrices(OscState(1.0, 1.0, 0.0))
-    npt.assert_array_equal(matrix_lax_rhs(L, M).tensor, [[-1.0, 0.0], [0.0, 1.0]])
-    npt.assert_array_equal(matrix_lax_rhs(M, M).coeffs, np.zeros(4))
+    npt.assert_array_equal(_matrix_lax_rhs(L, M).tensor, [[-1.0, 0.0], [0.0, 1.0]])
+    npt.assert_array_equal(_matrix_lax_rhs(M, M).coeffs, np.zeros(4))
     L2, M2 = lax_matrices(OscState(1.0, 0.0, 1.0))
-    npt.assert_array_equal(matrix_lax_rhs(L2, M2).tensor, [[0.0, 1.0], [1.0, 0.0]])
+    npt.assert_array_equal(_matrix_lax_rhs(L2, M2).tensor, [[0.0, 1.0], [1.0, 0.0]])
 
 
 def test_matrix_lax_rhs_equals_bracket():
@@ -55,7 +68,7 @@ def test_matrix_lax_rhs_equals_bracket():
     for _ in range(30):
         L = random_operation(rng, 2, 1)
         M = random_operation(rng, 2, 1)
-        npt.assert_allclose(matrix_lax_rhs(L, M).coeffs,
+        npt.assert_allclose(_matrix_lax_rhs(L, M).coeffs,
                             gerstenhaber_bracket(M, L).coeffs, atol=1e-14, rtol=0)
 
 
@@ -108,14 +121,27 @@ def test_structure_rhs_matrix_reproduces_formula():
                                 atol=1e-14, rtol=0)
 
 
+SystemState = namedtuple("SystemState", "t osc mu")
+
+
 def _system_state(omega, q, p, mu):
     return SystemState(0.0, OscState(omega, q, p), mu)
+
+
+def _rk4_step(state, M, dt):
+    # one step of the joint system: the single-run, single-step case of the chunk kernel
+    w = state.osc.omega
+    y0 = np.concatenate(([state.osc.q, state.osc.p], state.mu.coeffs))
+    _, ys = next(_rk4_chunks(y0[None], _increment_matrix(w, M, dt)[None], 1))
+    y1 = ys[1, 0]
+    return SystemState(state.t + dt, OscState(w, float(y1[0]), float(y1[1])),
+                       make_operation(2, 2, y1[2:]))
 
 
 def test_rk4_step_against_closed_form():
     _, M = lax_matrices(OscState(1.0, 0.0, 1.0))
     st = _system_state(1.0, 0.0, 1.0, make_operation(2, 2, np.zeros(8)))
-    st1 = rk4_step(st, M, 0.1)
+    st1 = _rk4_step(st, M, 0.1)
     # one classical step carries local truncation dt^5/120 on the sine component
     q_err = abs(st1.osc.q - math.sin(0.1))
     assert q_err <= 1e-7
@@ -128,7 +154,7 @@ def test_rk4_step_zero_mu_is_fixed():
     _, M = lax_matrices(OscState(1.0, 0.0, 1.0))
     st = _system_state(1.0, 0.0, 1.0, make_operation(2, 2, np.zeros(8)))
     for _ in range(5):
-        st = rk4_step(st, M, 0.05)
+        st = _rk4_step(st, M, 0.05)
         npt.assert_array_equal(st.mu.coeffs, np.zeros(8))
 
 
@@ -138,7 +164,7 @@ def test_rk4_step_origin_mu_rotates():
     _, M = lax_matrices(OscState(1.0, 0.0, 1.0))
     st = _system_state(1.0, 0.0, 0.0, mu0)
     for _ in range(20):
-        st = rk4_step(st, M, 0.05)
+        st = _rk4_step(st, M, 0.05)
     assert st.osc.q == 0.0 and st.osc.p == 0.0
     assert np.max(np.abs(st.mu.coeffs - mu0.coeffs)) > 1e-3
     # the constant-M flow is a rotation in coefficient space; RK4 preserves
@@ -424,6 +450,34 @@ def test_pde_residual_branch_cut_guard():
         pde_residual(OscState(1.0, 1e-7, -1.0), C5, 1e-5)
     with pytest.raises(DegenerateStateError):
         pde_residual(OscState(1.0, 0.0, 0.0), C5, 1e-5)
+
+
+def _pde_cases():
+    # the 100 states of pde-check --seed 105 with their parameters, then the
+    # 64 (probe state, generator) pairs of its convergence probe
+    pool = [trial_rng(105, 10_000 + j).uniform(-1.0, 1.0, size=8) for j in range(20)]
+    cases = [(_pde_state(105, k), pool[k % 20]) for k in range(100)]
+    probes = [_pde_state(105, 20_000 + k, probe=True) for k in range(8)]
+    return cases + [(s, basis) for s in probes for basis in np.eye(8)]
+
+
+@pytest.mark.parametrize("h", [1e-5, 5e-6])
+def test_pde_batch_matches_field_residual(h):
+    cases = _pde_cases()
+    states, cs = [s for s, _ in cases], np.array([c for _, c in cases])
+    batch = _pde_residuals(states, cs, h)
+    for k, (s, c) in enumerate(cases):
+        params = MuParams(tuple(c))
+        field = pde_residual_field(s, lambda st: mu_family(st, params), s.omega, h)
+        assert abs(batch[k] - field) <= 1e-15
+        # a state's residual does not depend on the states that share its batch
+        assert pde_residual(s, params, h) == batch[k]
+    assert _pde_residuals(states[::-1], cs[::-1], h).tolist() == batch[::-1].tolist()
+
+
+def test_pde_suite_reports_are_python_scalars():
+    reports = pde_suite(20, 3, 1e-8)
+    assert all(type(r.max_abs_residual) is float and type(r.passed) is bool for r in reports)
 
 
 def test_rk4_order_check():

@@ -6,7 +6,6 @@ from operlax import (
     DimensionMismatchError,
     evaluate,
     identity_operation,
-    linear_combine,
     make_operation,
     operation_from_dict,
     operation_to_dict,
@@ -73,25 +72,6 @@ def test_evaluate_argument_validation():
         evaluate(f, [np.array([1.0, np.nan]), np.ones(2)])
 
 
-def test_linear_combine():
-    rng = np.random.default_rng(11)
-    f = make_operation(2, 2, rng.uniform(-1, 1, 8))
-    npt.assert_array_equal(linear_combine(1.0, f, -1.0, f).coeffs, np.zeros(8))
-
-    unit = identity_operation(2)
-    npt.assert_array_equal(linear_combine(2.0, unit, 0.0, unit).tensor, 2.0 * np.eye(2))
-
-    a = np.zeros(8)
-    a[0] = 1.0  # mu^1_11
-    b = np.zeros(8)
-    b[7] = 1.0  # mu^2_22
-    combined = linear_combine(1.0, make_operation(2, 2, a), 1.0, make_operation(2, 2, b))
-    npt.assert_array_equal(combined.coeffs, a + b)
-
-    with pytest.raises(DimensionMismatchError):
-        linear_combine(1.0, f, 1.0, unit)
-
-
 def test_evaluate_multilinearity():
     rng = np.random.default_rng(42)
     for _ in range(30):
@@ -127,7 +107,7 @@ def test_combine_evaluate_distributes():
     g = make_operation(2, 2, rng.uniform(-1, 1, 8))
     args = [rng.uniform(-1, 1, 2), rng.uniform(-1, 1, 2)]
     a, b = 0.7, -1.3
-    lhs = evaluate(linear_combine(a, f, b, g), args)
+    lhs = evaluate(make_operation(2, 2, a * f.coeffs + b * g.coeffs), args)
     rhs = a * evaluate(f, args) + b * evaluate(g, args)
     npt.assert_allclose(lhs, rhs, atol=1e-12, rtol=0)
 

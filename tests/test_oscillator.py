@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -12,10 +13,8 @@ from operlax import (
     EnergyOverflowError,
     MuParams,
     OscState,
-    aux_functions_continuous,
     aux_functions_principal,
     g_functions,
-    gamma_matrix,
     hamilton_rhs,
     hamiltonian,
     lax_matrices,
@@ -25,9 +24,14 @@ from operlax import (
     random_state,
     trial_rng,
 )
+from operlax.calculus import TRIAL_BLOCK
 from operlax.oscillator import (
     _GAMMA_PATTERN,
+    _a_dots,
+    _aux_values,
     _gamma_from_g,
+    _identity_draws,
+    _identity_rows,
     gamma_structural_zeros,
     principal_theta,
 )
@@ -140,39 +144,34 @@ def test_aux_defining_relations_random():
 
 def test_aux_continuous_matches_principal_on_first_sheet():
     s = OscState(1.0, 0.0, 2.0)
-    aux = aux_functions_continuous(s, 0.0)
-    npt.assert_allclose([aux.a_plus, aux.a_minus], [2.0, 0.0], atol=1e-12)
+    npt.assert_allclose(_aux_values(0.0, hamiltonian(s))[:2], [2.0, 0.0], atol=1e-12)
 
 
 def test_aux_continuous_second_sheet_flips_sign():
     s = OscState(1.0, 0.0, 2.0)
-    aux = aux_functions_continuous(s, 2.0 * math.pi)
-    npt.assert_allclose([aux.a_plus, aux.a_minus], [-2.0, 0.0], atol=1e-12)
-    npt.assert_allclose([aux.d_plus, aux.d_minus], [-4.0, 0.0], atol=1e-12)
+    ap, am, dp, dm = _aux_values(2.0 * math.pi, hamiltonian(s))
+    npt.assert_allclose([ap, am], [-2.0, 0.0], atol=1e-12)
+    npt.assert_allclose([dp, dm], [-4.0, 0.0], atol=1e-12)
     # defining relations still hold on the second sheet
-    npt.assert_allclose(aux.a_plus ** 2 - aux.a_minus ** 2, 2.0 * s.p, atol=1e-12)
+    npt.assert_allclose(ap ** 2 - am ** 2, 2.0 * s.p, atol=1e-12)
 
-    aux = aux_functions_continuous(OscState(1.0, 1.0, 0.0), math.pi / 2)
-    npt.assert_allclose([aux.a_plus, aux.a_minus], [1.0, 1.0], atol=1e-12)
+    aux = _aux_values(math.pi / 2, hamiltonian(OscState(1.0, 1.0, 0.0)))
+    npt.assert_allclose(aux[:2], [1.0, 1.0], atol=1e-12)
 
 
 def test_aux_continuous_sheet_flip_everywhere():
+    # consecutive sheets flip the sign of A+/- and D+/-, on floats and on arrays
     rng = trial_rng(2, 2)
-    for _ in range(100):
-        s = random_state(rng)
-        theta = math.atan2(s.omega * s.q, s.p)
-        a1 = aux_functions_continuous(s, theta)
-        a2 = aux_functions_continuous(s, theta + 2.0 * math.pi)
-        scale = 1e-12 * (1.0 + abs(a1.a_plus) + abs(a1.d_plus)) ** 3
-        assert abs(a2.a_plus + a1.a_plus) <= scale
-        assert abs(a2.a_minus + a1.a_minus) <= scale
-        assert abs(a2.d_plus + a1.d_plus) <= scale
-        assert abs(a2.d_minus + a1.d_minus) <= scale
-
-
-def test_aux_continuous_rejects_wrong_angle():
-    with pytest.raises(ValueError):
-        aux_functions_continuous(OscState(1.0, 0.0, 2.0), 0.5)
+    states = [random_state(rng) for _ in range(100)]
+    theta = np.array([math.atan2(s.omega * s.q, s.p) for s in states])
+    h = np.array([hamiltonian(s) for s in states])
+    for k in range(len(states)):
+        a1 = _aux_values(float(theta[k]), float(h[k]))
+        a2 = _aux_values(float(theta[k]) + 2.0 * math.pi, float(h[k]))
+        scale = 1e-12 * (1.0 + abs(a1[0]) + abs(a1[2])) ** 3
+        assert max(abs(x + y) for x, y in zip(a1, a2)) <= scale
+    a1, a2 = np.array(_aux_values(theta, h)), np.array(_aux_values(theta + 2.0 * math.pi, h))
+    assert np.all(np.abs(a1 + a2) <= 1e-12 * (1.0 + np.abs(a1[0]) + np.abs(a1[2])) ** 3)
 
 
 def test_aux_cubic_consistency_enforced():
@@ -252,17 +251,22 @@ def test_mu_params_validation():
         MuParams((math.inf,) + (0.0,) * 7)
 
 
+def _gamma(s, dq, dp):
+    # the 8x8 constraint matrix at a state for candidate derivatives (dq, dp)
+    return _gamma_from_g(g_functions(s, dq, dp))
+
+
 def test_gamma_onshell_zero():
     rng = trial_rng(2, 6)
     for _ in range(200):
         s = random_state(rng)
-        gm = gamma_matrix(s, *hamilton_rhs(s))
-        assert np.max(np.abs(gm.entries)) <= 1e-12 * (1.0 + hamiltonian(s))
+        gm = _gamma(s, *hamilton_rhs(s))
+        assert np.max(np.abs(gm)) <= 1e-12 * (1.0 + hamiltonian(s))
 
 
 def test_gamma_frozen_first_row():
-    gm = gamma_matrix(OscState(1.0, 1.0, 0.0), 0.0, 0.0)
-    npt.assert_allclose(gm.entries[0], [0.0, 0.5, -0.5, 0.0, 0.0, -0.5, 0.5, 0.0], atol=1e-12)
+    gm = _gamma(OscState(1.0, 1.0, 0.0), 0.0, 0.0)
+    npt.assert_allclose(gm[0], [0.0, 0.5, -0.5, 0.0, 0.0, -0.5, 0.5, 0.0], atol=1e-12)
 
 
 def test_gamma_structural_sparsity():
@@ -271,8 +275,8 @@ def test_gamma_structural_sparsity():
     rng = trial_rng(2, 7)
     for _ in range(100):
         s = random_state(rng)
-        gm = gamma_matrix(s, float(rng.uniform(-2, 2)), float(rng.uniform(-2, 2)))
-        assert np.all(gm.entries[mask] == 0.0)
+        gm = _gamma(s, float(rng.uniform(-2, 2)), float(rng.uniform(-2, 2)))
+        assert np.all(gm[mask] == 0.0)
 
 
 def test_gamma_arrays_follow_the_pattern():
@@ -283,11 +287,14 @@ def test_gamma_arrays_follow_the_pattern():
                 for row in _GAMMA_PATTERN]
     npt.assert_array_equal(_gamma_from_g(g), expected)
     npt.assert_array_equal(gamma_structural_zeros(), np.array(expected) == 0.0)
+    # with a leading trial axis, one matrix per trial
+    stacked = _gamma_from_g(tuple(np.array([x, -x, 0.0]) for x in g))
+    npt.assert_array_equal(stacked, [expected, -np.array(expected), np.zeros((8, 8))])
 
 
 def test_gamma_degenerate_state():
     with pytest.raises(DegenerateStateError):
-        gamma_matrix(OscState(1.0, 0.0, 0.0), 0.0, 0.0)
+        _gamma(OscState(1.0, 0.0, 0.0), 0.0, 0.0)
 
 
 def test_proof_identities_frozen():
@@ -315,3 +322,71 @@ def test_proof_identity_suite():
         "gamma-sparsity",
     ]
     assert all(r.passed for r in reports)
+    assert all(type(r.max_abs_residual) is float and type(r.passed) is bool for r in reports)
+
+
+def _identity_reference(seed, k):
+    """One trial of the identity suite through the one-state API, as the suite
+    computed it trial by trial before it worked on blocks of trials."""
+    rng = trial_rng(seed, k)
+    s = random_state(rng)
+    h = hamiltonian(s)
+    aux = aux_functions_principal(s)
+    sq2h = math.sqrt(2.0 * h)
+    rel = max(
+        abs(aux.a_plus ** 2 + aux.a_minus ** 2 - 2.0 * sq2h),
+        abs(aux.a_plus ** 2 - aux.a_minus ** 2 - 2.0 * s.p),
+        abs(aux.a_plus * aux.a_minus - s.omega * s.q),
+    )
+    r_delta, r_minus, r_plus = proof_identity_residuals(s)
+    g_on = g_functions(s, *hamilton_rhs(s))
+    dq, dp = rng.uniform(-2.0, 2.0, size=2)
+    da_p, da_m = _a_dots(s.omega, dq, dp, aux.a_plus, aux.a_minus)
+    row1 = (aux.a_plus * da_p + aux.a_minus * da_m) - (
+        s.p * dp + s.omega ** 2 * s.q * dq
+    ) / sq2h
+    gamma_off = _gamma_from_g(g_functions(s, dq, dp))
+    return (
+        rel / (1.0 + sq2h),
+        abs(row1) / (1.0 + h),
+        max(map(abs, (r_delta, r_minus, r_plus))) / (1.0 + h ** 1.5),
+        max(map(abs, g_on)) / (1.0 + h),
+        float(np.max(np.abs(_gamma_from_g(g_on)))) / (1.0 + h),
+        float(np.max(np.abs(gamma_off[gamma_structural_zeros()]))),
+    )
+
+
+def test_identity_rows_match_scalar_reference():
+    rows = _identity_rows(*_identity_draws(104, 0, 300))
+    expected = np.array([_identity_reference(104, k) for k in range(300)])
+    assert rows.shape == (300, 6)
+    assert np.max(np.abs(rows - expected)) <= 1e-15
+
+
+def test_identity_draws_follow_each_trial_stream():
+    draws = _identity_draws(104, 40, 340)
+    for k in range(40, 340):
+        rng = trial_rng(104, k)
+        s = random_state(rng)
+        expected = [s.omega, s.q, s.p, *rng.uniform(-2.0, 2.0, size=2)]
+        assert draws[:, k - 40].tolist() == expected
+
+
+def test_identity_row_does_not_depend_on_its_block():
+    draws = _identity_draws(7, 0, TRIAL_BLOCK)
+    block = _identity_rows(*draws)
+    for k in (0, 1, 100, TRIAL_BLOCK - 1):
+        assert _identity_rows(*draws[:, k:k + 1]).tolist() == block[k:k + 1].tolist()
+
+
+def _identity_suite_peak(trials):
+    tracemalloc.start()
+    try:
+        proof_identity_suite(trials, 3, 1e-12)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_identity_suite_memory_is_flat_in_trials():
+    assert _identity_suite_peak(20_000) <= _identity_suite_peak(2_000) + 2 ** 20

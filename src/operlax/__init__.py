@@ -32,7 +32,6 @@ from .evolution import (
     IntegratorConfig,
     Trajectory,
     analytic_mu,
-    analytic_state,
     evolve,
     operadic_lax_rhs,
     pde_residual,

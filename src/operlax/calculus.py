@@ -10,14 +10,13 @@ worst residual seen.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionMismatchError
-from .multilinear import Operation
+from .multilinear import Operation, _quiet
 
 __all__ = [
     "LawReport",
@@ -53,18 +52,6 @@ class LawReport:
             "pass": bool(self.passed),
             "seed": int(self.worst_case_seed),
         }
-
-
-def _quiet(fn):
-    """Run fn with numpy's overflow and invalid-value warnings off: an overflowed
-    intermediate surfaces as the finite check's ValueError, not as stderr lines."""
-
-    @functools.wraps(fn)
-    def quiet(*args, **kwargs):
-        with np.errstate(over="ignore", invalid="ignore"):
-            return fn(*args, **kwargs)
-
-    return quiet
 
 
 def _require_same_dim(*ops: Operation):

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -26,7 +27,7 @@ from .calculus import (
     trial_rng,
 )
 from .errors import BranchCutError, DegenerateStateError, DimensionMismatchError, DivergenceError
-from .multilinear import Operation
+from .multilinear import Operation, _quiet
 from .oscillator import (
     MuParams,
     OscState,
@@ -48,7 +49,6 @@ __all__ = [
     "operadic_lax_rhs",
     "structure_constant_rhs",
     "structure_rhs_matrix",
-    "analytic_state",
     "analytic_mu",
     "evolve",
     "pde_residual",
@@ -138,6 +138,7 @@ def operadic_lax_rhs(mu: Operation, M: Operation) -> Operation:
     return gerstenhaber_bracket(M, mu)
 
 
+@_quiet
 def structure_constant_rhs(mu: Operation, M: Operation) -> Operation:
     """Index form of the same flow:
 
@@ -276,27 +277,33 @@ class _Batch:
         wt = w * t
         return q0 * np.cos(wt) + p0 / w * np.sin(wt), p0 * np.cos(wt) - w * q0 * np.sin(wt)
 
-    def analytic_mu(self, t: np.ndarray) -> np.ndarray:
-        """Reference mu on the continuous branch at times t, with a trailing axis of 8."""
-        qa, pa = self.analytic_qp(t)
-        h = 0.5 * (pa * pa + self.w * self.w * qa * qa)
-        return _family_coeffs(*_aux_values(self.theta0 + self.w * t, h), self.cs)
+    @cached_property
+    def amplitudes(self) -> np.ndarray:
+        """K, shape (trials, 4, 8), with mu_ana = [cos, sin](w t/2), [cos, sin](3 w t/2) @ K:
+        on shell A+/- rotate at omega/2 and D+/- at 3 omega/2 from theta0, and H stays H0."""
+        ap, am, dp, dm = _aux_values(self.theta0, self.h0)
+        z = 0.0
+        parts = ((ap, am, z, z), (-am, ap, z, z), (z, z, dp, dm), (z, z, -dm, dp))
+        return np.stack([_family_coeffs(*aux, self.cs) for aux in parts], axis=1)
+
+    def analytic_mu(self, t) -> np.ndarray:
+        """Reference mu at times t, which broadcast against (rows, trials), trial-major
+        (trials, rows, 8): per trial, trig values at the exact half angle omega t/2 times
+        the amplitudes.  Those of 3 omega t/2 come from the triple-angle identities, as
+        D+/- from A+/-, since rounding 3 omega t/2 itself would move the angle."""
+        half = (self.w * np.atleast_2d(t) / 2.0).T
+        c, s = np.cos(half), np.sin(half)
+        b = np.stack((c, s, c * (c * c - 3.0 * s * s), s * (3.0 * c * c - s * s)), -1)
+        return np.matmul(b, self.amplitudes)
 
     def compare(self, t: np.ndarray, ys: np.ndarray) -> tuple:
-        """Energy, analytic mu, worst mu error and relative energy drift of the
-        states ys[j, k] of run k at times t[j] (t of shape (m, 1))."""
+        """Energy, mu_ana, |mu - mu_ana| and relative energy drift of the states ys[j, k]
+        of run k at times t[j] (t of shape (m, 1)), trial-major: shape (trials, m, ...)."""
         q, p = ys[..., 0], ys[..., 1]
         energy = 0.5 * (p * p + self.w * self.w * q * q)
         mu_ana = self.analytic_mu(t)
-        dev = ys[..., 2:] - mu_ana
-        err = np.max(np.abs(dev, out=dev), axis=-1)
-        return energy, mu_ana, err, np.abs(energy - self.h0) / self.h0
-
-
-def analytic_state(config: IntegratorConfig, t: float) -> OscState:
-    """Closed-form solution of the canonical equations at time t (H > 0)."""
-    q, p = _Batch([config]).analytic_qp(t)
-    return OscState(config.omega, float(q[0]), float(p[0]))
+        dev = np.swapaxes(ys[..., 2:], 0, 1) - mu_ana
+        return energy.T, mu_ana, np.abs(dev, out=dev), (np.abs(energy - self.h0) / self.h0).T
 
 
 def analytic_mu(config: IntegratorConfig, t: float) -> Operation:
@@ -306,7 +313,7 @@ def analytic_mu(config: IntegratorConfig, t: float) -> Operation:
     picked by the exact unwrapped angle theta0 + omega*t, with theta0 the
     principal angle of the initial state.  Requires H > 0.
     """
-    return Operation(2, 2, _Batch([config]).analytic_mu(t)[0])
+    return Operation(2, 2, _Batch([config]).analytic_mu(t)[0, 0])
 
 
 def evolve(config: IntegratorConfig) -> Trajectory:
@@ -326,13 +333,13 @@ def evolve(config: IntegratorConfig) -> Trajectory:
         steps.append(j[keep])
     ys = np.concatenate(kept)
     t = np.concatenate(steps) * config.dt
-    energy, mu_ana, err, drift = (a[:, 0] for a in batch.compare(t[:, None], ys))
+    energy, mu_ana, dev, drift = (a[0] for a in batch.compare(t[:, None], ys))
 
     w = config.omega
     q, p, mu = ys[:, 0, 0], ys[:, 0, 1], ys[:, 0, 2:]
     aux_num = _aux_values(_principal_angle(w * q, p, np.arctan2), energy)
     g = np.stack(_g_values(w, p, -w * w * q, *aux_num), axis=1)
-    return Trajectory(config, t, q, p, energy, mu, mu_ana, err, g, drift)
+    return Trajectory(config, t, q, p, energy, mu, mu_ana, dev.max(axis=1), g, drift)
 
 
 def _stencil_guard(s: OscState, h: float):
@@ -408,10 +415,10 @@ def rk4_order_check(config: IntegratorConfig) -> float:
 
     def max_err(dt: float) -> float:
         batch = _Batch([replace(config, dt=dt)])
+        ref = np.stack(batch.analytic_qp(np.arange(batch.n_steps + 1) * dt), -1)
         worst = 0.0
         for first, ys in batch.chunks():
-            ref = np.stack(batch.analytic_qp(np.arange(first, first + len(ys))[:, None] * dt), -1)
-            worst = max(worst, float(np.max(np.abs(ys[..., :2] - ref))))
+            worst = max(worst, float(np.max(np.abs(ys[:, 0, :2] - ref[first:first + len(ys)]))))
         return worst
 
     return max_err(config.dt) / max_err(config.dt / 2.0)
@@ -483,9 +490,9 @@ def theorem_suite(
     w, h0 = batch.w, batch.h0
     err, drift, det_worst, trace_worst = (np.zeros(trials) for _ in range(4))
     for first, ys in batch.chunks():
-        _, _, e, dr = batch.compare(np.arange(first, first + len(ys))[:, None] * dt, ys)
-        err = np.maximum(err, e.max(axis=0))
-        drift = np.maximum(drift, dr.max(axis=0))
+        _, _, dev, dr = batch.compare(np.arange(first, first + len(ys))[:, None] * dt, ys)
+        err = np.maximum(err, dev.max(axis=(1, 2)))
+        drift = np.maximum(drift, dr.max(axis=1))
         # L = [[p, wq], [wq, -p]]: det = -(p^2 + (wq)^2), trace = p + (-p)
         q, p = ys[..., 0], ys[..., 1]
         det = p * (-p) - (w * q) * (w * q)
@@ -496,7 +503,7 @@ def theorem_suite(
     # extends past t_end, so base times can range over the whole run
     t = np.linspace(0.0, t_end, 8)[:, None]
     anti = batch.analytic_mu(t) + batch.analytic_mu(t + 2.0 * math.pi / w)
-    anti_worst = np.abs(anti).max(axis=(0, 2))
+    anti_worst = np.abs(anti).max(axis=(1, 2))
 
     n = batch.n_steps + 1
     reports = []

@@ -8,6 +8,7 @@ multiplications, linear operators, and all of their compositions live here.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -85,6 +86,18 @@ def identity_operation(dim: int) -> Operation:
     return Operation(dim, 1, np.eye(dim).reshape(-1))
 
 
+def _quiet(fn):
+    """Run fn with numpy's overflow and invalid-value warnings off: an overflowed
+    intermediate surfaces as the finite check's ValueError, not as stderr lines."""
+
+    @functools.wraps(fn)
+    def quiet(*args, **kwargs):
+        with np.errstate(over="ignore", invalid="ignore"):
+            return fn(*args, **kwargs)
+
+    return quiet
+
+
 def _as_vector(x, dim: int) -> np.ndarray:
     v = np.asarray(x, dtype=float)
     if v.shape != (dim,):
@@ -94,16 +107,20 @@ def _as_vector(x, dim: int) -> np.ndarray:
     return v
 
 
+@_quiet
 def evaluate(f: Operation, args) -> np.ndarray:
     """Apply f to a sequence of arity(f) vectors.
 
     result[i] = sum over j1..jn of f^i_{j1...jn} * args[0][j1] * ... * args[n-1][jn].
+    A result that overflows raises the Operation finite check's ValueError.
     """
     if len(args) != f.arity:
         raise DimensionMismatchError(f"operation of arity {f.arity} got {len(args)} arguments")
     res = f.tensor
     for a in args:
         res = np.tensordot(res, _as_vector(a, f.dim), axes=([1], [0]))
+    if not np.all(np.isfinite(res)):
+        raise ValueError("coefficients must all be finite")
     return res
 
 

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -70,6 +72,15 @@ def test_evaluate_argument_validation():
         evaluate(f, [np.ones(3), np.ones(3)])
     with pytest.raises(ValueError):
         evaluate(f, [np.array([1.0, np.nan]), np.ones(2)])
+
+
+def test_evaluate_overflow_raises_without_warning():
+    # unguarded, numpy warns on stderr and the contraction returns [inf inf]
+    f = make_operation(2, 2, [1e200] * 8)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="finite"):
+            evaluate(f, [[1e200, 1e200], [1.0, 1.0]])
 
 
 def test_evaluate_multilinearity():

@@ -65,14 +65,16 @@ def _sign(exponent: int) -> float:
 
 
 def _compose(d: int, f: np.ndarray, m: int, g: np.ndarray, n: int, i: int) -> np.ndarray:
-    """Flat coefficients of g (arity n) inserted into slot i of f (arity m), dim d.
+    """Flat coefficients of g (arity n) inserted into slot i of f (arity m), dim d,
+    one row per trial of f and g (a flat array or a single row broadcasts).
 
     f is viewed as (d^(1+i), d, d^(m-1-i)) with the contracted input in the
     middle and g as (d, d^n), so g^T @ f puts g's inputs in its place; the
     graded sign is (-1)**(i * (n - 1)).
     """
-    out = g.reshape(d, d ** n).T @ f.reshape(d ** (1 + i), d, d ** (m - 1 - i))
-    return (-out if i * (n - 1) % 2 else out).reshape(-1)
+    gt = g.reshape(-1, 1, d, d ** n).transpose(0, 1, 3, 2)
+    out = gt @ f.reshape(-1, d ** (1 + i), d, d ** (m - 1 - i))
+    return (-out if i * (n - 1) % 2 else out).reshape(len(out), -1)
 
 
 def _total_compose(d: int, f: np.ndarray, m: int, g: np.ndarray, n: int) -> np.ndarray:
@@ -84,13 +86,64 @@ def _bracket(d: int, f: np.ndarray, m: int, g: np.ndarray, n: int) -> np.ndarray
     return _total_compose(d, f, m, g, n) - s * _total_compose(d, g, n, f, m)
 
 
-def _residual(diffs) -> float:
-    """Largest |entry| of a check's differences.  A non-finite one means an
-    intermediate overflowed, which raises as the Operation constructor does."""
-    worst = float(np.max([np.max(np.abs(x)) for x in diffs]))
-    if not math.isfinite(worst):
+def _antisymmetry(d: int, f: np.ndarray, m: int, g: np.ndarray, n: int) -> list:
+    return [_bracket(d, f, m, g, n) + _sign((m - 1) * (n - 1)) * _bracket(d, g, n, f, m)]
+
+
+def _composition_relations(d, h, l, f, m, g, n):
+    # one difference at a time: at arity 7 and dim 3 each holds 6561 doubles per trial
+    sgn = _sign((m - 1) * (n - 1))
+    hg = [_compose(d, h, l, g, n, j) for j in range(l)]
+    fg = [_compose(d, f, m, g, n, j) for j in range(m)]
+    for i in range(l):
+        hf = _compose(d, h, l, f, m, i)
+        for j in range(l + m - 1):
+            if j < i:
+                rhs = sgn * _compose(d, hg[j], l + n - 1, f, m, i + n - 1)
+            elif j < i + m:
+                rhs = _compose(d, h, l, fg[j - i], m + n - 1, i)
+            else:
+                rhs = sgn * _compose(d, hg[j - m + 1], l + n - 1, f, m, i)
+            yield _compose(d, hf, l + m - 1, g, n, j) - rhs
+
+
+def _graded_jacobi(d, f, m, g, n, h, l) -> list:
+    cyclic = ((f, m, g, n, h, l), (g, n, h, l, f, m), (h, l, f, m, g, n))
+    return [sum(_sign((p - 1) * (r - 1)) * _bracket(d, _bracket(d, a, p, b, q), p + q - 1, c, r)
+                for a, p, b, q, c, r in cyclic)]
+
+
+def _unit_laws(d: int, f: np.ndarray, n: int) -> list:
+    e = np.eye(d).reshape(-1)  # the unit
+    return [_compose(d, e, 1, f, n, 0) - f] + [_compose(d, f, n, e, 1, i) - f for i in range(n)]
+
+
+# Coefficients of a law's widest intermediate over the trials stacked together
+# (d^(l+m+n-1) per trial for three operations: 6561 at dim 3 and arities 3).
+# Larger groups are split, so peak memory stays near the one-trial path's.
+STACK_COEFFS = 8192
+
+
+def _by_signature(law, trials) -> np.ndarray:
+    """Each trial's largest |difference| under law, for trials of operations (op, ...).
+
+    law(d, coeffs, arity, ...) gives the differences that must vanish; it runs once
+    per group of trials sharing dim and arities (split to STACK_COEFFS), on their
+    coefficients stacked along a leading trial axis.  A non-finite residual means
+    an intermediate overflowed: it raises ValueError, as the Operation constructor does."""
+    groups: dict = {}
+    for k, ops in enumerate(trials):
+        groups.setdefault((ops[0].dim, *(op.arity for op in ops)), []).append(k)
+    out = np.empty(len(trials))
+    for (d, *arities), ks in groups.items():
+        per = max(1, STACK_COEFFS // d ** (sum(arities) - len(arities) + 2))
+        for part in (ks[i:i + per] for i in range(0, len(ks), per)):
+            stacks = [np.stack([trials[k][c].coeffs for k in part]) for c in range(len(arities))]
+            diffs = law(d, *(x for pair in zip(stacks, arities) for x in pair))
+            out[part] = np.max([np.max(np.abs(x), axis=1) for x in diffs], axis=0)
+    if not np.all(np.isfinite(out)):
         raise ValueError("coefficients must all be finite")
-    return worst
+    return out
 
 
 @_quiet
@@ -133,25 +186,9 @@ def check_composition_relations(h: Operation, f: Operation, g: Operation, tol: f
     intermediate raises ValueError.
     """
     _require_same_dim(h, f, g)
-    d, l, m, n = h.dim, h.arity, f.arity, g.arity
-    sgn = _sign((m - 1) * (n - 1))
-    hg = [_compose(d, h.coeffs, l, g.coeffs, n, j) for j in range(l)]
-    fg = [_compose(d, f.coeffs, m, g.coeffs, n, j) for j in range(m)]
-
-    def diffs():  # one at a time: at arity 7 and dim 3 each holds 6561 doubles
-        for i in range(l):
-            hf = _compose(d, h.coeffs, l, f.coeffs, m, i)
-            for j in range(l + m - 1):
-                if j < i:
-                    rhs = sgn * _compose(d, hg[j], l + n - 1, f.coeffs, m, i + n - 1)
-                elif j < i + m:
-                    rhs = _compose(d, h.coeffs, l, fg[j - i], m + n - 1, i)
-                else:
-                    rhs = sgn * _compose(d, hg[j - m + 1], l + n - 1, f.coeffs, m, i)
-                yield _compose(d, hf, l + m - 1, g.coeffs, n, j) - rhs
-
-    worst = _residual(diffs())
-    return LawReport("composition-relations", l * (l + m - 1), worst, worst <= tol)
+    worst = float(_by_signature(_composition_relations, [(h, f, g)])[0])
+    return LawReport("composition-relations", h.arity * (h.arity + f.reduced_degree), worst,
+                     worst <= tol)
 
 
 @_quiet
@@ -161,25 +198,15 @@ def check_graded_jacobi(f: Operation, g: Operation, h: Operation, tol: float) ->
     Overflow in an intermediate raises ValueError.
     """
     _require_same_dim(f, g, h)
-
-    def term(a: Operation, b: Operation, c: Operation) -> np.ndarray:
-        ab = _bracket(a.dim, a.coeffs, a.arity, b.coeffs, b.arity)
-        s = _sign(a.reduced_degree * c.reduced_degree)
-        return s * _bracket(a.dim, ab, a.arity + b.arity - 1, c.coeffs, c.arity)
-
-    worst = _residual([term(f, g, h) + term(g, h, f) + term(h, f, g)])
+    worst = float(_by_signature(_graded_jacobi, [(f, g, h)])[0])
     return LawReport("graded-jacobi", 1, worst, worst <= tol)
 
 
 @_quiet
 def check_unit_laws(f: Operation, tol: float) -> LawReport:
     """Left unit in slot 0 and right unit in every slot must reproduce f exactly."""
-    d, c, n = f.dim, f.coeffs, f.arity
-    unit = np.eye(d).reshape(-1)
-    diffs = [_compose(d, unit, 1, c, n, 0) - c]
-    diffs += [_compose(d, c, n, unit, 1, i) - c for i in range(n)]
-    worst = _residual(diffs)
-    return LawReport("unit-laws", n + 1, worst, worst <= tol)
+    worst = float(_by_signature(_unit_laws, [(f,)])[0])
+    return LawReport("unit-laws", f.arity + 1, worst, worst <= tol)
 
 
 def trial_rng(seed: int, trial: int) -> np.random.Generator:
@@ -227,6 +254,22 @@ def _worst_case_reports(names, residuals, tol: float) -> list[LawReport]:
     return [LawReport(name, trials, r, r <= tol, k) for name, (r, k) in zip(names, worst)]
 
 
+def _operad_rows(seed: int, first: int, stop: int, max_dim: int, max_arity: int) -> np.ndarray:
+    """Residual rows of trials first..stop-1, each (h, f, g) drawn from its own stream."""
+    draws = []
+    for k in range(first, stop):
+        rng = trial_rng(seed, k)
+        d = int(rng.integers(1, max_dim + 1))
+        draws.append([random_operation(rng, d, int(rng.integers(1, max_arity + 1)))
+                      for _ in range(3)])
+    units = _by_signature(_unit_laws, [(op,) for ops in draws for op in ops])
+    return np.stack([_by_signature(_antisymmetry, [(f, g) for h, f, g in draws]),
+                     _by_signature(_composition_relations, draws),
+                     _by_signature(_graded_jacobi, [(f, g, h) for h, f, g in draws]),
+                     units.reshape(-1, 3).max(axis=1)], axis=1)
+
+
+@_quiet
 def operad_law_suite(
     trials: int, seed: int, tol: float, max_dim: int = 3, max_arity: int = 3
 ) -> list[LawReport]:
@@ -236,20 +279,9 @@ def operad_law_suite(
     from its own seeded stream, then exercises the composition relations,
     unit laws, graded antisymmetry, and graded Jacobi identity.  Each report
     aggregates the worst residual over all trials and records the trial index
-    that produced it.
+    that produced it.  Each law runs once per group of a block's trials that
+    share the dim and arities it reads, with the one-trial checks' digits.
     """
-
-    def residuals(k):
-        rng = trial_rng(seed, k)
-        d = int(rng.integers(1, max_dim + 1))
-        ops = [random_operation(rng, d, int(rng.integers(1, max_arity + 1))) for _ in range(3)]
-        h, f, g = ops
-        s = _sign(f.reduced_degree * g.reduced_degree)
-        anti = gerstenhaber_bracket(f, g).coeffs + s * gerstenhaber_bracket(g, f).coeffs
-        return (float(np.max(np.abs(anti))),
-                check_composition_relations(h, f, g, tol).max_abs_residual,
-                check_graded_jacobi(f, g, h, tol).max_abs_residual,
-                max(check_unit_laws(op, tol).max_abs_residual for op in ops))
-
     names = ["antisymmetry", "composition-relations", "graded-jacobi", "unit-laws"]
-    return _worst_case_reports(names, map(residuals, range(trials)), tol)
+    rows = _blocked_rows(trials, lambda k0, k1: _operad_rows(seed, k0, k1, max_dim, max_arity))
+    return _worst_case_reports(names, rows, tol)

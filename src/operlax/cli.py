@@ -120,6 +120,9 @@ def _read_config_file(path: str) -> dict:
     unknown = set(raw) - set(_FIELDS) - {"mode"}
     if unknown:
         raise ConfigError(f"config: unknown fields {sorted(unknown)}")
+    for name, value in raw.items():  # bool is an int: JSON true would pass as 1
+        if bool in map(type, value if name == "c" and isinstance(value, list) else [value]):
+            raise ConfigError(f"{name}: JSON booleans are not numbers, got {json.dumps(value)}")
     for name in ("record_every", "trials", "seed"):
         if name in raw and raw[name] is not None and isinstance(raw[name], float):
             if not raw[name].is_integer():

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -23,7 +24,8 @@ from operlax import (
     total_compose,
     trial_rng,
 )
-from operlax.calculus import _compose, _worst_case_reports
+from operlax import calculus, cli
+from operlax.calculus import TRIAL_BLOCK, _compose, _operad_rows, _worst_case_reports
 
 
 def rand_op(rng, d, n):
@@ -296,6 +298,66 @@ def test_operad_law_suite_reports():
         assert r.passed and r.trials == 30 and 0 <= r.worst_case_seed < 30
         d = r.to_dict()
         assert set(d) == {"law", "trials", "max_abs_residual", "pass", "seed"}
+
+
+def _one_trial_rows(seed, trials, tol=1e-10):
+    """Oracle: each trial's four residuals through the public one-trial checks,
+    drawn from the trial's stream in the suite's order."""
+    rows, signatures = [], set()
+    for k in range(trials):
+        rng = trial_rng(seed, k)
+        d = int(rng.integers(1, 4))
+        h, f, g = ops = [random_operation(rng, d, int(rng.integers(1, 4))) for _ in range(3)]
+        s = -1.0 if f.reduced_degree * g.reduced_degree % 2 else 1.0
+        anti = gerstenhaber_bracket(f, g).coeffs + s * gerstenhaber_bracket(g, f).coeffs
+        rows.append([float(np.max(np.abs(anti))),
+                     check_composition_relations(h, f, g, tol).max_abs_residual,
+                     check_graded_jacobi(f, g, h, tol).max_abs_residual,
+                     max(check_unit_laws(op, tol).max_abs_residual for op in ops)])
+        signatures.add((d, h.arity, f.arity, g.arity))
+    return rows, signatures
+
+
+def test_operad_law_suite_rows_match_one_trial_checks():
+    rows, signatures = _one_trial_rows(seed=3, trials=400)
+    assert len(signatures) == 3 ** 4  # every (d, l, m, n) with d and arities in 1..3
+    assert _operad_rows(3, 0, 400, 3, 3).tolist() == rows  # bit for bit, one block of 400
+    names = ["antisymmetry", "composition-relations", "graded-jacobi", "unit-laws"]
+    assert operad_law_suite(400, 3, 1e-10) == _worst_case_reports(names, rows, 1e-10)
+
+
+def test_operad_rows_do_not_depend_on_the_block():
+    block = _operad_rows(11, 0, TRIAL_BLOCK, 3, 3)
+    for k in range(TRIAL_BLOCK):
+        npt.assert_array_equal(_operad_rows(11, k, k + 1, 3, 3)[0], block[k])
+
+
+def test_operad_law_suite_memory_stays_near_one_trial():
+    # groups whose widest intermediates would pass STACK_COEFFS are split: stacking
+    # every dim-3, arity-3 triple of a block at once peaked at 1.55 MiB on this seed
+    operad_law_suite(TRIAL_BLOCK, 7, 1e-10)
+    tracemalloc.start()
+    try:
+        operad_law_suite(TRIAL_BLOCK, 7, 1e-10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 ** 20
+
+
+def test_operad_law_suite_raises_when_an_intermediate_overflows(monkeypatch, capsys):
+    draw = calculus.random_operation
+
+    def huge(rng, dim, arity):  # finite coefficients whose triple products overflow
+        return make_operation(dim, arity, draw(rng, dim, arity).coeffs * 1e150)
+
+    monkeypatch.setattr(calculus, "random_operation", huge)
+    with np.errstate(all="raise"):
+        with pytest.raises(ValueError, match="coefficients must all be finite"):
+            operad_law_suite(20, 0, 1e-10)
+    assert cli.main(["verify", "operad", "--trials", "20"]) == 2
+    err = capsys.readouterr().err
+    assert "coefficients must all be finite" in err and "Warning" not in err
 
 
 def test_worst_case_nan_outranks_later_numbers():

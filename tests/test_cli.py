@@ -183,6 +183,30 @@ def test_config_rejects_unknown_keys(tmp_path):
         load_config(str(path))
 
 
+@pytest.mark.parametrize("field, value", [
+    ("trials", True), ("tol", True), ("seed", False), ("record_every", True), ("dt", True),
+    ("t_end", False), ("omega", True), ("q0", False), ("p0", True), ("out", True),
+    ("mode", True), ("c", True), ("c", [0, 0, 0, 0, True, 0, 0, 0]),
+])
+def test_config_rejects_json_booleans(tmp_path, capsys, field, value):
+    # bool is an int subclass, so each would otherwise be read as the number 1 or 0
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"mode": "simulate", "omega": 1, "q0": 0, "p0": 1, "t_end": 1,
+                                "out": str(tmp_path / "x.csv"), field: value}))
+    with pytest.raises(ConfigError, match=f"{field}: JSON booleans are not numbers"):
+        load_config(str(path))
+    code, _, stderr = run(["simulate", "--config", str(path)], capsys)
+    assert code == 2 and f"{field}: JSON booleans" in stderr
+
+
+def test_verify_config_with_booleans_is_usage_error(tmp_path, capsys):
+    # read as numbers, this config would run 1 trial at tolerance 1.0 and exit 0
+    path = tmp_path / "run.json"
+    path.write_text('{"mode": "verify-operad", "trials": true, "tol": true, "seed": false}')
+    code, stdout, stderr = run(["verify", "operad", "--config", str(path)], capsys)
+    assert code == 2 and stdout == "" and "usage:" in stderr
+
+
 def test_simulate_with_config_file(tmp_path, capsys):
     out = tmp_path / "traj.csv"
     path = tmp_path / "run.json"

@@ -532,6 +532,21 @@ def test_rk4_order_check():
     assert 14.0 <= rk4_order_check(cfg) <= 17.0
 
 
+def _order_check_peak(t_end):
+    cfg = IntegratorConfig(dt=1e-2, t_end=t_end, omega=1.0, q0=0.3, p0=-1.2)
+    tracemalloc.start()
+    try:
+        rk4_order_check(cfg)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_rk4_order_check_memory_is_flat_in_t_end():
+    # the closed-form reference is taken per chunk, not for every step at once
+    assert _order_check_peak(1000.0) - _order_check_peak(10.0) <= 2 ** 20
+
+
 def test_rk4_order_two_doublings():
     # two halvings compound to roughly 16^2
     coarse = IntegratorConfig(dt=8e-3, t_end=10.0, omega=1.0, q0=0.0, p0=1.0,

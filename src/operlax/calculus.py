@@ -212,10 +212,79 @@ def check_unit_laws(f: Operation, tol: float) -> LawReport:
 def trial_rng(seed: int, trial: int) -> np.random.Generator:
     """PCG64 stream for one trial: Generator(PCG64(SeedSequence([seed, trial]))).
 
-    All randomness in the package flows through this helper, so any reported
-    worst-case trial can be regenerated from (seed, trial) alone.
+    All randomness in the package is drawn from these streams (the suites take
+    them in bulk through _trial_streams), so any reported worst-case trial can
+    be regenerated from (seed, trial) alone.
     """
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, trial])))
+
+
+# SeedSequence's constants (numpy/random/bit_generator.pyx), whose uint32 words
+# wrap as in C, and PCG64's 128-bit multiplier
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _hash_chain(init: int, mult: int, count: int) -> list:
+    # (xor, multiplier) of count successive hashes: the constant before and after each
+    c = [np.uint32(init * pow(mult, i, 2 ** 32) % 2 ** 32) for i in range(count + 1)]
+    return list(zip(c, c[1:]))
+
+
+# four hashes fill the pool from the entropy and twelve mix it; eight give the words
+_POOL_HASHES = _hash_chain(0x43B0D7E5, 0x931E8875, 16)
+_STATE_HASHES = _hash_chain(0x8B51F9DD, 0x58F38DED, 8)
+
+
+def _hashed(v: np.ndarray, consts: tuple) -> np.ndarray:
+    v = (v ^ consts[0]) * consts[1]
+    return v ^ (v >> np.uint32(16))
+
+
+def _seed_words(seed: int, ks: range) -> np.ndarray:
+    """SeedSequence([seed, k]).generate_state(4, np.uint64) for every k in ks,
+    one row each, for 0 <= seed < 2**64 and 0 <= k < 2**32.
+
+    The entropy is the seed's one or two 32-bit words, then k's one word; the
+    pool of four words takes zeros past the entropy, as SeedSequence's does."""
+    words = [seed % 2 ** 32, seed >> 32] if seed >> 32 else [seed]
+    entropy = np.zeros((4, len(ks)), np.uint32)
+    entropy[:len(words)] = np.array(words, np.uint32)[:, None]
+    entropy[len(words)] = ks
+    consts = iter(_POOL_HASHES)
+    pool = [_hashed(x, next(consts)) for x in entropy]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                m = _MIX_L * pool[dst] - _MIX_R * _hashed(pool[src], next(consts))
+                pool[dst] = m ^ (m >> np.uint32(16))
+    out = np.array([_hashed(pool[i % 4], c) for i, c in enumerate(_STATE_HASHES)], np.uint64)
+    return (out[0::2] | out[1::2] << np.uint64(32)).T
+
+
+def _trial_streams(seed, ks: range):
+    """trial_rng(seed, k) for each k of the increasing range ks, bit for bit.
+
+    The seed words of all ks are hashed at once, and each trial's PCG64 state
+    is set as PCG64 seeds itself, on one reused generator: a yielded generator
+    is valid only until the next one is drawn, and no caller may keep it.
+    Seeds and indices that SeedSequence takes in more words, or rejects, go
+    through trial_rng itself, with its errors.
+    """
+    if not (isinstance(seed, (int, np.integer)) and 0 <= int(seed) < 2 ** 64
+            and (not ks or 0 <= ks[0] and ks[-1] < 2 ** 32)):
+        yield from (trial_rng(seed, k) for k in ks)
+        return
+    bits = np.random.PCG64()
+    rng = np.random.Generator(bits)
+    for s_hi, s_lo, i_hi, i_lo in _seed_words(int(seed), ks).tolist():
+        # pcg64_set_seed: inc = 2 initseq + 1, then two LCG steps from state 0
+        # with initstate added between them
+        inc = (i_hi << 65 | i_lo << 1 | 1) % 2 ** 128
+        state = (((s_hi << 64 | s_lo) + inc) * _PCG64_MULT + inc) % 2 ** 128
+        bits.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                      "has_uint32": 0, "uinteger": 0}
+        yield rng
 
 
 def random_operation(rng: np.random.Generator, dim: int, arity: int) -> Operation:
@@ -229,36 +298,43 @@ TRIAL_BLOCK = 256
 
 
 def _blocked_rows(trials: int, block_rows):
-    """Residual rows of trials 0..trials-1 as lists of floats, in trial order.
+    """Residual rows of trials 0..trials-1 as blocks of rows, in trial order.
 
     block_rows(first, stop) gives an array with one row per trial in
     first..stop-1; it is called for TRIAL_BLOCK trials at a time.
     """
     for first in range(0, trials, TRIAL_BLOCK):
-        yield from block_rows(first, min(first + TRIAL_BLOCK, trials)).tolist()
+        yield block_rows(first, min(first + TRIAL_BLOCK, trials))
 
 
-def _worst_case_reports(names, residuals, tol: float) -> list[LawReport]:
-    """One report per name from per-trial residual rows, in trial order.
+def _worst_case_reports(names, blocks, tol: float) -> list[LawReport]:
+    """One report per name from blocks of per-trial residual rows, in trial order.
 
-    Row k holds trial k's residual for each name.  A report keeps the worst
+    Row k holds trial k's residual for each name; a block is an array of rows,
+    and a single row counts as a block of one.  A report keeps the worst
     residual and the trial that produced it; on a tie the last trial wins.
     NaN ranks above every number, so a NaN residual is reported and fails.
     No rows give residual 0.0 and seed -1.
     """
-    worst = [(0.0, -1)] * len(names)
+    worst, at = np.zeros(len(names)), np.full(len(names), -1)
     trials = 0
-    for k, row in enumerate(residuals):
-        worst = [(r, k) if math.isnan(r) or r >= w[0] else w for r, w in zip(row, worst)]
-        trials = k + 1
-    return [LawReport(name, trials, r, r <= tol, k) for name, (r, k) in zip(names, worst)]
+    for block in blocks:
+        block = np.reshape(block, (-1, len(names)))
+        # argmax takes the first NaN, else the first maximum: of the reversed
+        # block, so the last trial's
+        last = len(block) - 1 - np.argmax(block[::-1], axis=0)
+        r = block[last, np.arange(len(names))]
+        later = np.isnan(r) | (r >= worst)
+        worst, at = np.where(later, r, worst), np.where(later, trials + last, at)
+        trials += len(block)
+    return [LawReport(name, trials, float(r), bool(r <= tol), int(k))
+            for name, r, k in zip(names, worst, at)]
 
 
 def _operad_rows(seed: int, first: int, stop: int, max_dim: int, max_arity: int) -> np.ndarray:
     """Residual rows of trials first..stop-1, each (h, f, g) drawn from its own stream."""
     draws = []
-    for k in range(first, stop):
-        rng = trial_rng(seed, k)
+    for rng in _trial_streams(seed, range(first, stop)):
         d = int(rng.integers(1, max_dim + 1))
         draws.append([random_operation(rng, d, int(rng.integers(1, max_arity + 1)))
                       for _ in range(3)])

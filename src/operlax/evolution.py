@@ -22,9 +22,9 @@ import numpy as np
 from .calculus import (
     LawReport,
     _blocked_rows,
+    _trial_streams,
     _worst_case_reports,
     gerstenhaber_bracket,
-    trial_rng,
 )
 from .errors import BranchCutError, DegenerateStateError, DimensionMismatchError, DivergenceError
 from .multilinear import Operation, _quiet
@@ -483,7 +483,7 @@ def theorem_suite(
     if not 0.0 < dt <= 0.1 / max(_OMEGAS):
         raise ValueError(f"dt: theorem trials sample omega up to {max(_OMEGAS)}, "
                          f"so dt must be in (0, {0.1 / max(_OMEGAS)}], got {dt}")
-    configs = [_random_config(trial_rng(seed, k), dt, t_end) for k in range(trials)]
+    configs = [_random_config(rng, dt, t_end) for rng in _trial_streams(seed, range(trials))]
     if not configs:
         return []
     batch = _Batch(configs)
@@ -518,14 +518,16 @@ def theorem_suite(
     return reports
 
 
-def _pde_state(seed: int, k: int, probe: bool = False) -> OscState:
-    """State k of the PDE suite: omega from _OMEGAS, energy log-uniform in
+def _pde_states(seed: int, ks: range, probe: bool = False) -> list:
+    """States ks of the PDE suite: omega from _OMEGAS, energy log-uniform in
     [0.1, 10], angle uniform within 0.95 pi of zero, or zero on the probe."""
-    rng = trial_rng(seed, k)
-    w = float(rng.choice(_OMEGAS))
-    hh = float(np.exp(rng.uniform(math.log(0.1), math.log(10.0))))
-    theta = 0.0 if probe else float(rng.uniform(-0.95 * math.pi, 0.95 * math.pi))
-    return _polar_state(w, hh, theta)
+    states = []
+    for rng in _trial_streams(seed, ks):
+        w = float(rng.choice(_OMEGAS))
+        hh = float(np.exp(rng.uniform(math.log(0.1), math.log(10.0))))
+        theta = 0.0 if probe else float(rng.uniform(-0.95 * math.pi, 0.95 * math.pi))
+        states.append(_polar_state(w, hh, theta))
+    return states
 
 
 def pde_suite(
@@ -555,21 +557,21 @@ def pde_suite(
     quadratic law is cleanly resolvable.  Linearity of the family in its
     parameters extends the law from the generators to every parameter vector.
     """
-    params_pool = np.array([trial_rng(seed, 10_000 + j).uniform(-1.0, 1.0, size=8)
-                            for j in range(n_params)])
+    params_pool = np.array([rng.uniform(-1.0, 1.0, size=8)
+                            for rng in _trial_streams(seed, range(10_000, 10_000 + n_params))])
 
     def residuals(first, stop):
         ks = range(first, stop)
-        return _pde_residuals([_pde_state(seed, k) for k in ks],
+        return _pde_residuals(_pde_states(seed, ks),
                               params_pool[np.remainder(ks, n_params)], h)[:, None]
 
     # worst residual over the eight generators of each probe state, at steps h and h/2
-    probes = [_pde_state(seed, 20_000 + k, probe=True) for k in range(n_probe_states)]
+    probes = _pde_states(seed, range(20_000, 20_000 + n_probe_states), probe=True)
     pairs = [s for s in probes for _ in range(8)]
     generators = np.tile(np.eye(8), (n_probe_states, 1))
-    worst = [_pde_residuals(pairs, generators, step).reshape(-1, 8).max(axis=1).tolist()
+    worst = [_pde_residuals(pairs, generators, step).reshape(-1, 8).max(axis=1)
              for step in (h, 0.5 * h)]
-    at_h, at_half = _worst_case_reports(("h", "h/2"), zip(*worst), tol)
+    at_h, at_half = _worst_case_reports(("h", "h/2"), [np.column_stack(worst)], tol)
     factor = at_h.max_abs_residual / at_half.max_abs_residual
     outside = max(0.0, 3.0 - factor, factor - 5.0)
     return _worst_case_reports(["pde-residual"], _blocked_rows(n_states, residuals), tol) + [

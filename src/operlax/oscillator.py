@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calculus import _blocked_rows, _worst_case_reports, trial_rng
+from .calculus import _blocked_rows, _trial_streams, _worst_case_reports
 from .errors import DegenerateStateError, EnergyOverflowError
 from .multilinear import Operation, make_operation
 
@@ -308,24 +308,31 @@ def _polar_state(omega: float, h: float, theta: float) -> OscState:
     return OscState(omega, r * math.sin(theta) / omega, r * math.cos(theta))
 
 
+# (omega, energy, angle) of random_state: each uniform in [low, high]
+_STATE_RANGES = ((0.5, 2.0), (0.1, 10.0), (-math.pi, math.pi))
+
+
 def random_state(rng: np.random.Generator) -> OscState:
     """State with omega uniform in [0.5, 2], energy uniform in [0.1, 10] and
     angle uniform in [-pi, pi]."""
-    w = float(rng.uniform(0.5, 2.0))
-    h = float(rng.uniform(0.1, 10.0))
-    return _polar_state(w, h, float(rng.uniform(-math.pi, math.pi)))
+    w, h, theta = (float(rng.uniform(lo, hi)) for lo, hi in _STATE_RANGES)
+    return _polar_state(w, h, theta)
 
 
 def _identity_draws(seed: int, first: int, stop: int) -> np.ndarray:
     """(omega, q, p, dq, dp) of trials first..stop-1, one column each: the state
-    from random_state, which validates it, then an off-shell flow (dq, dp)
-    uniform in [-2, 2]^2, all from the trial's own stream."""
-    rows = []
-    for k in range(first, stop):
-        rng = trial_rng(seed, k)
-        s = random_state(rng)
-        rows.append((s.omega, s.q, s.p, *rng.uniform(-2.0, 2.0, size=2)))
-    return np.array(rows).T.copy()
+    random_state draws, then an off-shell flow (dq, dp) uniform in [-2, 2]^2,
+    all from the trial's own stream.
+
+    Each trial takes five doubles u, and each draw is lo + (hi - lo) u as
+    Generator.uniform computes it; the state's sin and cos take libm's values,
+    as _polar_state does."""
+    u = np.array([rng.random(5) for rng in _trial_streams(seed, range(first, stop))]).T
+    lo, hi = np.array([*_STATE_RANGES, (-2.0, 2.0), (-2.0, 2.0)]).T[:, :, None]
+    w, h, theta, dq, dp = lo + (hi - lo) * u
+    r = np.sqrt(2.0 * h)
+    sin, cos = (np.array([f(t) for t in theta.tolist()]) for f in (math.sin, math.cos))
+    return np.array([w, r * sin / w, r * cos, dq, dp])
 
 
 def _identity_rows(w, q, p, dq, dp) -> np.ndarray:

@@ -20,12 +20,20 @@ from operlax import (
     make_operation,
     operad_law_suite,
     partial_compose,
+    pde_suite,
+    proof_identity_suite,
     random_operation,
     total_compose,
     trial_rng,
 )
 from operlax import calculus, cli
-from operlax.calculus import TRIAL_BLOCK, _compose, _operad_rows, _worst_case_reports
+from operlax.calculus import (
+    TRIAL_BLOCK,
+    _compose,
+    _operad_rows,
+    _trial_streams,
+    _worst_case_reports,
+)
 
 
 def rand_op(rng, d, n):
@@ -383,3 +391,80 @@ def test_worst_case_nan_only_rows():
     assert math.isnan(rep.max_abs_residual) and rep.worst_case_seed == 0 and not rep.passed
     (rep,) = _worst_case_reports(["x"], [(math.nan,), (math.nan,)], 1e-10)
     assert rep.worst_case_seed == 1  # a tie still names the last trial
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(st.lists(st.lists(st.sampled_from([0.0, -0.0, 1e-20, 1.0, math.nan]),
+                         min_size=2, max_size=2), max_size=12),
+       st.lists(st.integers(0, 12), max_size=3))
+def test_worst_case_blocks_reduce_as_rows(rows, cuts):
+    # any split of the rows into blocks gives the reports of one row at a time
+    edges = [0, *sorted(min(c, len(rows)) for c in cuts), len(rows)]
+    blocks = [np.array(rows[a:b]).reshape(-1, 2) for a, b in zip(edges, edges[1:]) if a < b]
+    names = ["x", "y"]
+    by_block = _worst_case_reports(names, blocks, 0.5)
+    by_row = _worst_case_reports(names, rows, 0.5)
+    assert [r.to_dict() for r in by_block] == [r.to_dict() for r in by_row]
+    for r in by_block:
+        assert type(r.max_abs_residual) is float and type(r.passed) is bool
+        assert type(r.worst_case_seed) is int and r.trials == len(rows)
+    if not rows:
+        assert all(r.max_abs_residual == 0.0 and r.worst_case_seed == -1 for r in by_block)
+
+
+def test_trial_rng_streams_are_pinned():
+    # the documented streams: a numpy upgrade that moves them must fail here
+    raw = trial_rng(0, 0).bit_generator.random_raw(4).tolist()
+    assert raw == [11749869230777074271, 4976686463289251617,
+                   755828109848996024, 304881062738325533]
+    raw = trial_rng(2 ** 64 - 1, 7).bit_generator.random_raw(4).tolist()
+    assert raw == [4696158722821015869, 4467627061321404329,
+                   6945900605597639409, 18423593296267932764]
+
+
+def _operad_pattern(rng):
+    # integers reads PCG64's buffered upper 32 bits between uniform calls
+    drawn = [int(rng.integers(1, 4))]
+    for _ in range(3):
+        drawn += [int(rng.integers(1, 4)), *rng.uniform(-1.0, 1.0, size=3).tolist()]
+    return drawn
+
+
+_DRAW_PATTERNS = [
+    # a full-range 32-bit draw returns the buffered word if one is left over
+    lambda rng: [int(rng.integers(0, 2 ** 32)), *rng.bit_generator.random_raw(8).tolist()],
+    _operad_pattern,
+    lambda rng: [float(rng.choice((0.5, 1.0, 2.0))), *rng.uniform(-1.0, 1.0, size=2).tolist()],
+]
+_SEEDS = (st.sampled_from([0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 63, 2 ** 64 - 1, 2 ** 64])
+          | st.integers(0, 2 ** 64 - 1))
+_FIRSTS = st.sampled_from([0, 1, 255, 256, 300, 2 ** 32 - 3, 2 ** 32]) | st.integers(0, 2 ** 32)
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(_SEEDS, _FIRSTS, st.integers(0, 6))
+@example(seed=0, first=0, count=1)
+@example(seed=2 ** 64 - 1, first=TRIAL_BLOCK - 2, count=4)
+def test_trial_streams_equal_trial_rng(seed, first, count):
+    ks = range(first, first + count)
+    for pattern in _DRAW_PATTERNS:
+        # each draw ends before the next stream is drawn: the generator is reused
+        drawn = [pattern(rng) for rng in _trial_streams(seed, ks)]
+        assert drawn == [pattern(trial_rng(seed, k)) for k in ks]
+
+
+@pytest.mark.parametrize("seed, error, message", [
+    (-1, ValueError, "expected non-negative integer"),
+    (np.int64(-3), ValueError, "expected non-negative integer"),
+    (1.5, TypeError, "seed must be integer"),
+])
+@pytest.mark.parametrize("suite", [
+    lambda seed: operad_law_suite(3, seed, 1e-10),
+    lambda seed: proof_identity_suite(3, seed, 1e-10),
+    lambda seed: pde_suite(3, seed, 1e-6),
+])
+def test_suites_reject_bad_seeds_as_seed_sequence_does(suite, seed, error, message):
+    with pytest.raises(error, match=message):
+        np.random.SeedSequence([seed, 0])
+    with pytest.raises(error, match=message):
+        suite(seed)

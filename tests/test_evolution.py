@@ -41,7 +41,7 @@ from operlax.evolution import (
     _Batch,
     _increment_matrix,
     _pde_residuals,
-    _pde_state,
+    _pde_states,
     _random_config,
     _rk4_chunks,
     pde_suite,
@@ -500,8 +500,8 @@ def _pde_cases():
     # the 100 states of pde-check --seed 105 with their parameters, then the
     # 64 (probe state, generator) pairs of its convergence probe
     pool = [trial_rng(105, 10_000 + j).uniform(-1.0, 1.0, size=8) for j in range(20)]
-    cases = [(_pde_state(105, k), pool[k % 20]) for k in range(100)]
-    probes = [_pde_state(105, 20_000 + k, probe=True) for k in range(8)]
+    cases = [(s, pool[k % 20]) for k, s in enumerate(_pde_states(105, range(100)))]
+    probes = _pde_states(105, range(20_000, 20_008), probe=True)
     return cases + [(s, basis) for s in probes for basis in np.eye(8)]
 
 

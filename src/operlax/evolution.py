@@ -39,7 +39,6 @@ from .oscillator import (
     _principal_aux,
     hamiltonian,
     lax_matrices,
-    mu_family,
     principal_theta,
 )
 
@@ -60,9 +59,9 @@ __all__ = [
     "CSV_HEADER",
 ]
 
-# Steps per chunk of the propagator.  A batch holds one chunk of states, its
-# temporaries and the chunk's increment powers (10 x 2570 doubles per distinct
-# omega) at a time: theorem_suite peaks near 2.4 MB at 20 trials.  That batch runs
+# Steps per chunk of the 10-dim propagator: a chunk's increment powers take 10 x 10
+# x CHUNK_STEPS doubles per distinct omega, and an n-dim state steps as many as that
+# holds (6400 at 2 dims).  theorem_suite peaks near 2.4 MB at 20 trials, and runs
 # fastest here: shorter chunks take more products, longer ones more powers.
 CHUNK_STEPS = 256
 
@@ -167,9 +166,12 @@ def structure_rhs_matrix(M: Operation) -> np.ndarray:
     """
     if M.arity != 1:
         raise DimensionMismatchError("expected an arity-1 operation")
-    m, eye = M.tensor, np.eye(M.dim)
-    return (np.kron(np.kron(m, eye), eye) - np.kron(np.kron(eye, m.T), eye)
-            - np.kron(eye, np.kron(eye, m.T)))
+    m, eye, n = M.tensor, np.eye(M.dim), M.dim ** 3
+    # each product as a broadcast outer product on axes (i, j, k, l, m, n), which keeps
+    # np.kron's signed zeros where einsum would add them to +0
+    i, j, k = eye[:, None, None, :, None, None], eye[:, None, None, :, None], eye[:, None, None, :]
+    return (m[:, None, None, :, None, None] * j * k - i * m.T[:, None, None, :, None] * k
+            - i * j * m.T[:, None, None, :]).reshape(n, n)
 
 
 def _increment_matrix(omega: float, M: Operation, dt: float) -> np.ndarray:
@@ -212,9 +214,11 @@ def _increment_powers(d: np.ndarray, count: int) -> np.ndarray:
 
 
 def _rk4_chunks(y0: np.ndarray, d: np.ndarray, n_steps: int, group=None):
-    """Classical RK4 on a batch of runs, y -> y + D y, CHUNK_STEPS steps at a time.
+    """Classical RK4 on a batch of runs, y -> y + D y, a chunk of steps at a time.
 
-    y0 has shape (trials, 10) and d shape (g, 10, 10); trial k steps with
+    y0 has shape (trials, n) and d shape (g, n, n); a chunk is as many steps
+    as 10 x 10 x CHUNK_STEPS power coefficients hold at n dims (CHUNK_STEPS at
+    10, 6400 at 2), so memory does not grow with n_steps.  Trial k steps with
     d[group[k]], by default d[k].  Yields (first, ys) where ys[j, k] is the
     state of trial k at step first + j, from step 0 (y0 itself) through
     n_steps.  The steps of a chunk are one product per trial, ys[j] =
@@ -225,7 +229,7 @@ def _rk4_chunks(y0: np.ndarray, d: np.ndarray, n_steps: int, group=None):
     """
     y = np.array(y0, dtype=float)
     group = range(len(y)) if group is None else group
-    span = min(CHUNK_STEPS, n_steps)
+    span = min(100 * CHUNK_STEPS // y.shape[1] ** 2, n_steps)
     e = _increment_powers(d, span)
     buf = np.empty((span + 1,) + y.shape)
     for first in range(0, n_steps + 1, span):
@@ -255,21 +259,24 @@ class _Batch:
         if np.any(self.h0 <= 0.0):
             raise DegenerateStateError("initial state has zero energy")
         self.n_steps = max(1, round(configs[0].t_end / self.dt))
-        self.w = np.array([s.omega for s in self.states])
+        self.w, q, p = (np.array([getattr(s, f) for s in self.states])
+                        for f in ("omega", "q", "p"))
+        # the distinct omegas, the first trial of each, and each trial's omega index
+        self.omegas, self.firsts, self.group = np.unique(self.w, return_index=True,
+                                                         return_inverse=True)
         self.theta0 = np.array([principal_theta(s) for s in self.states])
         self.cs = np.array([c.params.c for c in configs]).T  # (8, trials)
-        self.y0 = np.array([[s.q, s.p, *mu_family(s, c.params).coeffs]
-                            for s, c in zip(self.states, configs)])
+        family = _family_coeffs(*_principal_aux(self.w, q, p, self.h0), self.cs)
+        self.y0 = np.column_stack((q, p, family))
+
+    def increments(self) -> np.ndarray:
+        """D of each distinct omega, shape (omegas, 10, 10): it depends only on (omega, dt)."""
+        return np.stack([_increment_matrix(self.w[i], lax_matrices(self.states[i])[1], self.dt)
+                         for i in self.firsts])
 
     def chunks(self):
-        """The runs stepped together by _rk4_chunks, from step 0 through n_steps.
-
-        D depends only on (omega, dt), so it is built once per distinct omega.
-        """
-        _, firsts, group = np.unique(self.w, return_index=True, return_inverse=True)
-        d = np.stack([_increment_matrix(self.w[i], lax_matrices(self.states[i])[1], self.dt)
-                      for i in firsts])
-        return _rk4_chunks(self.y0, d, self.n_steps, group)
+        """The runs stepped together by _rk4_chunks, from step 0 through n_steps."""
+        return _rk4_chunks(self.y0, self.increments(), self.n_steps, self.group)
 
     def analytic_qp(self, t: np.ndarray) -> tuple:
         """Closed-form (q, p) at times t, an array that broadcasts against (trials,)."""
@@ -282,19 +289,23 @@ class _Batch:
         """K, shape (trials, 4, 8), with mu_ana = [cos, sin](w t/2), [cos, sin](3 w t/2) @ K:
         on shell A+/- rotate at omega/2 and D+/- at 3 omega/2 from theta0, and H stays H0."""
         ap, am, dp, dm = _aux_values(self.theta0, self.h0)
-        z = 0.0
+        z = np.zeros_like(ap)
         parts = ((ap, am, z, z), (-am, ap, z, z), (z, z, dp, dm), (z, z, -dm, dp))
-        return np.stack([_family_coeffs(*aux, self.cs) for aux in parts], axis=1)
+        return _family_coeffs(*np.stack(parts, axis=-1), self.cs[:, :, None])
 
     def analytic_mu(self, t) -> np.ndarray:
         """Reference mu at times t, which broadcast against (rows, trials), trial-major
         (trials, rows, 8): per trial, trig values at the exact half angle omega t/2 times
         the amplitudes.  Those of 3 omega t/2 come from the triple-angle identities, as
-        D+/- from A+/-, since rounding 3 omega t/2 itself would move the angle."""
-        half = (self.w * np.atleast_2d(t) / 2.0).T
+        D+/- from A+/-, since rounding 3 omega t/2 itself would move the angle.
+        Times shared by all trials, of shape (rows, 1), take the trig once per
+        distinct omega."""
+        t = np.atleast_2d(t)
+        shared = t.shape[1] == 1
+        half = ((self.omegas if shared else self.w) * t / 2.0).T
         c, s = np.cos(half), np.sin(half)
         b = np.stack((c, s, c * (c * c - 3.0 * s * s), s * (3.0 * c * c - s * s)), -1)
-        return np.matmul(b, self.amplitudes)
+        return np.matmul(b[self.group] if shared else b, self.amplitudes)
 
     def compare(self, t: np.ndarray, ys: np.ndarray) -> tuple:
         """Energy, mu_ana, |mu - mu_ana| and relative energy drift of the states ys[j, k]
@@ -410,15 +421,17 @@ def rk4_order_check(config: IntegratorConfig) -> float:
     """Ratio of worst position errors at dt and dt/2 against the closed form.
 
     Classical fourth order puts the ratio near 16; values drop once the error
-    at the finer step reaches the rounding floor.
+    at the finer step reaches the rounding floor.  D is block diagonal, so
+    (q, p) steps alone with its 2x2 block, the RK4 polynomial of the oscillator.
     """
 
     def max_err(dt: float) -> float:
         batch = _Batch([replace(config, dt=dt)])
         worst = 0.0
-        for first, ys in batch.chunks():
+        for first, ys in _rk4_chunks(batch.y0[:, :2], batch.increments()[:, :2, :2],
+                                     batch.n_steps):
             ref = np.stack(batch.analytic_qp((first + np.arange(len(ys))) * dt), -1)
-            worst = max(worst, float(np.max(np.abs(ys[:, 0, :2] - ref))))
+            worst = max(worst, float(np.max(np.abs(ys[:, 0] - ref))))
         return worst
 
     return max_err(config.dt) / max_err(config.dt / 2.0)
@@ -453,7 +466,7 @@ _OMEGAS = (0.5, 1.0, 2.0)
 
 
 def _random_config(rng: np.random.Generator, dt: float, t_end: float) -> IntegratorConfig:
-    w = float(rng.choice(_OMEGAS))
+    w = _OMEGAS[int(rng.integers(0, 3))]  # the draw of rng.choice(_OMEGAS)
     h = float(rng.uniform(0.1, 10.0))
     s = _polar_state(w, h, float(rng.uniform(-math.pi, math.pi)))
     params = MuParams(tuple(rng.uniform(-1.0, 1.0, size=8)))
@@ -523,7 +536,7 @@ def _pde_states(seed: int, ks: range, probe: bool = False) -> list:
     [0.1, 10], angle uniform within 0.95 pi of zero, or zero on the probe."""
     states = []
     for rng in _trial_streams(seed, ks):
-        w = float(rng.choice(_OMEGAS))
+        w = _OMEGAS[int(rng.integers(0, 3))]
         hh = float(np.exp(rng.uniform(math.log(0.1), math.log(10.0))))
         theta = 0.0 if probe else float(rng.uniform(-0.95 * math.pi, 0.95 * math.pi))
         states.append(_polar_state(w, hh, theta))
@@ -556,7 +569,13 @@ def pde_suite(
     one-parameter family generators the rounding cancels bit-exactly and the
     quadratic law is cleanly resolvable.  Linearity of the family in its
     parameters extends the law from the generators to every parameter vector.
+    A NaN factor counts as outside.  Raises ValueError unless h and h/2 are
+    positive and finite and n_params and n_probe_states are at least 1.
     """
+    if not 0.0 < 0.5 * h < math.inf:
+        raise ValueError(f"h and h/2 must be positive and finite, got {h}")
+    if n_params < 1 or n_probe_states < 1:
+        raise ValueError(f"n_params, n_probe_states must be >= 1: {n_params}, {n_probe_states}")
     params_pool = np.array([rng.uniform(-1.0, 1.0, size=8)
                             for rng in _trial_streams(seed, range(10_000, 10_000 + n_params))])
 
@@ -573,7 +592,7 @@ def pde_suite(
              for step in (h, 0.5 * h)]
     at_h, at_half = _worst_case_reports(("h", "h/2"), [np.column_stack(worst)], tol)
     factor = at_h.max_abs_residual / at_half.max_abs_residual
-    outside = max(0.0, 3.0 - factor, factor - 5.0)
+    outside = 0.0 if 3.0 <= factor <= 5.0 else max(3.0 - factor, factor - 5.0)
     return _worst_case_reports(["pde-residual"], _blocked_rows(n_states, residuals), tol) + [
         LawReport("pde-residual-halving", 8 * n_probe_states, outside, outside == 0.0,
                   at_h.worst_case_seed),

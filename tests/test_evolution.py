@@ -2,6 +2,7 @@ import math
 import tracemalloc
 import warnings
 from collections import namedtuple
+from dataclasses import replace
 
 import numpy as np
 import numpy.testing as npt
@@ -36,6 +37,7 @@ from operlax import (
 )
 from operlax import evolution
 from operlax.evolution import (
+    _OMEGAS,
     CHUNK_STEPS,
     CSV_HEADER,
     _Batch,
@@ -128,6 +130,24 @@ def test_structure_rhs_matrix_reproduces_formula():
             mu = random_operation(rng, d, 2)
             npt.assert_allclose(lam @ mu.coeffs, structure_constant_rhs(mu, M).coeffs,
                                 atol=1e-14, rtol=0)
+
+
+def _kronecker_rhs_matrix(M):
+    # the Kronecker form structure_rhs_matrix replaced
+    m, eye = M.tensor, np.eye(M.dim)
+    return (np.kron(np.kron(m, eye), eye) - np.kron(np.kron(eye, m.T), eye)
+            - np.kron(eye, np.kron(eye, m.T)))
+
+
+def test_structure_rhs_matrix_equals_kronecker_form():
+    rng = trial_rng(4, 3)
+    for d in (1, 2, 3):
+        for _ in range(20):
+            M = random_operation(rng, d, 1)
+            assert structure_rhs_matrix(M).tobytes() == _kronecker_rhs_matrix(M).tobytes()
+    # signed zeros: m * 0 keeps the sign of m in both forms
+    M = make_operation(2, 1, [-1.0, 0.0, -0.0, 2.0])
+    assert structure_rhs_matrix(M).tobytes() == _kronecker_rhs_matrix(M).tobytes()
 
 
 SystemState = namedtuple("SystemState", "t osc mu")
@@ -233,12 +253,79 @@ def test_chunk_kernel_matches_per_step_loop(n_steps):
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
+def test_propagator_divergence_of_two_dim_run():
+    # a 2-dim run steps 6400 per chunk, so all 3000 steps are one chunk
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(DivergenceError, match="step 1751$"):
+            for _ in _rk4_chunks(np.ones((1, 2)), 0.5 * np.eye(2)[None], 3000):
+                pass
+
+
 def test_propagator_divergence_in_later_chunk():
     # 1.5**1751 is the first power above the largest double
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(DivergenceError, match="step 1751$"):
             for _ in _rk4_chunks(np.ones((1, 10)), 0.5 * np.eye(10)[None], 3000):
                 pass
+
+
+def _per_trial_y0(configs):
+    # the initial states as the per-trial mu_family path built them
+    return np.array([[c.q0, c.p0, *mu_family(c.initial_state(), c.params).coeffs]
+                     for c in configs])
+
+
+def test_batch_y0_equals_per_trial_family():
+    for seed in range(200):
+        configs = [_random_config(trial_rng(seed, k), 1e-3, 1.0) for k in range(20)]
+        assert _Batch(configs).y0.tobytes() == _per_trial_y0(configs).tobytes()
+    # signed zeros of q, on both sides of the branch cut
+    configs = [IntegratorConfig(1e-3, 1.0, 1.0, q0, p0, C5)
+               for q0 in (0.0, -0.0) for p0 in (1.0, -1.0)]
+    assert _Batch(configs).y0.tobytes() == _per_trial_y0(configs).tobytes()
+
+
+def _four_call_amplitudes(batch):
+    # the amplitude matrix as one _family_coeffs call per part
+    ap, am, dp, dm = _aux_values(batch.theta0, batch.h0)
+    parts = ((ap, am, 0.0, 0.0), (-am, ap, 0.0, 0.0), (0.0, 0.0, dp, dm), (0.0, 0.0, -dm, dp))
+    return np.stack([_family_coeffs(*aux, batch.cs) for aux in parts], axis=1)
+
+
+def _per_trial_trig_mu(batch, t):
+    # the reference with the trig taken for every trial
+    half = (batch.w * t / 2.0).T
+    c, s = np.cos(half), np.sin(half)
+    b = np.stack((c, s, c * (c * c - 3.0 * s * s), s * (3.0 * c * c - s * s)), -1)
+    return np.matmul(b, batch.amplitudes)
+
+
+def test_amplitudes_and_reference_equal_per_trial_forms():
+    configs = [_random_config(trial_rng(13, k), 1e-3, 20.0) for k in range(18)]
+    assert {c.omega for c in configs} == set(_OMEGAS)
+    # zero parameters and a zero A-, where coefficients are sums of signed zeros
+    configs += [IntegratorConfig(1e-3, 20.0, 1.0, 0.0, 1.0, C5),
+                IntegratorConfig(1e-3, 20.0, 2.0, -0.0, 1.0, MuParams.zeros())]
+    t = 7.0 + np.arange(300)[:, None] * 1e-3
+    for batch in (_Batch(configs), _Batch(configs[:1])):
+        assert batch.amplitudes.tobytes() == _four_call_amplitudes(batch).tobytes()
+        assert batch.analytic_mu(t).tobytes() == _per_trial_trig_mu(batch, t).tobytes()
+
+
+def _choice_config(rng, dt, t_end):
+    # _random_config as it drew omega with rng.choice
+    w = float(rng.choice(_OMEGAS))
+    h = float(rng.uniform(0.1, 10.0))
+    s = evolution._polar_state(w, h, float(rng.uniform(-math.pi, math.pi)))
+    return IntegratorConfig(dt, t_end, w, s.q, s.p, MuParams(tuple(rng.uniform(-1, 1, 8))))
+
+
+def test_omega_draw_equals_choice():
+    for k in range(300):
+        rng, ref = trial_rng(17, k), trial_rng(17, k)
+        assert _random_config(rng, 1e-3, 1.0) == _choice_config(ref, 1e-3, 1.0)
+        # and the streams stand at the same place afterwards, 32-bit buffer included
+        assert rng.bit_generator.state == ref.bit_generator.state
 
 
 def test_mixed_omega_batch_matches_single_runs():
@@ -524,12 +611,59 @@ def test_pde_suite_reports_are_python_scalars():
     assert all(type(r.max_abs_residual) is float and type(r.passed) is bool for r in reports)
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"h": 0.0}, {"h": -1e-5}, {"h": math.nan}, {"h": math.inf}, {"h": 5e-324},
+    {"n_params": 0}, {"n_probe_states": 0},
+])
+def test_pde_suite_rejects_bad_arguments(kwargs):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="must be"):
+            pde_suite(3, 0, 1e-6, **kwargs)
+
+
+def test_pde_suite_nan_halving_factor_fails(monkeypatch):
+    monkeypatch.setattr(evolution, "_pde_residuals",
+                        lambda states, cs, h: np.full(len(states), np.nan))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        halving = pde_suite(3, 0, 1e-6)[-1]
+    assert halving.law_name == "pde-residual-halving"
+    assert math.isnan(halving.max_abs_residual) and halving.passed is False
+
+
 def test_rk4_order_check():
     cfg = IntegratorConfig(dt=2e-3, t_end=10.0, omega=1.0, q0=0.0, p0=1.0,
                            params=MuParams.zeros())
     # four-stage RK4 reads 15.5 here and the increment form y + D y 15.7;
     # applying I + D instead rounds away low bits of D and reads ~12
     assert 14.0 <= rk4_order_check(cfg) <= 17.0
+
+
+def test_order_check_qp_block_matches_ten_dim_run(monkeypatch):
+    cfg = IntegratorConfig(dt=2e-3, t_end=10.0, omega=1.0, q0=0.0, p0=1.0,
+                           params=MuParams.zeros())
+    runs = []
+
+    def recording(y0, d, n_steps, group=None):
+        chunks = []
+        runs.append((d.shape, n_steps, chunks))
+        for first, ys in _rk4_chunks(y0, d, n_steps, group):
+            chunks.append(ys[:, 0].copy())
+            yield first, ys
+
+    monkeypatch.setattr(evolution, "_rk4_chunks", recording)
+    rk4_order_check(cfg)
+    monkeypatch.undo()
+    # (q, p) alone, 6400 steps per chunk
+    assert [(shape, n, len(chunks)) for shape, n, chunks in runs] == [
+        ((1, 2, 2), 5000, 1), ((1, 2, 2), 10000, 2)]
+    for dt, (_, _, chunks) in zip((2e-3, 1e-3), runs):
+        full = np.concatenate([ys[:, 0, :2].copy() for _, ys in
+                               _Batch([replace(cfg, dt=dt)]).chunks()])
+        qp = np.concatenate(chunks)
+        assert qp.shape == full.shape
+        assert np.max(np.abs(qp - full)) <= 1e-13 * np.max(np.abs(full))
 
 
 def _order_check_peak(t_end):

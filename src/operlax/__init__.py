@@ -35,7 +35,6 @@ from .evolution import (
     evolve,
     operadic_lax_rhs,
     pde_residual,
-    pde_residual_field,
     pde_suite,
     rk4_order_check,
     structure_constant_rhs,
@@ -52,18 +51,14 @@ from .multilinear import (
     operation_to_dict,
 )
 from .oscillator import (
-    AuxFunctions,
     MuParams,
     OscState,
     aux_functions_principal,
     g_functions,
-    hamilton_rhs,
     hamiltonian,
     lax_matrices,
     mu_family,
-    proof_identity_residuals,
     proof_identity_suite,
-    random_state,
 )
 
 __version__ = "0.1.0"

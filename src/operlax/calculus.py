@@ -11,6 +11,7 @@ worst residual seen.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -307,6 +308,15 @@ def _blocked_rows(trials: int, block_rows):
         yield block_rows(first, min(first + TRIAL_BLOCK, trials))
 
 
+def _check_suite_args(trials, tol, **sizes):
+    """Raise ValueError unless trials is an int >= 0, each size one >= 1 and tol > 0."""
+    for name, n, least in (("trials", trials, 0), *((k, v, 1) for k, v in sizes.items())):
+        if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < least:
+            raise ValueError(f"{name} must be an int >= {least}, got {n!r}")
+    if not (isinstance(tol, numbers.Real) and tol > 0.0):
+        raise ValueError(f"tol must be a number > 0, got {tol!r}")
+
+
 def _worst_case_reports(names, blocks, tol: float) -> list[LawReport]:
     """One report per name from blocks of per-trial residual rows, in trial order.
 
@@ -357,7 +367,9 @@ def operad_law_suite(
     aggregates the worst residual over all trials and records the trial index
     that produced it.  Each law runs once per group of a block's trials that
     share the dim and arities it reads, with the one-trial checks' digits.
+    Raises ValueError unless trials >= 0, max_dim, max_arity >= 1 and tol > 0.
     """
+    _check_suite_args(trials, tol, max_dim=max_dim, max_arity=max_arity)
     names = ["antisymmetry", "composition-relations", "graded-jacobi", "unit-laws"]
     rows = _blocked_rows(trials, lambda k0, k1: _operad_rows(seed, k0, k1, max_dim, max_arity))
     return _worst_case_reports(names, rows, tol)

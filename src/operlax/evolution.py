@@ -22,6 +22,7 @@ import numpy as np
 from .calculus import (
     LawReport,
     _blocked_rows,
+    _check_suite_args,
     _trial_streams,
     _worst_case_reports,
     gerstenhaber_bracket,
@@ -51,7 +52,6 @@ __all__ = [
     "analytic_mu",
     "evolve",
     "pde_residual",
-    "pde_residual_field",
     "rk4_order_check",
     "theorem_suite",
     "pde_suite",
@@ -132,9 +132,7 @@ def operadic_lax_rhs(mu: Operation, M: Operation) -> Operation:
     """Bracket form of the mu equation: [M, mu] = M*mu - mu*M (both signs +1)."""
     if M.arity != 1 or mu.arity != 2:
         raise DimensionMismatchError("expected arities (mu, M) = (2, 1)")
-    if mu.dim != M.dim:
-        raise DimensionMismatchError(f"dimension mismatch: {mu.dim} vs {M.dim}")
-    return gerstenhaber_bracket(M, mu)
+    return gerstenhaber_bracket(M, mu)  # which checks the dims
 
 
 @_quiet
@@ -353,53 +351,31 @@ def evolve(config: IntegratorConfig) -> Trajectory:
     return Trajectory(config, t, q, p, energy, mu, mu_ana, dev.max(axis=1), g, drift)
 
 
-def _stencil_guard(s: OscState, h: float):
-    h0 = hamiltonian(s)
-    if h0 <= 0.0:
-        raise DegenerateStateError("PDE stencil needs positive energy")
-    margin = 10.0 * h / math.sqrt(2.0 * h0)
-    for q, p in ((s.q + h, s.p), (s.q - h, s.p), (s.q, s.p + h), (s.q, s.p - h)):
-        theta = _principal_angle(s.omega * q, p)
-        if math.pi - abs(theta) <= margin:
-            raise BranchCutError(
-                f"stencil point at angle {theta:.6f} is within {margin:.2e} of the cut"
-            )
-
-
-def pde_residual_field(s: OscState, mu_field, omega: float, h: float) -> float:
-    """Max residual coefficient of p*d(mu)/dq - omega^2 q*d(mu)/dp = [M, mu]
-    for an arbitrary pointwise field mu_field(state) -> Operation, with the
-    partial derivatives taken by central differences of step h."""
-    _stencil_guard(s, h)
-    w = omega
-
-    def at(q, p):
-        return mu_field(OscState(w, q, p)).coeffs
-
-    dmu_dq = (at(s.q + h, s.p) - at(s.q - h, s.p)) / (2.0 * h)
-    dmu_dp = (at(s.q, s.p + h) - at(s.q, s.p - h)) / (2.0 * h)
-    mu0 = mu_field(s)
-    _, M = lax_matrices(s)
-    bracket = operadic_lax_rhs(mu0, M).coeffs
-    resid = s.p * dmu_dq - w * w * s.q * dmu_dp - bracket
-    return float(np.max(np.abs(resid)))
-
-
 def _pde_residuals(states: list, cs, h: float) -> np.ndarray:
-    """pde_residual of the principal-branch family with parameters cs[k] at
-    states[k], for every k at once.
+    """Max |p dmu/dq - omega^2 q dmu/dp - [M, mu]| by central differences of step h,
+    for the principal-branch family with parameters cs[k] at states[k], every k.
 
     The family is evaluated at the centre and the four stencil points of
-    every state as one array, with the one-state path's values bit for bit,
+    every state as one array, with libm's angles and radii (_principal_aux),
     since the central differences magnify a last-bit change by 1/h.  [M, mu]
     is structure_rhs_matrix(M) @ mu with one matrix per distinct omega and one
     product per state, so a state's numbers do not depend on its batch.
+    Raises DegenerateStateError at zero energy, and BranchCutError for a
+    stencil point within 10 h / sqrt(2H) of the cut, where the branch jumps.
     """
-    for s in states:
-        _stencil_guard(s, h)
     w, q, p = (np.array([[getattr(s, f)] for s in states]) for f in ("omega", "q", "p"))
     qs, ps = q + [0.0, h, -h, 0.0, 0.0], p + [0.0, 0.0, 0.0, h, -h]
-    aux = _principal_aux(w, qs, ps, 0.5 * (ps * ps + w * w * qs * qs))
+    hs = 0.5 * (ps * ps + w * w * qs * qs)
+    if np.any(hs[:, 0] <= 0.0):
+        raise DegenerateStateError("PDE stencil needs positive energy")
+    theta = _principal_angle(w * qs[:, 1:], ps[:, 1:], np.arctan2)
+    margin = 10.0 * h / np.sqrt(2.0 * hs[:, :1])
+    near = np.argwhere(math.pi - np.abs(theta) <= margin)
+    if near.size:
+        k, j = near[0]
+        raise BranchCutError(f"stencil point at angle {theta[k, j]:.6f} is within "
+                             f"{margin[k, 0]:.2e} of the cut")
+    aux = _principal_aux(w, qs, ps, hs)
     mu = _family_coeffs(*aux, np.asarray(cs, dtype=float).T[:, :, None])
     _, firsts, group = np.unique(w[:, 0], return_index=True, return_inverse=True)
     rhs = np.stack([structure_rhs_matrix(lax_matrices(states[i])[1]) for i in firsts])
@@ -423,6 +399,7 @@ def rk4_order_check(config: IntegratorConfig) -> float:
     Classical fourth order puts the ratio near 16; values drop once the error
     at the finer step reaches the rounding floor.  D is block diagonal, so
     (q, p) steps alone with its 2x2 block, the RK4 polynomial of the oscillator.
+    Raises ValueError when the error at dt/2 is exactly 0: the ratio is undefined.
     """
 
     def max_err(dt: float) -> float:
@@ -434,7 +411,10 @@ def rk4_order_check(config: IntegratorConfig) -> float:
             worst = max(worst, float(np.max(np.abs(ys[:, 0] - ref))))
         return worst
 
-    return max_err(config.dt) / max_err(config.dt / 2.0)
+    coarse, fine = max_err(config.dt), max_err(config.dt / 2.0)
+    if fine == 0.0:
+        raise ValueError(f"order ratio undefined: the error at dt/2 = {config.dt / 2.0!r} is 0")
+    return coarse / fine
 
 
 CSV_HEADER = (
@@ -491,8 +471,10 @@ def theorem_suite(
     (drift_tol), the spectral invariant |det L + 2 H0| with trace L = 0
     (det_tol), and half-period antiperiodicity of the analytic branch
     (antiperiod_tol).  dt must satisfy IntegratorConfig's dt <= 0.1/omega for
-    the largest omega, whatever omegas the seed draws.
+    the largest omega, whatever omegas the seed draws.  Raises ValueError
+    unless trials >= 0 and tol > 0.
     """
+    _check_suite_args(trials, tol)
     if not 0.0 < dt <= 0.1 / max(_OMEGAS):
         raise ValueError(f"dt: theorem trials sample omega up to {max(_OMEGAS)}, "
                          f"so dt must be in (0, {0.1 / max(_OMEGAS)}], got {dt}")
@@ -570,12 +552,12 @@ def pde_suite(
     quadratic law is cleanly resolvable.  Linearity of the family in its
     parameters extends the law from the generators to every parameter vector.
     A NaN factor counts as outside.  Raises ValueError unless h and h/2 are
-    positive and finite and n_params and n_probe_states are at least 1.
+    positive and finite, n_states >= 0, n_params and n_probe_states >= 1 and
+    tol > 0.
     """
+    _check_suite_args(n_states, tol, n_params=n_params, n_probe_states=n_probe_states)
     if not 0.0 < 0.5 * h < math.inf:
         raise ValueError(f"h and h/2 must be positive and finite, got {h}")
-    if n_params < 1 or n_probe_states < 1:
-        raise ValueError(f"n_params, n_probe_states must be >= 1: {n_params}, {n_probe_states}")
     params_pool = np.array([rng.uniform(-1.0, 1.0, size=8)
                             for rng in _trial_streams(seed, range(10_000, 10_000 + n_params))])
 

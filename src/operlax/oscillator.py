@@ -3,7 +3,7 @@
 The structure-constant flow of the oscillator linearizes in four phase
 functions (A+, A-, D+, D-).  They are half-angle functions of the phase-space
 point: writing z = p + i*omega*q, the pair (A+, A-) is sqrt(2)*sqrt(z) and
-(D+, D-) is z**(3/2)/sqrt(2) split into real and imaginary parts.  Being
+(D+, D-) is sqrt(2)*z**(3/2) split into real and imaginary parts.  Being
 half-angle objects they are double-valued over phase space; this module
 provides the single-valued principal branch (for pointwise work such as PDE
 stencils), and its array form takes any angle, so an unwrapped one follows the
@@ -17,28 +17,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calculus import _blocked_rows, _trial_streams, _worst_case_reports
+from .calculus import _blocked_rows, _check_suite_args, _trial_streams, _worst_case_reports
 from .errors import DegenerateStateError, EnergyOverflowError
 from .multilinear import Operation, make_operation
 
 __all__ = [
     "OscState",
-    "AuxFunctions",
     "MuParams",
     "hamiltonian",
-    "hamilton_rhs",
     "lax_matrices",
     "principal_theta",
     "aux_functions_principal",
     "g_functions",
     "mu_family",
     "gamma_structural_zeros",
-    "proof_identity_residuals",
-    "random_state",
     "proof_identity_suite",
 ]
-
-TWO_PI = 2.0 * math.pi
 
 
 @dataclass(frozen=True)
@@ -56,31 +50,6 @@ class OscState:
             raise ValueError("q and p must be finite")
         if not math.isfinite(hamiltonian(self)):
             raise EnergyOverflowError(f"energy of (q, p) = ({self.q!r}, {self.p!r}) overflows")
-
-
-@dataclass(frozen=True)
-class AuxFunctions:
-    """Phase functions (A+, A-, D+, D-) at one state, tagged with the angle used.
-
-    theta is the (possibly unwrapped) phase angle that produced the values;
-    on the principal branch it lies in (-pi, pi].  The D values must always
-    equal their cubic expressions in the A values, which is checked here
-    because it is the one defining relation visible from the fields alone.
-    """
-
-    a_plus: float
-    a_minus: float
-    d_plus: float
-    d_minus: float
-    theta: float
-
-    def __post_init__(self):
-        ap, am = self.a_plus, self.a_minus
-        scale = 1e-12 * (1.0 + max(abs(ap), abs(am)) ** 3)
-        if abs(self.d_plus - 0.5 * ap * (ap * ap - 3.0 * am * am)) > scale:
-            raise ValueError("d_plus inconsistent with its cubic expression in A+/A-")
-        if abs(self.d_minus - 0.5 * am * (3.0 * ap * ap - am * am)) > scale:
-            raise ValueError("d_minus inconsistent with its cubic expression in A+/A-")
 
 
 @dataclass(frozen=True)
@@ -107,11 +76,6 @@ def hamiltonian(s: OscState) -> float:
     return 0.5 * (s.p * s.p + s.omega * s.omega * s.q * s.q)
 
 
-def hamilton_rhs(s: OscState) -> tuple:
-    """Canonical equations of motion: (dq/dt, dp/dt) = (p, -omega^2 q)."""
-    return (s.p, -s.omega * s.omega * s.q)
-
-
 def lax_matrices(s: OscState) -> tuple:
     """Classical Lax pair: L = [[p, wq], [wq, -p]], M = (w/2)[[0, -1], [1, 0]]."""
     w, q, p = s.omega, s.q, s.p
@@ -126,7 +90,7 @@ def _aux_radius(h):
 
 
 def _aux_values(theta, h):
-    # ufunc form shared by the scalar API and the array paths
+    # the phase functions at any angle (continuous branch) and energy, elementwise
     return _aux_at_radius(theta, _aux_radius(h))
 
 
@@ -145,7 +109,7 @@ def _principal_angle(y, x, atan2=math.atan2):
     tiny negative y beside a large x) is reported as 0.0, and -pi as pi.
     """
     theta = atan2(y, x) + 0.0
-    return theta + TWO_PI * (theta == -math.pi)
+    return theta + 2.0 * math.pi * (theta == -math.pi)
 
 
 def principal_theta(s: OscState) -> float:
@@ -155,23 +119,23 @@ def principal_theta(s: OscState) -> float:
     return _principal_angle(s.omega * s.q, s.p)
 
 
-def aux_functions_principal(s: OscState) -> AuxFunctions:
-    """Single-valued branch: A+ >= 0, theta in (-pi, pi].
+def aux_functions_principal(s: OscState) -> tuple:
+    """(A+, A-, D+, D-) on the single-valued branch A+ >= 0, at the angle
+    principal_theta(s) in (-pi, pi]: the one-row case of _principal_aux.
 
     The half-angle construction A+/- = sqrt(2) (2H)^(1/4) (cos, sin)(theta/2)
     satisfies all three defining relations (sum of squares, difference of
     squares, product) and is the unique choice with A+ >= 0 on this range.
     At H = 0 everything is zero.
     """
-    theta = principal_theta(s)
-    ap, am, dp, dm = _aux_values(theta, hamiltonian(s))
-    return AuxFunctions(float(ap), float(am), float(dp), float(dm), theta)
+    row = _principal_aux(*(np.array([x]) for x in (s.omega, s.q, s.p, hamiltonian(s))))
+    return tuple(float(v[0]) for v in row)
 
 
 def _principal_aux(w, q, p, h) -> tuple:
-    """aux_functions_principal's values over arrays (w, q, p) with energies
-    h > 0, bit for bit: each angle and radius takes libm's atan2 and pow as the
-    one-state path does, where numpy's differ in the last bit for some inputs."""
+    """Principal-branch (A+, A-, D+, D-) over arrays (w, q, p) with energies h (zero
+    at h = 0).  Angles and radii take libm's atan2 and pow one point at a time:
+    numpy's differ in the last bit for some inputs, and the reports keep libm's."""
     theta = [_principal_angle(y, x) for y, x in zip((w * q).ravel().tolist(),
                                                     p.ravel().tolist())]
     r = [_aux_radius(e) for e in h.ravel().tolist()]
@@ -212,12 +176,9 @@ def g_functions(s: OscState, dq: float, dp: float) -> tuple:
     motion; away from that they measure how far the candidate flow is from
     the oscillator flow.  Requires H > 0.
     """
-    h = hamiltonian(s)
-    if h <= 0.0:
+    if hamiltonian(s) <= 0.0:
         raise DegenerateStateError("phase functions have no derivatives at H = 0")
-    aux = aux_functions_principal(s)
-    out = _g_values(s.omega, dq, dp, aux.a_plus, aux.a_minus, aux.d_plus, aux.d_minus)
-    return tuple(float(v) for v in out)
+    return tuple(float(v) for v in _g_values(s.omega, dq, dp, *aux_functions_principal(s)))
 
 
 # One token per entry; p/m are the half-frequency G values, P/M the
@@ -277,9 +238,7 @@ def mu_family(s: OscState, params: MuParams) -> Operation:
     branch phase functions with the caller's C coefficients; the map C -> mu
     is linear.
     """
-    aux = aux_functions_principal(s)
-    coeffs = _family_coeffs(aux.a_plus, aux.a_minus, aux.d_plus, aux.d_minus, params.c)
-    return make_operation(2, 2, coeffs)
+    return make_operation(2, 2, _family_coeffs(*aux_functions_principal(s), params.c))
 
 
 def _cramer_residuals(w, q, p, h, ap, am, d_plus, d_minus) -> tuple:
@@ -290,43 +249,24 @@ def _cramer_residuals(w, q, p, h, ap, am, d_plus, d_minus) -> tuple:
             (d_plus * p + d_minus * w * q) - 2.0 * ap * h)
 
 
-def proof_identity_residuals(s: OscState) -> tuple:
-    """Raw residuals of the three determinant identities at a state.
-
-    Returns (Delta - 2H, (D- p - D+ w q) - 2 A- H, (D+ p + D- w q) - 2 A+ H)
-    with Delta the 2x2 Cramer determinant p^2 + (w q)^2, all on the principal
-    branch.  Callers scale by 1 + H^(3/2) before comparing to a tolerance.
-    """
-    aux = aux_functions_principal(s)
-    return _cramer_residuals(s.omega, s.q, s.p, hamiltonian(s),
-                             aux.a_plus, aux.a_minus, aux.d_plus, aux.d_minus)
-
-
 def _polar_state(omega: float, h: float, theta: float) -> OscState:
     """The state of energy h at principal angle theta (theta = 0 puts q = 0, p > 0)."""
     r = math.sqrt(2.0 * h)
     return OscState(omega, r * math.sin(theta) / omega, r * math.cos(theta))
 
 
-# (omega, energy, angle) of random_state: each uniform in [low, high]
+# (omega, energy, angle) of the identity suite's states: each uniform in [low, high]
 _STATE_RANGES = ((0.5, 2.0), (0.1, 10.0), (-math.pi, math.pi))
-
-
-def random_state(rng: np.random.Generator) -> OscState:
-    """State with omega uniform in [0.5, 2], energy uniform in [0.1, 10] and
-    angle uniform in [-pi, pi]."""
-    w, h, theta = (float(rng.uniform(lo, hi)) for lo, hi in _STATE_RANGES)
-    return _polar_state(w, h, theta)
 
 
 def _identity_draws(seed: int, first: int, stop: int) -> np.ndarray:
     """(omega, q, p, dq, dp) of trials first..stop-1, one column each: the state
-    random_state draws, then an off-shell flow (dq, dp) uniform in [-2, 2]^2,
-    all from the trial's own stream.
+    at (omega, energy, angle) drawn from _STATE_RANGES, then an off-shell flow
+    (dq, dp) uniform in [-2, 2]^2, all from the trial's own stream.
 
     Each trial takes five doubles u, and each draw is lo + (hi - lo) u as
-    Generator.uniform computes it; the state's sin and cos take libm's values,
-    as _polar_state does."""
+    Generator.uniform computes it.  The state's sin and cos take libm's values, as
+    _polar_state does: numpy's differ in the last bit for some inputs."""
     u = np.array([rng.random(5) for rng in _trial_streams(seed, range(first, stop))]).T
     lo, hi = np.array([*_STATE_RANGES, (-2.0, 2.0), (-2.0, 2.0)]).T[:, :, None]
     w, h, theta, dq, dp = lo + (hi - lo) * u
@@ -362,8 +302,9 @@ def proof_identity_suite(trials: int, seed: int, tol: float) -> list:
 
     Residuals are magnitude-scaled before aggregation: the defining relations
     by 1 + sqrt(2H), the determinant identities by 1 + H^(3/2), and the G and
-    Gamma checks by 1 + H.
+    Gamma checks by 1 + H.  Raises ValueError unless trials >= 0 and tol > 0.
     """
+    _check_suite_args(trials, tol)
     names = [
         "aux-defining-relations",
         "aux-derivative-row1",

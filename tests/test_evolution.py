@@ -11,22 +11,24 @@ import pytest
 from operlax import (
     BranchCutError,
     DegenerateStateError,
+    DimensionMismatchError,
     DivergenceError,
     IntegratorConfig,
+    LawReport,
     MuParams,
     OscState,
     analytic_mu,
     evolve,
     g_functions,
     gerstenhaber_bracket,
-    hamilton_rhs,
     hamiltonian,
     lax_matrices,
     make_operation,
     mu_family,
+    operad_law_suite,
     operadic_lax_rhs,
     pde_residual,
-    pde_residual_field,
+    proof_identity_suite,
     random_operation,
     rk4_order_check,
     structure_constant_rhs,
@@ -86,6 +88,15 @@ def test_operadic_lax_rhs_zero_and_frozen():
     expected[1] = expected[2] = expected[4] = 0.5
     npt.assert_allclose(operadic_lax_rhs(make_operation(2, 2, coeffs), M).coeffs,
                         expected, atol=1e-15, rtol=0)
+
+
+@pytest.mark.parametrize("rhs", [operadic_lax_rhs, structure_constant_rhs])
+def test_lax_rhs_rejects_mismatched_operations(rhs):
+    M2, M3 = make_operation(2, 1, np.zeros(4)), make_operation(3, 1, np.zeros(9))
+    with pytest.raises(DimensionMismatchError, match="dimension mismatch"):
+        rhs(make_operation(2, 2, np.zeros(8)), M3)
+    with pytest.raises(DimensionMismatchError, match="arities"):
+        rhs(M2, M2)
 
 
 def test_bracket_equals_index_formula():
@@ -487,7 +498,7 @@ def test_evolve_records_match_scalar_api():
         ref = analytic_mu(cfg, t).coeffs
         assert np.max(np.abs(traj.mu_ana[n] - ref)) <= 1e-13
         s = OscState(cfg.omega, float(traj.q[n]), float(traj.p[n]))
-        g_ref = g_functions(s, *hamilton_rhs(s))
+        g_ref = g_functions(s, s.p, -s.omega * s.omega * s.q)
         npt.assert_allclose(traj.g[n], g_ref, atol=1e-14, rtol=0)
         assert abs(hamiltonian(s) - traj.H[n]) <= 1e-15 * (1.0 + traj.H[n])
         assert traj.err[n] == max(abs(a - b) for a, b in zip(traj.mu[n], traj.mu_ana[n]))
@@ -559,6 +570,16 @@ def test_evolve_memory_follows_records_not_steps():
     assert peak <= 2 * 2 ** 20
 
 
+def _field_residual(s, mu_field, h):
+    # max |p dmu/dq - w^2 q dmu/dp - [M, mu]| for any field mu_field(state), by central
+    # differences of step h, with [M, mu] from gerstenhaber_bracket
+    w, q, p = s.omega, s.q, s.p
+    dmu_dq, dmu_dp = ((mu_field(OscState(w, *a)).coeffs - mu_field(OscState(w, *b)).coeffs)
+                      / (2.0 * h) for a, b in (((q + h, p), (q - h, p)), ((q, p + h), (q, p - h))))
+    bracket = operadic_lax_rhs(mu_field(s), lax_matrices(s)[1]).coeffs
+    return float(np.max(np.abs(p * dmu_dq - w * w * q * dmu_dp - bracket)))
+
+
 def test_pde_residual_family_is_solution():
     r = pde_residual(OscState(1.0, 0.0, 2.0), C5, 1e-5)
     assert r <= 1e-8
@@ -568,7 +589,7 @@ def test_pde_residual_constant_field_measures_bracket():
     coeffs = np.zeros(8)
     coeffs[0] = 1.0
     frozen = make_operation(2, 2, coeffs)
-    r = pde_residual_field(OscState(1.0, 0.4, 1.2), lambda s: frozen, 1.0, 1e-5)
+    r = _field_residual(OscState(1.0, 0.4, 1.2), lambda s: frozen, 1e-5)
     assert abs(r - 0.5) <= 1e-12  # derivatives vanish, bracket has max entry omega/2
 
 
@@ -581,6 +602,15 @@ def test_pde_residual_branch_cut_guard():
         pde_residual(OscState(1.0, 1e-7, -1.0), C5, 1e-5)
     with pytest.raises(DegenerateStateError):
         pde_residual(OscState(1.0, 0.0, 0.0), C5, 1e-5)
+
+
+def test_pde_guard_reports_the_first_stencil_point_near_the_cut():
+    # of a batch, the first state near the cut, and of its four points the first
+    # within 10 h / sqrt(2H) of it: (q + h, p), not (q, p - h) of the last state
+    states = [OscState(1.0, 0.3, 1.0), OscState(1.0, 1e-7, -1.0), OscState(1.0, -1e-7, -1.0)]
+    with pytest.raises(BranchCutError, match=r"^stencil point at angle 3\.141583 is within "
+                                             r"1\.00e-04 of the cut$"):
+        _pde_residuals(states, np.eye(8)[:3], 1e-5)
 
 
 def _pde_cases():
@@ -599,7 +629,7 @@ def test_pde_batch_matches_field_residual(h):
     batch = _pde_residuals(states, cs, h)
     for k, (s, c) in enumerate(cases):
         params = MuParams(tuple(c))
-        field = pde_residual_field(s, lambda st: mu_family(st, params), s.omega, h)
+        field = _field_residual(s, lambda st: mu_family(st, params), h)
         assert abs(batch[k] - field) <= 1e-15
         # a state's residual does not depend on the states that share its batch
         assert pde_residual(s, params, h) == batch[k]
@@ -620,6 +650,39 @@ def test_pde_suite_rejects_bad_arguments(kwargs):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="must be"):
             pde_suite(3, 0, 1e-6, **kwargs)
+
+
+_SUITES = {"operad": operad_law_suite, "identities": proof_identity_suite,
+           "theorem": lambda n, seed, tol: theorem_suite(n, seed, tol, t_end=0.01),
+           "pde": pde_suite}
+
+
+@pytest.mark.parametrize("suite", _SUITES)
+@pytest.mark.parametrize("trials, tol", [
+    (-1, 1e-6), (2.5, 1e-6), (True, 1e-6), ("3", 1e-6), (math.nan, 1e-6), (None, 1e-6),
+    (3, 0.0), (3, -1e-6), (3, math.nan), (3, None),
+])
+def test_suites_reject_bad_trials_and_tol(suite, trials, tol):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="must be"):
+            _SUITES[suite](trials, 0, tol)
+
+
+@pytest.mark.parametrize("kwargs", [{"max_dim": 0}, {"max_arity": 0}, {"max_dim": 2.5},
+                                    {"max_arity": -3}, {"max_dim": None}])
+def test_operad_suite_rejects_bad_sizes(kwargs):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="must be an int >= 1"):
+            operad_law_suite(3, 0, 1e-10, **kwargs)
+
+
+def test_suites_at_zero_trials():
+    assert [(r.trials, r.passed, r.worst_case_seed) for r in operad_law_suite(0, 0, 1e-10)
+            + proof_identity_suite(0, 0, 1e-12)] == [(0, True, -1)] * 10
+    assert theorem_suite(0, 0, 1e-6) == []
+    assert pde_suite(0, 0, 1e-8)[0] == LawReport("pde-residual", 0, 0.0, True, -1)
 
 
 def test_pde_suite_nan_halving_factor_fails(monkeypatch):
@@ -674,6 +737,13 @@ def _order_check_peak(t_end):
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_rk4_order_check_rejects_zero_fine_error():
+    # both steps of dt/2 from the momentum axis land exactly on the closed form
+    cfg = IntegratorConfig(dt=1e-4, t_end=1e-4, omega=1.0, q0=0.0, p0=1.0)
+    with pytest.raises(ValueError, match="undefined"):
+        rk4_order_check(cfg)
 
 
 def test_rk4_order_check_memory_is_flat_in_t_end():

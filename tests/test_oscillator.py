@@ -8,45 +8,49 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from operlax import (
-    AuxFunctions,
     DegenerateStateError,
     EnergyOverflowError,
     MuParams,
     OscState,
     aux_functions_principal,
     g_functions,
-    hamilton_rhs,
     hamiltonian,
     lax_matrices,
     mu_family,
-    proof_identity_residuals,
     proof_identity_suite,
-    random_state,
     trial_rng,
 )
 from operlax.calculus import TRIAL_BLOCK
 from operlax.oscillator import (
     _GAMMA_PATTERN,
+    _STATE_RANGES,
     _a_dots,
     _aux_values,
+    _cramer_residuals,
+    _family_coeffs,
+    _g_values,
     _gamma_from_g,
     _identity_draws,
     _identity_rows,
+    _polar_state,
+    _principal_aux,
     gamma_structural_zeros,
     principal_theta,
 )
+
+
+def _draws(seed, n):
+    """(omega, q, p, dq, dp, H) of n identity-suite trials, with the principal
+    (A+, A-, D+, D-) over them: the arrays the suite runs."""
+    w, q, p, dq, dp = _identity_draws(seed, 0, n)
+    h = 0.5 * (p * p + w * w * q * q)
+    return (w, q, p, dq, dp, h), _principal_aux(w, q, p, h)
 
 
 def test_hamiltonian_values():
     assert hamiltonian(OscState(1.0, 0.0, 0.0)) == 0.0
     assert hamiltonian(OscState(1.0, 0.0, 2.0)) == 2.0
     assert hamiltonian(OscState(2.0, 1.0, 0.0)) == 2.0
-
-
-def test_hamilton_rhs_values():
-    assert hamilton_rhs(OscState(1.0, 1.0, 0.0)) == (0.0, -1.0)
-    assert hamilton_rhs(OscState(1.0, 0.0, 0.0)) == (0.0, 0.0)
-    assert hamilton_rhs(OscState(2.0, 1.0, 3.0)) == (3.0, -4.0)
 
 
 def test_state_validation():
@@ -74,7 +78,7 @@ def test_principal_theta_signed_zero():
     neg = aux_functions_principal(OscState(1.0, -0.0, -1.0))
     pos = aux_functions_principal(OscState(1.0, 0.0, -1.0))
     assert neg == pos
-    npt.assert_allclose(neg.a_minus, math.sqrt(2.0), rtol=1e-15)
+    npt.assert_allclose(neg[1], math.sqrt(2.0), rtol=1e-15)
 
 
 @settings(derandomize=True, database=None)
@@ -102,44 +106,85 @@ def test_lax_matrices():
     npt.assert_array_equal(L0.tensor, np.zeros((2, 2)))
     npt.assert_array_equal(M0.tensor, M.tensor)
 
-    rng = trial_rng(2, 0)
-    for _ in range(20):
-        s = random_state(rng)
-        t = lax_matrices(s)[0].tensor
+    (w, q, p, *_), _ = _draws(20, 20)
+    for state in zip(w.tolist(), q.tolist(), p.tolist()):
+        t = lax_matrices(OscState(*state))[0].tensor
         assert t[0, 0] + t[1, 1] == 0.0
         assert t[0, 1] == t[1, 0]
 
 
 def test_aux_principal_momentum_axis():
-    aux = aux_functions_principal(OscState(1.0, 0.0, 2.0))
-    assert aux.theta == 0.0
-    npt.assert_allclose([aux.a_plus, aux.a_minus], [2.0, 0.0], atol=1e-12)
-    npt.assert_allclose([aux.d_plus, aux.d_minus], [4.0, 0.0], atol=1e-12)
+    s = OscState(1.0, 0.0, 2.0)
+    assert principal_theta(s) == 0.0
+    npt.assert_allclose(aux_functions_principal(s), [2.0, 0.0, 4.0, 0.0], atol=1e-12)
 
 
 def test_aux_principal_coordinate_axis():
-    aux = aux_functions_principal(OscState(1.0, 1.0, 0.0))
-    npt.assert_allclose(aux.theta, math.pi / 2, atol=1e-15)
-    npt.assert_allclose([aux.a_plus, aux.a_minus], [1.0, 1.0], atol=1e-12)
-    npt.assert_allclose([aux.d_plus, aux.d_minus], [-1.0, 1.0], atol=1e-12)
+    s = OscState(1.0, 1.0, 0.0)
+    npt.assert_allclose(principal_theta(s), math.pi / 2, atol=1e-15)
+    npt.assert_allclose(aux_functions_principal(s), [1.0, 1.0, -1.0, 1.0], atol=1e-12)
 
 
 def test_aux_zero_energy_state():
-    aux = aux_functions_principal(OscState(1.0, 0.0, 0.0))
-    assert (aux.a_plus, aux.a_minus, aux.d_plus, aux.d_minus, aux.theta) == (0,) * 5
+    for q, p in ((0.0, 0.0), (-0.0, -0.0), (0.0, -0.0), (-0.0, 0.0)):
+        s = OscState(1.0, q, p)
+        assert principal_theta(s) == 0.0
+        # +0.0 each, whatever the signs of the zeros
+        assert [math.copysign(1.0, v) for v in aux_functions_principal(s)] == [1.0] * 4
+
+
+def _bytes(values):
+    return np.array(values, dtype=float).tobytes()
+
+
+@settings(derandomize=True, database=None, max_examples=300)
+@given(
+    st.sampled_from([0.5, 1.0, 2.0]),
+    st.floats(min_value=-1e150, max_value=1e150),
+    st.floats(min_value=-1e150, max_value=1e150),
+)
+@example(1.0, -0.0, -1.0)
+@example(1.0, -0.0, -0.0)
+@example(0.5, -5e-324, -1.0)
+@example(2.0, 1e-300, -0.0)
+def test_pointwise_api_is_one_row_of_array_forms(omega, q, p):
+    s = OscState(omega, q, p)
+    aux = aux_functions_principal(s)
+    assert type(aux) is tuple and all(type(v) is float for v in aux)
+    # the one-state form: libm's angle, then the half-angle functions on floats
+    assert _bytes(aux) == _bytes(_aux_values(principal_theta(s), hamiltonian(s)))
+    c = np.linspace(-1.0, 1.0, 8)
+    assert mu_family(s, MuParams(c)).coeffs.tobytes() == _family_coeffs(*aux, c).tobytes()
+    if hamiltonian(s) > 0.0:
+        g = g_functions(s, 0.25, -1.5)
+        assert _bytes(g) == _bytes(_g_values(omega, 0.25, -1.5, *aux))
+
+
+def test_principal_aux_rows_equal_one_state_form():
+    (w, q, p, *_, h), aux = _draws(5, 5000)
+    rows = np.column_stack(aux)
+    for k, state in enumerate(zip(w.tolist(), q.tolist(), p.tolist())):
+        s = OscState(*state)
+        assert rows[k].tobytes() == _bytes(_aux_values(principal_theta(s), hamiltonian(s)))
 
 
 def test_aux_defining_relations_random():
-    rng = trial_rng(2, 1)
-    for _ in range(300):
-        s = random_state(rng)
-        aux = aux_functions_principal(s)
-        sq2h = math.sqrt(2.0 * hamiltonian(s))
-        scale = 1e-12 * (1.0 + sq2h)
-        assert abs(aux.a_plus ** 2 + aux.a_minus ** 2 - 2.0 * sq2h) <= scale
-        assert abs(aux.a_plus ** 2 - aux.a_minus ** 2 - 2.0 * s.p) <= scale
-        assert abs(aux.a_plus * aux.a_minus - s.omega * s.q) <= scale
-        assert aux.a_plus >= 0.0
+    (w, q, p, *_, h), (ap, am, _, _) = _draws(21, 300)
+    sq2h = np.sqrt(2.0 * h)
+    scale = 1e-12 * (1.0 + sq2h)
+    assert np.all(np.abs(ap ** 2 + am ** 2 - 2.0 * sq2h) <= scale)
+    assert np.all(np.abs(ap ** 2 - am ** 2 - 2.0 * p) <= scale)
+    assert np.all(np.abs(ap * am - w * q) <= scale)
+    assert np.all(ap >= 0.0)
+
+
+def test_aux_principal_is_the_complex_half_power():
+    # (A+, A-) = sqrt(2) sqrt(z) and (D+, D-) = sqrt(2) z^(3/2), z = p + i omega q
+    (w, q, p, *_, h), (ap, am, dp, dm) = _draws(22, 300)
+    z = p + 1j * w * q
+    scale = 1e-12 * (1.0 + h ** 1.5)
+    assert np.all(np.abs(ap + 1j * am - math.sqrt(2.0) * np.sqrt(z)) <= scale)
+    assert np.all(np.abs(dp + 1j * dm - math.sqrt(2.0) * z ** 1.5) <= scale)
 
 
 def test_aux_continuous_matches_principal_on_first_sheet():
@@ -161,11 +206,9 @@ def test_aux_continuous_second_sheet_flips_sign():
 
 def test_aux_continuous_sheet_flip_everywhere():
     # consecutive sheets flip the sign of A+/- and D+/-, on floats and on arrays
-    rng = trial_rng(2, 2)
-    states = [random_state(rng) for _ in range(100)]
-    theta = np.array([math.atan2(s.omega * s.q, s.p) for s in states])
-    h = np.array([hamiltonian(s) for s in states])
-    for k in range(len(states)):
+    (w, q, p, *_, h), _ = _draws(23, 100)
+    theta = np.array([math.atan2(y, x) for y, x in zip((w * q).tolist(), p.tolist())])
+    for k in range(len(h)):
         a1 = _aux_values(float(theta[k]), float(h[k]))
         a2 = _aux_values(float(theta[k]) + 2.0 * math.pi, float(h[k]))
         scale = 1e-12 * (1.0 + abs(a1[0]) + abs(a1[2])) ** 3
@@ -174,26 +217,20 @@ def test_aux_continuous_sheet_flip_everywhere():
     assert np.all(np.abs(a1 + a2) <= 1e-12 * (1.0 + np.abs(a1[0]) + np.abs(a1[2])) ** 3)
 
 
-def test_aux_cubic_consistency_enforced():
-    with pytest.raises(ValueError):
-        AuxFunctions(1.0, 1.0, 5.0, 1.0, 0.0)
-
-
 def test_g_functions_frozen_offshell():
     g = g_functions(OscState(1.0, 1.0, 0.0), 0.0, 0.0)
     npt.assert_allclose(g, [0.5, -0.5, 1.5, 1.5], atol=1e-12)
 
 
 def test_g_functions_onshell_vanish():
+    # on shell: (dq, dp) = (p, -omega^2 q)
     for s in (OscState(1.0, 1.0, 0.0), OscState(2.0, 1.0, 0.0)):
-        g = g_functions(s, *hamilton_rhs(s))
+        g = g_functions(s, s.p, -s.omega * s.omega * s.q)
         npt.assert_allclose(g, np.zeros(4), atol=1e-12 * (1.0 + hamiltonian(s)))
 
-    rng = trial_rng(2, 3)
-    for _ in range(500):
-        s = random_state(rng)
-        g = g_functions(s, *hamilton_rhs(s))
-        assert max(map(abs, g)) <= 1e-12 * (1.0 + hamiltonian(s))
+    (w, q, p, *_, h), aux = _draws(24, 500)
+    g = np.array(_g_values(w, p, -w * w * q, *aux))
+    assert np.all(np.max(np.abs(g), axis=0) <= 1e-12 * (1.0 + h))
 
 
 def test_g_functions_degenerate_state():
@@ -202,14 +239,12 @@ def test_g_functions_degenerate_state():
 
 
 def test_g_functions_detect_offshell_flows():
+    # every flow at distance 0.1 to 2 from the on-shell one
+    (w, q, p, *_), aux = _draws(25, 300)
     rng = trial_rng(2, 4)
-    for _ in range(300):
-        s = random_state(rng)
-        dq0, dp0 = hamilton_rhs(s)
-        angle = rng.uniform(0.0, 2.0 * math.pi)
-        radius = rng.uniform(0.1, 2.0)
-        g = g_functions(s, dq0 + radius * math.cos(angle), dp0 + radius * math.sin(angle))
-        assert max(abs(g[0]), abs(g[1])) >= 1e-3
+    angle, radius = rng.uniform(0.0, 2.0 * math.pi, 300), rng.uniform(0.1, 2.0, 300)
+    g = _g_values(w, p + radius * np.cos(angle), -w * w * q + radius * np.sin(angle), *aux)
+    assert np.all(np.maximum(np.abs(g[0]), np.abs(g[1])) >= 1e-3)
 
 
 def test_mu_family_zero_params():
@@ -232,16 +267,13 @@ def test_mu_family_c7_frozen():
 
 
 def test_mu_family_linear_in_params():
+    (*_, h), aux = _draws(26, 50)
     rng = trial_rng(2, 5)
-    for _ in range(50):
-        s = random_state(rng)
-        c1 = rng.uniform(-1, 1, 8)
-        c2 = rng.uniform(-1, 1, 8)
-        a, b = rng.uniform(-2, 2, 2)
-        lhs = mu_family(s, MuParams(tuple(a * c1 + b * c2))).coeffs
-        rhs = a * mu_family(s, MuParams(tuple(c1))).coeffs + b * mu_family(s, MuParams(tuple(c2))).coeffs
-        scale = 1e-12 * (1.0 + hamiltonian(s) ** 1.5)
-        assert np.max(np.abs(lhs - rhs)) <= scale
+    c1, c2 = rng.uniform(-1, 1, (2, 8, 50))
+    a, b = rng.uniform(-2, 2, (2, 50, 1))
+    lhs = _family_coeffs(*aux, a.T * c1 + b.T * c2)
+    rhs = a * _family_coeffs(*aux, c1) + b * _family_coeffs(*aux, c2)
+    assert np.all(np.max(np.abs(lhs - rhs), axis=1) <= 1e-12 * (1.0 + h ** 1.5))
 
 
 def test_mu_params_validation():
@@ -257,11 +289,10 @@ def _gamma(s, dq, dp):
 
 
 def test_gamma_onshell_zero():
-    rng = trial_rng(2, 6)
-    for _ in range(200):
-        s = random_state(rng)
-        gm = _gamma(s, *hamilton_rhs(s))
-        assert np.max(np.abs(gm)) <= 1e-12 * (1.0 + hamiltonian(s))
+    (w, q, p, *_, h), aux = _draws(27, 200)
+    gm = _gamma_from_g(_g_values(w, p, -w * w * q, *aux))
+    assert gm.shape == (200, 8, 8)
+    assert np.all(np.max(np.abs(gm), axis=(1, 2)) <= 1e-12 * (1.0 + h))
 
 
 def test_gamma_frozen_first_row():
@@ -272,11 +303,9 @@ def test_gamma_frozen_first_row():
 def test_gamma_structural_sparsity():
     mask = gamma_structural_zeros()
     assert mask.sum() == 24  # four per rotation row, none in the cubic rows
-    rng = trial_rng(2, 7)
-    for _ in range(100):
-        s = random_state(rng)
-        gm = _gamma(s, float(rng.uniform(-2, 2)), float(rng.uniform(-2, 2)))
-        assert np.all(gm[mask] == 0.0)
+    # at the suite's off-shell flows
+    (w, q, p, dq, dp, _), aux = _draws(28, 100)
+    assert np.all(_gamma_from_g(_g_values(w, dq, dp, *aux))[:, mask] == 0.0)
 
 
 def test_gamma_arrays_follow_the_pattern():
@@ -298,17 +327,17 @@ def test_gamma_degenerate_state():
 
 
 def test_proof_identities_frozen():
-    npt.assert_allclose(proof_identity_residuals(OscState(1.0, 1.0, 0.0)), (0, 0, 0), atol=1e-12)
-    npt.assert_allclose(proof_identity_residuals(OscState(1.0, 0.0, 2.0)), (0, 0, 0), atol=1e-12)
-    npt.assert_allclose(proof_identity_residuals(OscState(1.0, 0.0, 0.0)), (0, 0, 0), atol=1e-15)
+    # (Delta - 2H, (D- p - D+ w q) - 2 A- H, (D+ p + D- w q) - 2 A+ H), Delta = p^2 + (w q)^2
+    for q, p, atol in ((1.0, 0.0, 1e-12), (0.0, 2.0, 1e-12), (0.0, 0.0, 1e-15)):
+        s = OscState(1.0, q, p)
+        r = _cramer_residuals(1.0, q, p, hamiltonian(s), *aux_functions_principal(s))
+        npt.assert_allclose(r, (0, 0, 0), atol=atol)
 
 
 def test_proof_identities_random():
-    rng = trial_rng(2, 8)
-    for _ in range(500):
-        s = random_state(rng)
-        r = proof_identity_residuals(s)
-        assert max(map(abs, r)) <= 1e-12 * (1.0 + hamiltonian(s) ** 1.5)
+    (w, q, p, *_, h), aux = _draws(29, 500)
+    r = np.array(_cramer_residuals(w, q, p, h, *aux))
+    assert np.all(np.max(np.abs(r), axis=0) <= 1e-12 * (1.0 + h ** 1.5))
 
 
 def test_proof_identity_suite():
@@ -329,22 +358,21 @@ def _identity_reference(seed, k):
     """One trial of the identity suite through the one-state API, as the suite
     computed it trial by trial before it worked on blocks of trials."""
     rng = trial_rng(seed, k)
-    s = random_state(rng)
+    s = _polar_state(*(float(rng.uniform(lo, hi)) for lo, hi in _STATE_RANGES))
     h = hamiltonian(s)
     aux = aux_functions_principal(s)
+    ap, am = aux[:2]
     sq2h = math.sqrt(2.0 * h)
     rel = max(
-        abs(aux.a_plus ** 2 + aux.a_minus ** 2 - 2.0 * sq2h),
-        abs(aux.a_plus ** 2 - aux.a_minus ** 2 - 2.0 * s.p),
-        abs(aux.a_plus * aux.a_minus - s.omega * s.q),
+        abs(ap ** 2 + am ** 2 - 2.0 * sq2h),
+        abs(ap ** 2 - am ** 2 - 2.0 * s.p),
+        abs(ap * am - s.omega * s.q),
     )
-    r_delta, r_minus, r_plus = proof_identity_residuals(s)
-    g_on = g_functions(s, *hamilton_rhs(s))
+    r_delta, r_minus, r_plus = _cramer_residuals(s.omega, s.q, s.p, h, *aux)
+    g_on = g_functions(s, s.p, -s.omega * s.omega * s.q)
     dq, dp = rng.uniform(-2.0, 2.0, size=2)
-    da_p, da_m = _a_dots(s.omega, dq, dp, aux.a_plus, aux.a_minus)
-    row1 = (aux.a_plus * da_p + aux.a_minus * da_m) - (
-        s.p * dp + s.omega ** 2 * s.q * dq
-    ) / sq2h
+    da_p, da_m = _a_dots(s.omega, dq, dp, ap, am)
+    row1 = (ap * da_p + am * da_m) - (s.p * dp + s.omega ** 2 * s.q * dq) / sq2h
     gamma_off = _gamma_from_g(g_functions(s, dq, dp))
     return (
         rel / (1.0 + sq2h),
@@ -367,7 +395,7 @@ def test_identity_draws_follow_each_trial_stream():
     draws = _identity_draws(104, 40, 340)
     for k in range(40, 340):
         rng = trial_rng(104, k)
-        s = random_state(rng)
+        s = _polar_state(*(float(rng.uniform(lo, hi)) for lo, hi in _STATE_RANGES))
         expected = [s.omega, s.q, s.p, *rng.uniform(-2.0, 2.0, size=2)]
         assert draws[:, k - 40].tolist() == expected
 

@@ -308,12 +308,13 @@ def _blocked_rows(trials: int, block_rows):
         yield block_rows(first, min(first + TRIAL_BLOCK, trials))
 
 
-def _check_suite_args(trials, tol, **sizes):
-    """Raise ValueError unless trials is an int >= 0, each size one >= 1 and tol > 0."""
-    for name, n, least in (("trials", trials, 0), *((k, v, 1) for k, v in sizes.items())):
-        if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < least:
-            raise ValueError(f"{name} must be an int >= {least}, got {n!r}")
-    if not (isinstance(tol, numbers.Real) and tol > 0.0):
+def _check_suite_args(tol, **counts):
+    """Raise ValueError unless tol is a number > 0 and each count an int, the first
+    (the number of trials) >= 0 and every later one (a size) >= 1; a bool is neither."""
+    for k, (name, n) in enumerate(counts.items()):
+        if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < min(k, 1):
+            raise ValueError(f"{name} must be an int >= {min(k, 1)}, got {n!r}")
+    if isinstance(tol, bool) or not (isinstance(tol, numbers.Real) and tol > 0.0):
         raise ValueError(f"tol must be a number > 0, got {tol!r}")
 
 
@@ -369,7 +370,7 @@ def operad_law_suite(
     share the dim and arities it reads, with the one-trial checks' digits.
     Raises ValueError unless trials >= 0, max_dim, max_arity >= 1 and tol > 0.
     """
-    _check_suite_args(trials, tol, max_dim=max_dim, max_arity=max_arity)
+    _check_suite_args(tol, trials=trials, max_dim=max_dim, max_arity=max_arity)
     names = ["antisymmetry", "composition-relations", "graded-jacobi", "unit-laws"]
     rows = _blocked_rows(trials, lambda k0, k1: _operad_rows(seed, k0, k1, max_dim, max_arity))
     return _worst_case_reports(names, rows, tol)

@@ -35,12 +35,12 @@ from .oscillator import (
     _aux_values,
     _family_coeffs,
     _g_values,
+    _libm,
     _polar_state,
     _principal_angle,
     _principal_aux,
     hamiltonian,
     lax_matrices,
-    principal_theta,
 )
 
 __all__ = [
@@ -141,23 +141,18 @@ def structure_constant_rhs(mu: Operation, M: Operation) -> Operation:
 
         dmu^i_jk = mu^s_jk M^i_s - M^s_j mu^i_sk - M^s_k mu^i_js.
 
-    Cheap to evaluate; agrees with operadic_lax_rhs coefficient-wise.
+    It is the product structure_rhs_matrix(M) @ mu on the flat coefficients, and
+    agrees with operadic_lax_rhs coefficient-wise.
     """
     if M.arity != 1 or mu.arity != 2:
         raise DimensionMismatchError("expected arities (mu, M) = (2, 1)")
     if mu.dim != M.dim:
         raise DimensionMismatchError(f"dimension mismatch: {mu.dim} vs {M.dim}")
-    t, m = mu.tensor, M.tensor
-    out = (
-        np.einsum("sjk,is->ijk", t, m)
-        - np.einsum("sj,isk->ijk", m, t)
-        - np.einsum("sk,ijs->ijk", m, t)
-    )
-    return Operation(mu.dim, 2, out.reshape(-1))
+    return Operation(mu.dim, 2, structure_rhs_matrix(M) @ mu.coeffs)
 
 
 def structure_rhs_matrix(M: Operation) -> np.ndarray:
-    """Matrix of the linear map mu -> structure_constant_rhs(mu, M) on flat coefficients.
+    """Matrix of the index formula's linear map mu -> dmu on flat coefficients.
 
     In the (i, j, k) coefficient order it is M x I x I - I x M^T x I - I x I x M^T
     (Kronecker products), one term per sum of the index formula.
@@ -262,9 +257,9 @@ class _Batch:
         # the distinct omegas, the first trial of each, and each trial's omega index
         self.omegas, self.firsts, self.group = np.unique(self.w, return_index=True,
                                                          return_inverse=True)
-        self.theta0 = np.array([principal_theta(s) for s in self.states])
+        self.theta0 = _libm(_principal_angle, self.w * q, p)
         self.cs = np.array([c.params.c for c in configs]).T  # (8, trials)
-        family = _family_coeffs(*_principal_aux(self.w, q, p, self.h0), self.cs)
+        family = _family_coeffs(*_principal_aux(self.theta0, self.h0), self.cs)
         self.y0 = np.column_stack((q, p, family))
 
     def increments(self) -> np.ndarray:
@@ -356,7 +351,7 @@ def _pde_residuals(states: list, cs, h: float) -> np.ndarray:
     for the principal-branch family with parameters cs[k] at states[k], every k.
 
     The family is evaluated at the centre and the four stencil points of
-    every state as one array, with libm's angles and radii (_principal_aux),
+    every state as one array, with libm's angles and radii (_libm),
     since the central differences magnify a last-bit change by 1/h.  [M, mu]
     is structure_rhs_matrix(M) @ mu with one matrix per distinct omega and one
     product per state, so a state's numbers do not depend on its batch.
@@ -368,14 +363,14 @@ def _pde_residuals(states: list, cs, h: float) -> np.ndarray:
     hs = 0.5 * (ps * ps + w * w * qs * qs)
     if np.any(hs[:, 0] <= 0.0):
         raise DegenerateStateError("PDE stencil needs positive energy")
-    theta = _principal_angle(w * qs[:, 1:], ps[:, 1:], np.arctan2)
+    theta = _libm(_principal_angle, w * qs, ps)
     margin = 10.0 * h / np.sqrt(2.0 * hs[:, :1])
-    near = np.argwhere(math.pi - np.abs(theta) <= margin)
+    near = np.argwhere(math.pi - np.abs(theta[:, 1:]) <= margin)
     if near.size:
         k, j = near[0]
-        raise BranchCutError(f"stencil point at angle {theta[k, j]:.6f} is within "
+        raise BranchCutError(f"stencil point at angle {theta[k, j + 1]:.6f} is within "
                              f"{margin[k, 0]:.2e} of the cut")
-    aux = _principal_aux(w, qs, ps, hs)
+    aux = _principal_aux(theta, hs)
     mu = _family_coeffs(*aux, np.asarray(cs, dtype=float).T[:, :, None])
     _, firsts, group = np.unique(w[:, 0], return_index=True, return_inverse=True)
     rhs = np.stack([structure_rhs_matrix(lax_matrices(states[i])[1]) for i in firsts])
@@ -474,7 +469,7 @@ def theorem_suite(
     the largest omega, whatever omegas the seed draws.  Raises ValueError
     unless trials >= 0 and tol > 0.
     """
-    _check_suite_args(trials, tol)
+    _check_suite_args(tol, trials=trials)
     if not 0.0 < dt <= 0.1 / max(_OMEGAS):
         raise ValueError(f"dt: theorem trials sample omega up to {max(_OMEGAS)}, "
                          f"so dt must be in (0, {0.1 / max(_OMEGAS)}], got {dt}")
@@ -555,7 +550,7 @@ def pde_suite(
     positive and finite, n_states >= 0, n_params and n_probe_states >= 1 and
     tol > 0.
     """
-    _check_suite_args(n_states, tol, n_params=n_params, n_probe_states=n_probe_states)
+    _check_suite_args(tol, n_states=n_states, n_params=n_params, n_probe_states=n_probe_states)
     if not 0.0 < 0.5 * h < math.inf:
         raise ValueError(f"h and h/2 must be positive and finite, got {h}")
     params_pool = np.array([rng.uniform(-1.0, 1.0, size=8)

@@ -102,6 +102,13 @@ def _aux_at_radius(theta, r):
     return ap, am, dp, dm
 
 
+def _libm(f, *arrays) -> np.ndarray:
+    """f over broadcast arrays, one point at a time: numpy's atan2, pow, sin and cos
+    differ from libm's in the last bit for some inputs, and the reports keep libm's."""
+    xs = np.broadcast_arrays(*arrays)
+    return np.reshape([f(*x) for x in zip(*(a.ravel().tolist() for a in xs))], xs[0].shape)
+
+
 def _principal_angle(y, x, atan2=math.atan2):
     """Angle of the point (x, y) in (-pi, pi]: floats with math.atan2, arrays with np.arctan2.
 
@@ -128,18 +135,14 @@ def aux_functions_principal(s: OscState) -> tuple:
     squares, product) and is the unique choice with A+ >= 0 on this range.
     At H = 0 everything is zero.
     """
-    row = _principal_aux(*(np.array([x]) for x in (s.omega, s.q, s.p, hamiltonian(s))))
+    row = _principal_aux(*(np.array([x]) for x in (principal_theta(s), hamiltonian(s))))
     return tuple(float(v[0]) for v in row)
 
 
-def _principal_aux(w, q, p, h) -> tuple:
-    """Principal-branch (A+, A-, D+, D-) over arrays (w, q, p) with energies h (zero
-    at h = 0).  Angles and radii take libm's atan2 and pow one point at a time:
-    numpy's differ in the last bit for some inputs, and the reports keep libm's."""
-    theta = [_principal_angle(y, x) for y, x in zip((w * q).ravel().tolist(),
-                                                    p.ravel().tolist())]
-    r = [_aux_radius(e) for e in h.ravel().tolist()]
-    return _aux_at_radius(np.reshape(theta, h.shape), np.reshape(r, h.shape))
+def _principal_aux(theta, h) -> tuple:
+    """(A+, A-, D+, D-) at arrays of principal angles theta, which
+    _libm(_principal_angle, w q, p) gives, and energies h, with libm's radii."""
+    return _aux_at_radius(theta, _libm(_aux_radius, h))
 
 
 def _a_dots(omega, dq, dp, ap, am):
@@ -265,13 +268,13 @@ def _identity_draws(seed: int, first: int, stop: int) -> np.ndarray:
     (dq, dp) uniform in [-2, 2]^2, all from the trial's own stream.
 
     Each trial takes five doubles u, and each draw is lo + (hi - lo) u as
-    Generator.uniform computes it.  The state's sin and cos take libm's values, as
-    _polar_state does: numpy's differ in the last bit for some inputs."""
+    Generator.uniform computes it.  The state's sin and cos take libm's values
+    (_libm), as _polar_state does."""
     u = np.array([rng.random(5) for rng in _trial_streams(seed, range(first, stop))]).T
     lo, hi = np.array([*_STATE_RANGES, (-2.0, 2.0), (-2.0, 2.0)]).T[:, :, None]
     w, h, theta, dq, dp = lo + (hi - lo) * u
     r = np.sqrt(2.0 * h)
-    sin, cos = (np.array([f(t) for t in theta.tolist()]) for f in (math.sin, math.cos))
+    sin, cos = (_libm(f, theta) for f in (math.sin, math.cos))
     return np.array([w, r * sin / w, r * cos, dq, dp])
 
 
@@ -279,7 +282,7 @@ def _identity_rows(w, q, p, dq, dp) -> np.ndarray:
     """The six scaled residuals of proof_identity_suite, one row per trial,
     for arrays (omega, q, p, dq, dp) over trials; H > 0 throughout."""
     h = 0.5 * (p * p + w * w * q * q)
-    aux = _principal_aux(w, q, p, h)
+    aux = _principal_aux(_libm(_principal_angle, w * q, p), h)
     ap, am = aux[:2]
     sq2h = np.sqrt(2.0 * h)
     rel = np.maximum.reduce([np.abs(ap ** 2 + am ** 2 - 2.0 * sq2h),
@@ -304,7 +307,7 @@ def proof_identity_suite(trials: int, seed: int, tol: float) -> list:
     by 1 + sqrt(2H), the determinant identities by 1 + H^(3/2), and the G and
     Gamma checks by 1 + H.  Raises ValueError unless trials >= 0 and tol > 0.
     """
-    _check_suite_args(trials, tol)
+    _check_suite_args(tol, trials=trials)
     names = [
         "aux-defining-relations",
         "aux-derivative-row1",

@@ -139,7 +139,8 @@ def test_structure_rhs_matrix_reproduces_formula():
         lam = structure_rhs_matrix(M)
         for _ in range(20):
             mu = random_operation(rng, d, 2)
-            npt.assert_allclose(lam @ mu.coeffs, structure_constant_rhs(mu, M).coeffs,
+            # against the bracket route, which shares no code with the matrix
+            npt.assert_allclose(lam @ mu.coeffs, gerstenhaber_bracket(M, mu).coeffs,
                                 atol=1e-14, rtol=0)
 
 
@@ -660,7 +661,7 @@ _SUITES = {"operad": operad_law_suite, "identities": proof_identity_suite,
 @pytest.mark.parametrize("suite", _SUITES)
 @pytest.mark.parametrize("trials, tol", [
     (-1, 1e-6), (2.5, 1e-6), (True, 1e-6), ("3", 1e-6), (math.nan, 1e-6), (None, 1e-6),
-    (3, 0.0), (3, -1e-6), (3, math.nan), (3, None),
+    (3, 0.0), (3, -1e-6), (3, math.nan), (3, None), (3, True),
 ])
 def test_suites_reject_bad_trials_and_tol(suite, trials, tol):
     with warnings.catch_warnings():
@@ -676,6 +677,13 @@ def test_operad_suite_rejects_bad_sizes(kwargs):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="must be an int >= 1"):
             operad_law_suite(3, 0, 1e-10, **kwargs)
+
+
+def test_suite_errors_name_the_trial_count():
+    with pytest.raises(ValueError, match="^trials must be an int >= 0"):
+        theorem_suite(-1, 0, 1e-6)
+    with pytest.raises(ValueError, match="^n_states must be an int >= 0"):
+        pde_suite(-1, 0, 1e-8)
 
 
 def test_suites_at_zero_trials():

@@ -123,6 +123,8 @@ def _unit_laws(d: int, f: np.ndarray, n: int) -> list:
 # (d^(l+m+n-1) per trial for three operations: 6561 at dim 3 and arities 3).
 # Larger groups are split, so peak memory stays near the one-trial path's.
 STACK_COEFFS = 8192
+# One trial's cap in operad_law_suite, max_dim ** (3 max_arity - 1): 8 MiB of doubles
+OPERAD_MAX_COEFFS = 2 ** 20
 
 
 def _by_signature(law, trials) -> np.ndarray:
@@ -368,9 +370,14 @@ def operad_law_suite(
     aggregates the worst residual over all trials and records the trial index
     that produced it.  Each law runs once per group of a block's trials that
     share the dim and arities it reads, with the one-trial checks' digits.
-    Raises ValueError unless trials >= 0, max_dim, max_arity >= 1 and tol > 0.
+    Raises ValueError unless trials >= 0, max_dim, max_arity >= 1, tol > 0 and
+    max_dim ** (3 max_arity - 1) <= OPERAD_MAX_COEFFS.
     """
     _check_suite_args(tol, trials=trials, max_dim=max_dim, max_arity=max_arity)
+    cap = OPERAD_MAX_COEFFS  # clamped, the power is small and > cap exactly when the bound is
+    if min(max_dim, cap + 1) ** min(3 * max_arity - 1, cap.bit_length()) > cap:
+        raise ValueError(f"max_dim ** (3 max_arity - 1) must be <= {cap}, "
+                         f"got max_dim={max_dim}, max_arity={max_arity}")
     names = ["antisymmetry", "composition-relations", "graded-jacobi", "unit-laws"]
     rows = _blocked_rows(trials, lambda k0, k1: _operad_rows(seed, k0, k1, max_dim, max_arity))
     return _worst_case_reports(names, rows, tol)

@@ -27,7 +27,8 @@ from .calculus import (
     _worst_case_reports,
     gerstenhaber_bracket,
 )
-from .errors import BranchCutError, DegenerateStateError, DimensionMismatchError, DivergenceError
+from .errors import (BranchCutError, DegenerateStateError, DimensionMismatchError,
+                     DivergenceError, EnergyOverflowError)
 from .multilinear import Operation, _quiet
 from .oscillator import (
     MuParams,
@@ -346,6 +347,7 @@ def evolve(config: IntegratorConfig) -> Trajectory:
     return Trajectory(config, t, q, p, energy, mu, mu_ana, dev.max(axis=1), g, drift)
 
 
+@_quiet
 def _pde_residuals(states: list, cs, h: float) -> np.ndarray:
     """Max |p dmu/dq - omega^2 q dmu/dp - [M, mu]| by central differences of step h,
     for the principal-branch family with parameters cs[k] at states[k], every k.
@@ -355,12 +357,16 @@ def _pde_residuals(states: list, cs, h: float) -> np.ndarray:
     since the central differences magnify a last-bit change by 1/h.  [M, mu]
     is structure_rhs_matrix(M) @ mu with one matrix per distinct omega and one
     product per state, so a state's numbers do not depend on its batch.
-    Raises DegenerateStateError at zero energy, and BranchCutError for a
-    stencil point within 10 h / sqrt(2H) of the cut, where the branch jumps.
+    Raises DegenerateStateError at zero energy, EnergyOverflowError for a
+    stencil energy that is not finite, and BranchCutError for a stencil point
+    within 10 h / sqrt(2H) of the cut, where the branch jumps.
     """
+    h = float(h)  # a Python int past int64 would make the stencil an object array
     w, q, p = (np.array([[getattr(s, f)] for s in states]) for f in ("omega", "q", "p"))
     qs, ps = q + [0.0, h, -h, 0.0, 0.0], p + [0.0, 0.0, 0.0, h, -h]
     hs = 0.5 * (ps * ps + w * w * qs * qs)
+    if not np.all(np.isfinite(hs)):
+        raise EnergyOverflowError(f"PDE stencil energy at step h = {h!r} is not finite")
     if np.any(hs[:, 0] <= 0.0):
         raise DegenerateStateError("PDE stencil needs positive energy")
     theta = _libm(_principal_angle, w * qs, ps)
@@ -473,6 +479,8 @@ def theorem_suite(
     if not 0.0 < dt <= 0.1 / max(_OMEGAS):
         raise ValueError(f"dt: theorem trials sample omega up to {max(_OMEGAS)}, "
                          f"so dt must be in (0, {0.1 / max(_OMEGAS)}], got {dt}")
+    if not (t_end > 0.0 and t_end / dt <= 2.0 ** 53):
+        raise ValueError(f"t_end must be positive with at most 2**53 steps, got {t_end}")
     configs = [_random_config(rng, dt, t_end) for rng in _trial_streams(seed, range(trials))]
     if not configs:
         return []
@@ -553,13 +561,14 @@ def pde_suite(
     _check_suite_args(tol, n_states=n_states, n_params=n_params, n_probe_states=n_probe_states)
     if not 0.0 < 0.5 * h < math.inf:
         raise ValueError(f"h and h/2 must be positive and finite, got {h}")
-    params_pool = np.array([rng.uniform(-1.0, 1.0, size=8)
-                            for rng in _trial_streams(seed, range(10_000, 10_000 + n_params))])
+    # state k takes vector k % n_params, so only the first n_states are ever read
+    params_pool = np.array([rng.uniform(-1.0, 1.0, size=8) for rng in _trial_streams(
+        seed, range(10_000, 10_000 + min(n_params, n_states)))])
 
     def residuals(first, stop):
         ks = range(first, stop)
         return _pde_residuals(_pde_states(seed, ks),
-                              params_pool[np.remainder(ks, n_params)], h)[:, None]
+                              params_pool[np.remainder(ks, len(params_pool))], h)[:, None]
 
     # worst residual over the eight generators of each probe state, at steps h and h/2
     probes = _pde_states(seed, range(20_000, 20_000 + n_probe_states), probe=True)

@@ -333,6 +333,19 @@ def test_simulate_out_of_memory_exits_1(tmp_path, capsys, monkeypatch):
     assert stderr == "operlax: error: Unable to allocate 7.28 TiB\n"
 
 
+@pytest.mark.parametrize("command, suite", [
+    (["verify", "operad"], "operad_law_suite"), (["verify", "theorem"], "theorem_suite"),
+    (["verify", "identities"], "proof_identity_suite"), (["pde-check"], "pde_suite"),
+])
+def test_each_mode_calls_its_suite_by_name_at_call_time(command, suite, capsys, monkeypatch):
+    # a tracer patches the module attribute: the mode must call the patched one
+    calls = []
+    monkeypatch.setattr(cli, suite, lambda *args, **kwargs: calls.append((args, kwargs)) or [])
+    code, stdout, _ = run(command + ["--trials", "3", "--seed", "5", "--tol", "0.5"], capsys)
+    assert code == 0 and json.loads(stdout)["suite"] == "-".join(command)
+    assert [args for args, _ in calls] == [(3, 5, 0.5)]
+
+
 # The smallest positive number, 0.2, caps an accepted dt at 0.1/0.2 = 0.5, so
 # t_end = 1e308 always overflows t_end/dt and every other t_end is at most 3:
 # an accepted config runs at most 3000 steps (at the default dt 1e-3).  A huge

@@ -7,12 +7,15 @@ from dataclasses import replace
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from operlax import (
     BranchCutError,
     DegenerateStateError,
     DimensionMismatchError,
     DivergenceError,
+    EnergyOverflowError,
     IntegratorConfig,
     LawReport,
     MuParams,
@@ -37,7 +40,7 @@ from operlax import (
     trajectory_csv_lines,
     trial_rng,
 )
-from operlax import evolution
+from operlax import calculus, evolution
 from operlax.evolution import (
     _OMEGAS,
     CHUNK_STEPS,
@@ -691,6 +694,89 @@ def test_suites_at_zero_trials():
             + proof_identity_suite(0, 0, 1e-12)] == [(0, True, -1)] * 10
     assert theorem_suite(0, 0, 1e-6) == []
     assert pde_suite(0, 0, 1e-8)[0] == LawReport("pde-residual", 0, 0.0, True, -1)
+
+
+@pytest.mark.parametrize("max_dim, max_arity", [(3, 9), (2 ** 70, 3), (2, 8), (1025, 1),
+                                                 (2 ** 64, 2 ** 64)])
+def test_operad_suite_caps_the_widest_intermediate(max_dim, max_arity):
+    # max_dim ** (3 max_arity - 1) past OPERAD_MAX_COEFFS, checked before any draw
+    with pytest.raises(ValueError, match="must be <= 1048576"):
+        operad_law_suite(0, 0, 1e-10, max_dim=max_dim, max_arity=max_arity)
+
+
+@pytest.mark.parametrize("max_dim, max_arity", [(3, 3), (2, 7), (1024, 1), (1, 2 ** 64)])
+def test_operad_suite_accepts_sizes_within_the_cap(max_dim, max_arity):
+    assert calculus.OPERAD_MAX_COEFFS == 2 ** 20
+    assert len(operad_law_suite(0, 0, 1e-10, max_dim=max_dim, max_arity=max_arity)) == 4
+
+
+def test_pde_suite_draws_only_the_parameter_vectors_its_states_read(monkeypatch):
+    drawn, streams = [], evolution._trial_streams
+
+    def recording(seed, ks):
+        drawn.append(len(ks))
+        return streams(seed, ks)
+
+    monkeypatch.setattr(evolution, "_trial_streams", recording)
+    reports = pde_suite(2, 0, 1e-8, n_params=50_000)
+    # two states, two parameter vectors and eight probe states
+    assert sorted(drawn) == [2, 2, 8]
+    monkeypatch.undo()
+    assert reports == pde_suite(2, 0, 1e-8, n_params=20)
+
+
+def test_pde_stencil_energy_overflow_is_energy_overflow_error():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(EnergyOverflowError, match="not finite"):
+            pde_suite(2, 0, 1e-8, h=1e300)
+        with pytest.raises(EnergyOverflowError, match="not finite"):
+            pde_residual(OscState(1.0, 0.3, 1.0), C5, 1e200)
+
+
+@pytest.mark.parametrize("trials", [0, 1])
+@pytest.mark.parametrize("t_end", [-1.0, 0.0, math.nan, math.inf, 2.0 ** 53])
+def test_theorem_suite_checks_t_end_at_any_trial_count(trials, t_end):
+    with pytest.raises(ValueError, match="^t_end must be positive"):
+        theorem_suite(trials, 0, 1e-6, t_end=t_end)
+
+
+_FUZZ_VALUES = [0, -1, 0.5, math.nan, math.inf, -math.inf, 1e300, True, 2 ** 64]
+# each suite's keyword arguments, drawn or left out; a work size takes no large
+# int, since any size is a valid request, and theorem_suite always draws t_end,
+# whose valid values here (0.5 and True) keep its runs short
+_FUZZ_KWARGS = {
+    operad_law_suite: ({}, {"max_dim": _FUZZ_VALUES, "max_arity": _FUZZ_VALUES}),
+    proof_identity_suite: ({}, {}),
+    theorem_suite: ({"t_end": _FUZZ_VALUES},
+                    {k: _FUZZ_VALUES for k in ("dt", "drift_tol", "det_tol", "antiperiod_tol")}),
+    pde_suite: ({}, {"h": _FUZZ_VALUES, "n_params": _FUZZ_VALUES,
+                     "n_probe_states": [0, -1, 0.5, math.nan, math.inf, 1e300, True, 1, 2]}),
+}
+
+
+@st.composite
+def _suite_calls(draw):
+    suite = draw(st.sampled_from(list(_FUZZ_KWARGS)))
+    required, optional = ({k: st.sampled_from(v) for k, v in d.items()}
+                          for d in _FUZZ_KWARGS[suite])
+    kwargs = draw(st.fixed_dictionaries(required, optional=optional))
+    return suite, draw(st.sampled_from([0, 1, 2])), draw(st.sampled_from(_FUZZ_VALUES)), kwargs
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(_suite_calls())
+@example((pde_suite, 2, 0.5, {"h": 2 ** 64}))  # an int step past int64: no TypeError
+def test_suite_fuzz_ends_in_reports_or_a_known_error(call):
+    suite, trials, tol, kwargs = call
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            reports = suite(trials, 0, tol, **kwargs)
+        except (ValueError, BranchCutError, DegenerateStateError, DivergenceError):
+            return
+    assert all(isinstance(r, LawReport) for r in reports)
+    assert not any(r.passed and math.isnan(r.max_abs_residual) for r in reports)
 
 
 def test_pde_suite_nan_halving_factor_fails(monkeypatch):

@@ -23,7 +23,6 @@ from .calculus import (
     LawReport,
     _blocked_rows,
     _check_suite_args,
-    _trial_streams,
     _worst_case_reports,
     gerstenhaber_bracket,
 )
@@ -31,16 +30,17 @@ from .errors import (BranchCutError, DegenerateStateError, DimensionMismatchErro
                      DivergenceError, EnergyOverflowError)
 from .multilinear import Operation, _quiet
 from .oscillator import (
+    _OMEGAS,
     MuParams,
     OscState,
     _aux_values,
     _family_coeffs,
     _g_values,
     _libm,
-    _polar_state,
+    _polar,
     _principal_angle,
     _principal_aux,
-    hamiltonian,
+    _trial_draws,
     lax_matrices,
 )
 
@@ -168,8 +168,16 @@ def structure_rhs_matrix(M: Operation) -> np.ndarray:
             - i * j * m.T[:, None, None, :]).reshape(n, n)
 
 
-def _increment_matrix(omega: float, M: Operation, dt: float) -> np.ndarray:
-    """D = z + z^2/2 + z^3/6 + z^4/24 with z = dt*B, B the generator of (q, p, mu).
+def _rhs_by_omega(w: np.ndarray) -> tuple:
+    """The distinct omegas of w (sorted), each trial's index among them, and for each
+    one structure_rhs_matrix(M) of its generator M, which depends on omega alone."""
+    omegas, group = np.unique(w, return_inverse=True)
+    rhs = [structure_rhs_matrix(lax_matrices(OscState(x, 0.0, 0.0))[1]) for x in omegas.tolist()]
+    return omegas, group, np.stack(rhs)
+
+
+def _increment_matrix(omega: float, rhs: np.ndarray, dt: float) -> np.ndarray:
+    """D = z + z^2/2 + z^3/6 + z^4/24 with z = dt*B, B the generator of (q, p, mu), mu block rhs.
 
     B does not depend on the state, so one classical RK4 step is exactly
     y -> y + D y.  The step adds the increment D y rather than applying
@@ -178,7 +186,7 @@ def _increment_matrix(omega: float, M: Operation, dt: float) -> np.ndarray:
     """
     z = np.zeros((10, 10))
     z[0, 1], z[1, 0] = dt, -dt * omega * omega
-    z[2:, 2:] = dt * structure_rhs_matrix(M)
+    z[2:, 2:] = dt * rhs
     z2 = z @ z
     return z + z2 / 2.0 + z2 @ z / 6.0 + z2 @ z2 / 24.0
 
@@ -243,30 +251,25 @@ def _rk4_chunks(y0: np.ndarray, d: np.ndarray, n_steps: int, group=None):
 
 
 class _Batch:
-    """Runs that share dt and step count, each started on the principal-branch
-    family at its initial state, with their constants as arrays over trials."""
+    """Runs that share dt and step count, run k started at the state (w[k], q[k], p[k])
+    on the principal-branch family with parameters cs[k], as arrays over trials."""
 
-    def __init__(self, configs: list):
-        self.dt = configs[0].dt
-        self.states = [c.initial_state() for c in configs]
-        self.h0 = np.array([hamiltonian(s) for s in self.states])
+    def __init__(self, dt: float, t_end: float, w, q, p, cs):
+        self.dt, self.w = dt, w
+        self.h0 = 0.5 * (p * p + w * w * q * q)
         if np.any(self.h0 <= 0.0):
             raise DegenerateStateError("initial state has zero energy")
-        self.n_steps = max(1, round(configs[0].t_end / self.dt))
-        self.w, q, p = (np.array([getattr(s, f) for s in self.states])
-                        for f in ("omega", "q", "p"))
-        # the distinct omegas, the first trial of each, and each trial's omega index
-        self.omegas, self.firsts, self.group = np.unique(self.w, return_index=True,
-                                                         return_inverse=True)
-        self.theta0 = _libm(_principal_angle, self.w * q, p)
-        self.cs = np.array([c.params.c for c in configs]).T  # (8, trials)
+        self.n_steps = max(1, round(t_end / dt))
+        self.omegas, self.group, self.rhs = _rhs_by_omega(w)
+        self.theta0 = _libm(_principal_angle, w * q, p)
+        self.cs = np.transpose(cs)  # (8, trials)
         family = _family_coeffs(*_principal_aux(self.theta0, self.h0), self.cs)
         self.y0 = np.column_stack((q, p, family))
 
     def increments(self) -> np.ndarray:
         """D of each distinct omega, shape (omegas, 10, 10): it depends only on (omega, dt)."""
-        return np.stack([_increment_matrix(self.w[i], lax_matrices(self.states[i])[1], self.dt)
-                         for i in self.firsts])
+        return np.stack([_increment_matrix(w, rhs, self.dt)
+                         for w, rhs in zip(self.omegas.tolist(), self.rhs)])
 
     def chunks(self):
         """The runs stepped together by _rk4_chunks, from step 0 through n_steps."""
@@ -311,6 +314,13 @@ class _Batch:
         return energy.T, mu_ana, np.abs(dev, out=dev), (np.abs(energy - self.h0) / self.h0).T
 
 
+def _config_batch(config: IntegratorConfig) -> _Batch:
+    """The batch of config's one run; its initial state passes OscState's checks."""
+    s = config.initial_state()
+    w, q, p = (np.array([x], dtype=float) for x in (s.omega, s.q, s.p))
+    return _Batch(config.dt, config.t_end, w, q, p, [config.params.c])
+
+
 def analytic_mu(config: IntegratorConfig, t: float) -> Operation:
     """Reference mu at time t on the continuous branch.
 
@@ -318,7 +328,7 @@ def analytic_mu(config: IntegratorConfig, t: float) -> Operation:
     picked by the exact unwrapped angle theta0 + omega*t, with theta0 the
     principal angle of the initial state.  Requires H > 0.
     """
-    return Operation(2, 2, _Batch([config]).analytic_mu(t)[0, 0])
+    return Operation(2, 2, _config_batch(config).analytic_mu(t)[0, 0])
 
 
 def evolve(config: IntegratorConfig) -> Trajectory:
@@ -329,7 +339,7 @@ def evolve(config: IntegratorConfig) -> Trajectory:
     constants, their worst difference, the on-shell G values at the numeric
     state, and the relative energy drift.
     """
-    batch = _Batch([config])
+    batch = _config_batch(config)
     kept, steps = [], []
     for first, block in batch.chunks():
         j = np.arange(first, first + len(block))
@@ -348,9 +358,9 @@ def evolve(config: IntegratorConfig) -> Trajectory:
 
 
 @_quiet
-def _pde_residuals(states: list, cs, h: float) -> np.ndarray:
+def _pde_residuals(w, q, p, cs, h: float) -> np.ndarray:
     """Max |p dmu/dq - omega^2 q dmu/dp - [M, mu]| by central differences of step h,
-    for the principal-branch family with parameters cs[k] at states[k], every k.
+    for the principal-branch family with parameters cs[k] at (w[k], q[k], p[k]), every k.
 
     The family is evaluated at the centre and the four stencil points of
     every state as one array, with libm's angles and radii (_libm),
@@ -362,7 +372,7 @@ def _pde_residuals(states: list, cs, h: float) -> np.ndarray:
     within 10 h / sqrt(2H) of the cut, where the branch jumps.
     """
     h = float(h)  # a Python int past int64 would make the stencil an object array
-    w, q, p = (np.array([[getattr(s, f)] for s in states]) for f in ("omega", "q", "p"))
+    w, q, p = (np.asarray(x)[:, None] for x in (w, q, p))
     qs, ps = q + [0.0, h, -h, 0.0, 0.0], p + [0.0, 0.0, 0.0, h, -h]
     hs = 0.5 * (ps * ps + w * w * qs * qs)
     if not np.all(np.isfinite(hs)):
@@ -378,8 +388,7 @@ def _pde_residuals(states: list, cs, h: float) -> np.ndarray:
                              f"{margin[k, 0]:.2e} of the cut")
     aux = _principal_aux(theta, hs)
     mu = _family_coeffs(*aux, np.asarray(cs, dtype=float).T[:, :, None])
-    _, firsts, group = np.unique(w[:, 0], return_index=True, return_inverse=True)
-    rhs = np.stack([structure_rhs_matrix(lax_matrices(states[i])[1]) for i in firsts])
+    _, group, rhs = _rhs_by_omega(w[:, 0])
     # a sum of exact products, added pairwise by numpy: each coefficient rounds as
     # a - (b0 + b1), the order gerstenhaber_bracket adds the same products in
     bracket = (rhs[group] * mu[:, 0, None, :]).sum(axis=-1)
@@ -391,7 +400,7 @@ def _pde_residuals(states: list, cs, h: float) -> np.ndarray:
 
 def pde_residual(s: OscState, params: MuParams, h: float) -> float:
     """PDE residual of the principal-branch family at one state; O(h^2) exact."""
-    return float(_pde_residuals([s], [params.c], h)[0])
+    return float(_pde_residuals(*(np.array([x]) for x in (s.omega, s.q, s.p)), [params.c], h)[0])
 
 
 def rk4_order_check(config: IntegratorConfig) -> float:
@@ -404,7 +413,7 @@ def rk4_order_check(config: IntegratorConfig) -> float:
     """
 
     def max_err(dt: float) -> float:
-        batch = _Batch([replace(config, dt=dt)])
+        batch = _config_batch(replace(config, dt=dt))
         worst = 0.0
         for first, ys in _rk4_chunks(batch.y0[:, :2], batch.increments()[:, :2, :2],
                                      batch.n_steps):
@@ -442,16 +451,8 @@ def trajectory_csv_lines(traj: Trajectory):
             yield ",".join(map(repr, row))
 
 
-# Frequencies the theorem and PDE suites sample.
-_OMEGAS = (0.5, 1.0, 2.0)
-
-
-def _random_config(rng: np.random.Generator, dt: float, t_end: float) -> IntegratorConfig:
-    w = _OMEGAS[int(rng.integers(0, 3))]  # the draw of rng.choice(_OMEGAS)
-    h = float(rng.uniform(0.1, 10.0))
-    s = _polar_state(w, h, float(rng.uniform(-math.pi, math.pi)))
-    params = MuParams(tuple(rng.uniform(-1.0, 1.0, size=8)))
-    return IntegratorConfig(dt, t_end, w, s.q, s.p, params)
+# (energy, angle, C1..C8) of the theorem suite's trials, each uniform in [low, high]
+_THEOREM_RANGES = ((0.1, 10.0), (-math.pi, math.pi)) + ((-1.0, 1.0),) * 8
 
 
 def theorem_suite(
@@ -481,11 +482,10 @@ def theorem_suite(
                          f"so dt must be in (0, {0.1 / max(_OMEGAS)}], got {dt}")
     if not (t_end > 0.0 and t_end / dt <= 2.0 ** 53):
         raise ValueError(f"t_end must be positive with at most 2**53 steps, got {t_end}")
-    configs = [_random_config(rng, dt, t_end) for rng in _trial_streams(seed, range(trials))]
-    if not configs:
+    if not trials:
         return []
-    batch = _Batch(configs)
-    w, h0 = batch.w, batch.h0
+    w, h, theta, *cs = _trial_draws(seed, range(trials), _THEOREM_RANGES, True)
+    batch = _Batch(dt, t_end, w, *_polar(w, h, theta), np.transpose(cs))
     err, drift, det_worst, trace_worst = (np.zeros(trials) for _ in range(4))
     for first, ys in batch.chunks():
         _, _, dev, dr = batch.compare(np.arange(first, first + len(ys))[:, None] * dt, ys)
@@ -494,7 +494,7 @@ def theorem_suite(
         # L = [[p, wq], [wq, -p]]: det = -(p^2 + (wq)^2), trace = p + (-p)
         q, p = ys[..., 0], ys[..., 1]
         det = p * (-p) - (w * q) * (w * q)
-        det_worst = np.maximum(det_worst, np.abs(det + 2.0 * h0).max(axis=0))
+        det_worst = np.maximum(det_worst, np.abs(det + 2.0 * batch.h0).max(axis=0))
         trace_worst = np.maximum(trace_worst, np.abs(p + (-p)).max(axis=0))
 
     # the analytic branch flips sign after one (q, p) period; the closed form
@@ -516,16 +516,8 @@ def theorem_suite(
     return reports
 
 
-def _pde_states(seed: int, ks: range, probe: bool = False) -> list:
-    """States ks of the PDE suite: omega from _OMEGAS, energy log-uniform in
-    [0.1, 10], angle uniform within 0.95 pi of zero, or zero on the probe."""
-    states = []
-    for rng in _trial_streams(seed, ks):
-        w = _OMEGAS[int(rng.integers(0, 3))]
-        hh = float(np.exp(rng.uniform(math.log(0.1), math.log(10.0))))
-        theta = 0.0 if probe else float(rng.uniform(-0.95 * math.pi, 0.95 * math.pi))
-        states.append(_polar_state(w, hh, theta))
-    return states
+# (log energy, angle) of the PDE suite's states, each uniform in [low, high]; probes draw row 0
+_PDE_RANGES = ((math.log(0.1), math.log(10.0)), (-0.95 * math.pi, 0.95 * math.pi))
 
 
 def pde_suite(
@@ -562,19 +554,20 @@ def pde_suite(
     if not 0.0 < 0.5 * h < math.inf:
         raise ValueError(f"h and h/2 must be positive and finite, got {h}")
     # state k takes vector k % n_params, so only the first n_states are ever read
-    params_pool = np.array([rng.uniform(-1.0, 1.0, size=8) for rng in _trial_streams(
-        seed, range(10_000, 10_000 + min(n_params, n_states)))])
+    params_pool = _trial_draws(seed, range(10_000, 10_000 + min(n_params, n_states)),
+                               ((-1.0, 1.0),) * 8, False).T
 
     def residuals(first, stop):
         ks = range(first, stop)
-        return _pde_residuals(_pde_states(seed, ks),
+        w, log_h, theta = _trial_draws(seed, ks, _PDE_RANGES, True)
+        return _pde_residuals(w, *_polar(w, np.exp(log_h), theta),
                               params_pool[np.remainder(ks, len(params_pool))], h)[:, None]
 
-    # worst residual over the eight generators of each probe state, at steps h and h/2
-    probes = _pde_states(seed, range(20_000, 20_000 + n_probe_states), probe=True)
-    pairs = [s for s in probes for _ in range(8)]
+    # worst residual over the eight generators of each probe state (angle 0), at h and h/2
+    w, log_h = _trial_draws(seed, range(20_000, 20_000 + n_probe_states), _PDE_RANGES[:1], True)
+    pairs = [np.repeat(x, 8) for x in (w, *_polar(w, np.exp(log_h), 0.0))]
     generators = np.tile(np.eye(8), (n_probe_states, 1))
-    worst = [_pde_residuals(pairs, generators, step).reshape(-1, 8).max(axis=1)
+    worst = [_pde_residuals(*pairs, generators, step).reshape(-1, 8).max(axis=1)
              for step in (h, 0.5 * h)]
     at_h, at_half = _worst_case_reports(("h", "h/2"), [np.column_stack(worst)], tol)
     factor = at_h.max_abs_residual / at_half.max_abs_residual

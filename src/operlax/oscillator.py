@@ -252,30 +252,33 @@ def _cramer_residuals(w, q, p, h, ap, am, d_plus, d_minus) -> tuple:
             (d_plus * p + d_minus * w * q) - 2.0 * ap * h)
 
 
-def _polar_state(omega: float, h: float, theta: float) -> OscState:
-    """The state of energy h at principal angle theta (theta = 0 puts q = 0, p > 0)."""
-    r = math.sqrt(2.0 * h)
-    return OscState(omega, r * math.sin(theta) / omega, r * math.cos(theta))
+# Frequencies the theorem and PDE suites draw omega from.
+_OMEGAS = (0.5, 1.0, 2.0)
 
 
-# (omega, energy, angle) of the identity suite's states: each uniform in [low, high]
-_STATE_RANGES = ((0.5, 2.0), (0.1, 10.0), (-math.pi, math.pi))
+def _trial_draws(seed, ks: range, ranges, pick_omega: bool) -> np.ndarray:
+    """Draws of trials ks, one column each from the trial's own stream: with pick_omega
+    first omega, by rng.integers(0, 3) as rng.choice(_OMEGAS) draws it, then one double
+    u per (lo, hi) row of ranges, mapped to lo + (hi - lo) u as Generator.uniform does."""
+    w, u = [], []
+    for rng in _trial_streams(seed, ks):
+        if pick_omega:
+            w.append(_OMEGAS[rng.integers(0, 3)])
+        u.append(rng.random(len(ranges)))
+    lo, hi = np.transpose(ranges)[:, :, None]
+    draws = lo + (hi - lo) * np.reshape(u, (-1, len(ranges))).T
+    return np.vstack((w, draws)) if pick_omega else draws
 
 
-def _identity_draws(seed: int, first: int, stop: int) -> np.ndarray:
-    """(omega, q, p, dq, dp) of trials first..stop-1, one column each: the state
-    at (omega, energy, angle) drawn from _STATE_RANGES, then an off-shell flow
-    (dq, dp) uniform in [-2, 2]^2, all from the trial's own stream.
-
-    Each trial takes five doubles u, and each draw is lo + (hi - lo) u as
-    Generator.uniform computes it.  The state's sin and cos take libm's values
-    (_libm), as _polar_state does."""
-    u = np.array([rng.random(5) for rng in _trial_streams(seed, range(first, stop))]).T
-    lo, hi = np.array([*_STATE_RANGES, (-2.0, 2.0), (-2.0, 2.0)]).T[:, :, None]
-    w, h, theta, dq, dp = lo + (hi - lo) * u
+def _polar(w, h, theta) -> tuple:
+    """(q, p) of the states of frequency w and energy h at principal angle theta,
+    elementwise (theta = 0 puts q = 0, p > 0), with libm's sin and cos (_libm)."""
     r = np.sqrt(2.0 * h)
-    sin, cos = (_libm(f, theta) for f in (math.sin, math.cos))
-    return np.array([w, r * sin / w, r * cos, dq, dp])
+    return r * _libm(math.sin, theta) / w, r * _libm(math.cos, theta)
+
+
+# (omega, energy, angle, dq, dp) of the identity suite's trials, each uniform in [low, high]
+_IDENTITY_RANGES = ((0.5, 2.0), (0.1, 10.0), (-math.pi, math.pi), (-2.0, 2.0), (-2.0, 2.0))
 
 
 def _identity_rows(w, q, p, dq, dp) -> np.ndarray:
@@ -316,5 +319,9 @@ def proof_identity_suite(trials: int, seed: int, tol: float) -> list:
         "gamma-onshell",
         "gamma-sparsity",
     ]
-    rows = _blocked_rows(trials, lambda k0, k1: _identity_rows(*_identity_draws(seed, k0, k1)))
-    return _worst_case_reports(names, rows, tol)
+
+    def rows(first, stop):
+        w, h, theta, dq, dp = _trial_draws(seed, range(first, stop), _IDENTITY_RANGES, False)
+        return _identity_rows(w, *_polar(w, h, theta), dq, dp)
+
+    return _worst_case_reports(names, _blocked_rows(trials, rows), tol)

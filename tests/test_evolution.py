@@ -40,20 +40,19 @@ from operlax import (
     trajectory_csv_lines,
     trial_rng,
 )
-from operlax import calculus, evolution
+from operlax import calculus, evolution, oscillator
 from operlax.evolution import (
-    _OMEGAS,
+    _PDE_RANGES,
+    _THEOREM_RANGES,
     CHUNK_STEPS,
     CSV_HEADER,
     _Batch,
     _increment_matrix,
     _pde_residuals,
-    _pde_states,
-    _random_config,
     _rk4_chunks,
     pde_suite,
 )
-from operlax.oscillator import _aux_values, _family_coeffs
+from operlax.oscillator import _OMEGAS, _aux_values, _family_coeffs, _polar, _trial_draws
 
 C5 = MuParams((0, 0, 0, 0, 1, 0, 0, 0))
 
@@ -176,7 +175,7 @@ def _rk4_step(state, M, dt):
     # one step of the joint system: the single-run, single-step case of the chunk kernel
     w = state.osc.omega
     y0 = np.concatenate(([state.osc.q, state.osc.p], state.mu.coeffs))
-    _, ys = next(_rk4_chunks(y0[None], _increment_matrix(w, M, dt)[None], 1))
+    _, ys = next(_rk4_chunks(y0[None], _increment_matrix(w, structure_rhs_matrix(M), dt)[None], 1))
     y1 = ys[1, 0]
     return SystemState(state.t + dt, OscState(w, float(y1[0]), float(y1[1])),
                        make_operation(2, 2, y1[2:]))
@@ -250,12 +249,27 @@ def test_propagator_divergence_names_first_step():
                 pass
 
 
+def _theorem_configs(seed, n, dt, t_end):
+    # the runs of the theorem suite's first n trials at seed, as its draws give them
+    w, h, theta, *cs = _trial_draws(seed, range(n), _THEOREM_RANGES, True)
+    q, p = _polar(w, h, theta)
+    return [IntegratorConfig(dt, t_end, *x, MuParams(c))
+            for *x, c in zip(w.tolist(), q.tolist(), p.tolist(), np.transpose(cs).tolist())]
+
+
+def _batch(configs):
+    # one batch of the configs' runs, with the first one's dt and t_end
+    w, q, p = (np.array([getattr(c, f) for c in configs], dtype=float)
+               for f in ("omega", "q0", "p0"))
+    return _Batch(configs[0].dt, configs[0].t_end, w, q, p, [c.params.c for c in configs])
+
+
 @pytest.mark.parametrize("n_steps", [1, CHUNK_STEPS - 1, CHUNK_STEPS, CHUNK_STEPS + 1, 20000])
 def test_chunk_kernel_matches_per_step_loop(n_steps):
-    configs = [_random_config(trial_rng(5, k), 1e-3, 1.0) for k in range(3)]
-    d = np.stack([evolution._increment_matrix(c.omega, lax_matrices(c.initial_state())[1], c.dt)
-                  for c in configs])
-    y0 = _Batch(configs).y0
+    configs = _theorem_configs(5, 3, 1e-3, 1.0)
+    rhs = [structure_rhs_matrix(lax_matrices(c.initial_state())[1]) for c in configs]
+    d = np.stack([_increment_matrix(c.omega, r, c.dt) for c, r in zip(configs, rhs)])
+    y0 = _batch(configs).y0
     got = np.concatenate([ys.copy() for _, ys in _rk4_chunks(y0, d, n_steps)])
     want = [y0]
     for _ in range(n_steps):
@@ -292,12 +306,12 @@ def _per_trial_y0(configs):
 
 def test_batch_y0_equals_per_trial_family():
     for seed in range(200):
-        configs = [_random_config(trial_rng(seed, k), 1e-3, 1.0) for k in range(20)]
-        assert _Batch(configs).y0.tobytes() == _per_trial_y0(configs).tobytes()
+        configs = _theorem_configs(seed, 20, 1e-3, 1.0)
+        assert _batch(configs).y0.tobytes() == _per_trial_y0(configs).tobytes()
     # signed zeros of q, on both sides of the branch cut
     configs = [IntegratorConfig(1e-3, 1.0, 1.0, q0, p0, C5)
                for q0 in (0.0, -0.0) for p0 in (1.0, -1.0)]
-    assert _Batch(configs).y0.tobytes() == _per_trial_y0(configs).tobytes()
+    assert _batch(configs).y0.tobytes() == _per_trial_y0(configs).tobytes()
 
 
 def _four_call_amplitudes(batch):
@@ -316,39 +330,43 @@ def _per_trial_trig_mu(batch, t):
 
 
 def test_amplitudes_and_reference_equal_per_trial_forms():
-    configs = [_random_config(trial_rng(13, k), 1e-3, 20.0) for k in range(18)]
+    configs = _theorem_configs(13, 18, 1e-3, 20.0)
     assert {c.omega for c in configs} == set(_OMEGAS)
     # zero parameters and a zero A-, where coefficients are sums of signed zeros
     configs += [IntegratorConfig(1e-3, 20.0, 1.0, 0.0, 1.0, C5),
                 IntegratorConfig(1e-3, 20.0, 2.0, -0.0, 1.0, MuParams.zeros())]
     t = 7.0 + np.arange(300)[:, None] * 1e-3
-    for batch in (_Batch(configs), _Batch(configs[:1])):
+    for batch in (_batch(configs), _batch(configs[:1])):
         assert batch.amplitudes.tobytes() == _four_call_amplitudes(batch).tobytes()
         assert batch.analytic_mu(t).tobytes() == _per_trial_trig_mu(batch, t).tobytes()
 
 
-def _choice_config(rng, dt, t_end):
-    # _random_config as it drew omega with rng.choice
-    w = float(rng.choice(_OMEGAS))
-    h = float(rng.uniform(0.1, 10.0))
-    s = evolution._polar_state(w, h, float(rng.uniform(-math.pi, math.pi)))
-    return IntegratorConfig(dt, t_end, w, s.q, s.p, MuParams(tuple(rng.uniform(-1, 1, 8))))
+def test_omega_draw_equals_choice(monkeypatch):
+    # each trial's stream state once the theorem draws are taken from it
+    streams, after = oscillator._trial_streams, []
 
+    def recording(seed, ks):
+        for rng in streams(seed, ks):
+            yield rng
+            after.append(rng.bit_generator.state)
 
-def test_omega_draw_equals_choice():
+    monkeypatch.setattr(oscillator, "_trial_streams", recording)
+    draws = _trial_draws(17, range(300), _THEOREM_RANGES, True)
     for k in range(300):
-        rng, ref = trial_rng(17, k), trial_rng(17, k)
-        assert _random_config(rng, 1e-3, 1.0) == _choice_config(ref, 1e-3, 1.0)
+        ref = trial_rng(17, k)
+        expected = [float(ref.choice(_OMEGAS)), ref.uniform(0.1, 10.0),
+                    ref.uniform(-math.pi, math.pi), *ref.uniform(-1.0, 1.0, size=8)]
+        assert draws[:, k].tolist() == expected
         # and the streams stand at the same place afterwards, 32-bit buffer included
-        assert rng.bit_generator.state == ref.bit_generator.state
+        assert after[k] == ref.bit_generator.state
 
 
 def test_mixed_omega_batch_matches_single_runs():
-    configs = [_random_config(trial_rng(12, k), 1e-3, 0.6) for k in range(12)]
+    configs = _theorem_configs(12, 12, 1e-3, 0.6)
     assert {c.omega for c in configs} == {0.5, 1.0, 2.0}
-    batch = np.concatenate([ys.copy() for _, ys in _Batch(configs).chunks()])
+    batch = np.concatenate([ys.copy() for _, ys in _batch(configs).chunks()])
     for k, c in enumerate(configs):
-        single = np.concatenate([ys.copy() for _, ys in _Batch([c]).chunks()])
+        single = np.concatenate([ys.copy() for _, ys in _batch([c]).chunks()])
         assert np.max(np.abs(batch[:, k] - single[:, 0])) <= 1e-15
 
 
@@ -356,20 +374,20 @@ def test_increment_matrix_built_once_per_distinct_omega(monkeypatch):
     built = []
     original = evolution._increment_matrix
 
-    def counting(omega, M, dt):
+    def counting(omega, rhs, dt):
         built.append(omega)
-        return original(omega, M, dt)
+        return original(omega, rhs, dt)
 
     monkeypatch.setattr(evolution, "_increment_matrix", counting)
     theorem_suite(20, seed=7, tol=1e-6, t_end=0.3)
-    omegas = {_random_config(trial_rng(7, k), 1e-3, 0.3).omega for k in range(20)}
+    omegas = {c.omega for c in _theorem_configs(7, 20, 1e-3, 0.3)}
     assert sorted(built) == sorted(omegas)
 
 
 def test_theorem_batch_matches_single_runs():
     reports = {r.law_name: r for r in theorem_suite(3, seed=11, tol=1e-6, t_end=2.0)}
-    for k in range(3):
-        traj = evolve(_random_config(trial_rng(11, k), 1e-3, 2.0))
+    for k, config in enumerate(_theorem_configs(11, 3, 1e-3, 2.0)):
+        traj = evolve(config)
         tag = f"{k:02d}"
         assert abs(reports[f"trajectory-mu-{tag}"].max_abs_residual - traj.max_err_mu()) <= 1e-15
         assert abs(reports[f"energy-drift-{tag}"].max_abs_residual
@@ -427,7 +445,7 @@ def _phase_function_mu(batch, t):
 
 
 def test_amplitude_reference_matches_phase_functions():
-    batch = _Batch([_random_config(trial_rng(2, k), 1e-3, 20.0) for k in range(20)])
+    batch = _batch(_theorem_configs(2, 20, 1e-3, 20.0))
     scale = 1.0 + batch.h0 ** 1.5
     for first in range(0, 20001, 5000):
         t = np.arange(first, min(first + 5000, 20001))[:, None] * 1e-3
@@ -437,12 +455,12 @@ def test_amplitude_reference_matches_phase_functions():
 
 
 def test_reference_does_not_depend_on_its_batch():
-    configs = [_random_config(trial_rng(9, k), 1e-3, 20.0) for k in range(20)]
-    batch = _Batch(configs)
+    configs = _theorem_configs(9, 20, 1e-3, 20.0)
+    batch = _batch(configs)
     t = 3.0 + np.arange(257)[:, None] * 1e-3
     full = batch.analytic_mu(t)
     for k, c in enumerate(configs):
-        assert _Batch([c]).analytic_mu(t)[0].tobytes() == full[k].tobytes()
+        assert _batch([c]).analytic_mu(t)[0].tobytes() == full[k].tobytes()
     assert batch.analytic_mu(t[:100]).tobytes() == full[:, :100].tobytes()
 
 
@@ -611,33 +629,35 @@ def test_pde_residual_branch_cut_guard():
 def test_pde_guard_reports_the_first_stencil_point_near_the_cut():
     # of a batch, the first state near the cut, and of its four points the first
     # within 10 h / sqrt(2H) of it: (q + h, p), not (q, p - h) of the last state
-    states = [OscState(1.0, 0.3, 1.0), OscState(1.0, 1e-7, -1.0), OscState(1.0, -1e-7, -1.0)]
+    w, q, p = np.ones(3), np.array([0.3, 1e-7, -1e-7]), np.array([1.0, -1.0, -1.0])
     with pytest.raises(BranchCutError, match=r"^stencil point at angle 3\.141583 is within "
                                              r"1\.00e-04 of the cut$"):
-        _pde_residuals(states, np.eye(8)[:3], 1e-5)
+        _pde_residuals(w, q, p, np.eye(8)[:3], 1e-5)
 
 
 def _pde_cases():
-    # the 100 states of pde-check --seed 105 with their parameters, then the
-    # 64 (probe state, generator) pairs of its convergence probe
+    # (omega, q, p, C) of the 100 states of pde-check --seed 105 with their
+    # parameters, then of the 64 (probe state, generator) pairs of its convergence probe
     pool = [trial_rng(105, 10_000 + j).uniform(-1.0, 1.0, size=8) for j in range(20)]
-    cases = [(s, pool[k % 20]) for k, s in enumerate(_pde_states(105, range(100)))]
-    probes = _pde_states(105, range(20_000, 20_008), probe=True)
-    return cases + [(s, basis) for s in probes for basis in np.eye(8)]
+    w, log_h, theta = _trial_draws(105, range(100), _PDE_RANGES, True)
+    probe_w, probe_log_h = np.repeat(_trial_draws(105, range(20_000, 20_008), _PDE_RANGES[:1],
+                                                  True), 8, axis=1)
+    w, log_h = np.concatenate((w, probe_w)), np.concatenate((log_h, probe_log_h))
+    q, p = _polar(w, np.exp(log_h), np.concatenate((theta, np.zeros(64))))
+    return w, q, p, np.array([pool[k % 20] for k in range(100)] + [*np.eye(8)] * 8)
 
 
 @pytest.mark.parametrize("h", [1e-5, 5e-6])
 def test_pde_batch_matches_field_residual(h):
-    cases = _pde_cases()
-    states, cs = [s for s, _ in cases], np.array([c for _, c in cases])
-    batch = _pde_residuals(states, cs, h)
-    for k, (s, c) in enumerate(cases):
-        params = MuParams(tuple(c))
+    w, q, p, cs = _pde_cases()
+    batch = _pde_residuals(w, q, p, cs, h)
+    for k, s in enumerate(map(OscState, w.tolist(), q.tolist(), p.tolist())):
+        params = MuParams(tuple(cs[k]))
         field = _field_residual(s, lambda st: mu_family(st, params), h)
         assert abs(batch[k] - field) <= 1e-15
         # a state's residual does not depend on the states that share its batch
         assert pde_residual(s, params, h) == batch[k]
-    assert _pde_residuals(states[::-1], cs[::-1], h).tolist() == batch[::-1].tolist()
+    assert _pde_residuals(w[::-1], q[::-1], p[::-1], cs[::-1], h).tolist() == batch[::-1].tolist()
 
 
 def test_pde_suite_reports_are_python_scalars():
@@ -711,13 +731,13 @@ def test_operad_suite_accepts_sizes_within_the_cap(max_dim, max_arity):
 
 
 def test_pde_suite_draws_only_the_parameter_vectors_its_states_read(monkeypatch):
-    drawn, streams = [], evolution._trial_streams
+    drawn, streams = [], oscillator._trial_streams
 
     def recording(seed, ks):
         drawn.append(len(ks))
         return streams(seed, ks)
 
-    monkeypatch.setattr(evolution, "_trial_streams", recording)
+    monkeypatch.setattr(oscillator, "_trial_streams", recording)
     reports = pde_suite(2, 0, 1e-8, n_params=50_000)
     # two states, two parameter vectors and eight probe states
     assert sorted(drawn) == [2, 2, 8]
@@ -781,7 +801,7 @@ def test_suite_fuzz_ends_in_reports_or_a_known_error(call):
 
 def test_pde_suite_nan_halving_factor_fails(monkeypatch):
     monkeypatch.setattr(evolution, "_pde_residuals",
-                        lambda states, cs, h: np.full(len(states), np.nan))
+                        lambda w, q, p, cs, h: np.full(len(w), np.nan))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         halving = pde_suite(3, 0, 1e-6)[-1]
@@ -817,7 +837,7 @@ def test_order_check_qp_block_matches_ten_dim_run(monkeypatch):
         ((1, 2, 2), 5000, 1), ((1, 2, 2), 10000, 2)]
     for dt, (_, _, chunks) in zip((2e-3, 1e-3), runs):
         full = np.concatenate([ys[:, 0, :2].copy() for _, ys in
-                               _Batch([replace(cfg, dt=dt)]).chunks()])
+                               _batch([replace(cfg, dt=dt)]).chunks()])
         qp = np.concatenate(chunks)
         assert qp.shape == full.shape
         assert np.max(np.abs(qp - full)) <= 1e-13 * np.max(np.abs(full))

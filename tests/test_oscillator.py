@@ -21,24 +21,40 @@ from operlax import (
     trial_rng,
 )
 from operlax.calculus import TRIAL_BLOCK
+from operlax.evolution import _PDE_RANGES, _THEOREM_RANGES
 from operlax.oscillator import (
     _GAMMA_PATTERN,
-    _STATE_RANGES,
+    _IDENTITY_RANGES,
+    _OMEGAS,
     _a_dots,
     _aux_values,
     _cramer_residuals,
     _family_coeffs,
     _g_values,
     _gamma_from_g,
-    _identity_draws,
     _identity_rows,
     _libm,
-    _polar_state,
+    _polar,
     _principal_angle,
     _principal_aux,
+    _trial_draws,
     gamma_structural_zeros,
     principal_theta,
 )
+
+
+def _polar_state(omega, h, theta):
+    # the scalar polar map, the reference for _polar: the state of energy h at
+    # principal angle theta (theta = 0 puts q = 0, p > 0)
+    r = math.sqrt(2.0 * h)
+    return OscState(omega, r * math.sin(theta) / omega, r * math.cos(theta))
+
+
+def _identity_draws(seed, first, stop):
+    # (omega, q, p, dq, dp) of identity-suite trials first..stop-1, one column each,
+    # as proof_identity_suite maps its draws to states
+    w, h, theta, dq, dp = _trial_draws(seed, range(first, stop), _IDENTITY_RANGES, False)
+    return np.array([w, *_polar(w, h, theta), dq, dp])
 
 
 def _draws(seed, n):
@@ -360,7 +376,7 @@ def _identity_reference(seed, k):
     """One trial of the identity suite through the one-state API, as the suite
     computed it trial by trial before it worked on blocks of trials."""
     rng = trial_rng(seed, k)
-    s = _polar_state(*(float(rng.uniform(lo, hi)) for lo, hi in _STATE_RANGES))
+    s = _polar_state(*(float(rng.uniform(lo, hi)) for lo, hi in _IDENTITY_RANGES[:3]))
     h = hamiltonian(s)
     aux = aux_functions_principal(s)
     ap, am = aux[:2]
@@ -393,13 +409,49 @@ def test_identity_rows_match_scalar_reference():
     assert np.max(np.abs(rows - expected)) <= 1e-15
 
 
-def test_identity_draws_follow_each_trial_stream():
-    draws = _identity_draws(104, 40, 340)
-    for k in range(40, 340):
-        rng = trial_rng(104, k)
-        s = _polar_state(*(float(rng.uniform(lo, hi)) for lo, hi in _STATE_RANGES))
-        expected = [s.omega, s.q, s.p, *rng.uniform(-2.0, 2.0, size=2)]
-        assert draws[:, k - 40].tolist() == expected
+# Each use of _trial_draws: its table and omega pick, the draws one trial's stream
+# gave it when each suite drew trial by trial, and the (omega, energy, angle) that
+# the suite puts through the polar map (None where the draws are not a state).
+_SAMPLER_USES = {
+    "theorem": (_THEOREM_RANGES, True,
+                lambda rng: [rng.choice(_OMEGAS), rng.uniform(0.1, 10.0),
+                             rng.uniform(-math.pi, math.pi), *rng.uniform(-1.0, 1.0, size=8)],
+                lambda d: (d[0], d[1], d[2])),
+    "pde-state": (_PDE_RANGES, True,
+                  lambda rng: [rng.choice(_OMEGAS), rng.uniform(math.log(0.1), math.log(10.0)),
+                               rng.uniform(-0.95 * math.pi, 0.95 * math.pi)],
+                  lambda d: (d[0], np.exp(d[1]), d[2])),
+    "pde-probe": (_PDE_RANGES[:1], True,
+                  lambda rng: [rng.choice(_OMEGAS), rng.uniform(math.log(0.1), math.log(10.0))],
+                  lambda d: (d[0], np.exp(d[1]), 0.0)),
+    "parameter-pool": (((-1.0, 1.0),) * 8, False,
+                       lambda rng: [*rng.uniform(-1.0, 1.0, size=8)], None),
+    "identity": (_IDENTITY_RANGES, False,
+                 lambda rng: [rng.uniform(0.5, 2.0), rng.uniform(0.1, 10.0),
+                              rng.uniform(-math.pi, math.pi), *rng.uniform(-2.0, 2.0, size=2)],
+                 lambda d: (d[0], d[1], d[2])),
+}
+
+
+@pytest.mark.parametrize("use", _SAMPLER_USES)
+@pytest.mark.parametrize("seed, first, count", [
+    (104, 40, 300),           # a first trial past 0, over a block boundary
+    (2 ** 32 + 5, 250, 12),   # a seed of two 32-bit words
+    (2 ** 64 + 1, 3, 12),     # a seed past 64 bits: trial_rng itself
+    (7, 9, 0),                # no trials
+])
+def test_trial_draws_equal_each_trial_stream(use, seed, first, count):
+    ranges, pick_omega, reference, state = _SAMPLER_USES[use]
+    ks = range(first, first + count)
+    draws = _trial_draws(seed, ks, ranges, pick_omega)
+    expected = [[float(x) for x in reference(trial_rng(seed, k))] for k in ks]
+    assert draws.shape == (len(ranges) + pick_omega, count)
+    assert draws.T.tolist() == expected
+    if state is not None:
+        # the polar map of the array draws is the scalar one, state by state
+        q, p = _polar(*state(draws))
+        assert [q.tolist(), p.tolist()] == [[_polar_state(*state(row)).q for row in expected],
+                                            [_polar_state(*state(row)).p for row in expected]]
 
 
 def test_identity_row_does_not_depend_on_its_block():

@@ -1,0 +1,73 @@
+"""Print one SHA-256 per output of the operlax CLI, to compare two checkouts byte for byte.
+
+The outputs are the reports of `verify operad`, `verify identities`,
+`pde-check` and `verify theorem --t-end 4` at seeds 0, 7 and 101 (every other
+setting at its CLI default), and the trajectory CSV of the README's
+`simulate` example.  Each report is hashed without its `wall_time_seconds`,
+the one field that differs between identical runs.  The CLI runs in a
+subprocess with the checkout's `src` first on the path, so
+
+    python scripts/report_digests.py               # this checkout
+    python scripts/report_digests.py OTHER_CHECKOUT
+
+print the same lines exactly when the two compute the same bytes.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+SEEDS = (0, 7, 101)
+SUITES = {
+    "verify-operad": ["verify", "operad"],
+    "verify-identities": ["verify", "identities"],
+    "pde-check": ["pde-check"],
+    "verify-theorem": ["verify", "theorem", "--t-end", "4"],
+}
+SIMULATE = ["simulate", "--omega", "1", "--q0", "0", "--p0", "1", "--c", "0,0,0,0,1,0,0,0",
+            "--dt", "1e-3", "--t-end", "20"]
+
+
+def _run(checkout: Path, argv: list, out: Path) -> bytes:
+    env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
+    done = subprocess.run([sys.executable, "-m", "operlax.cli", *argv, "--out", str(out)],
+                          env=env, capture_output=True, text=True)
+    # exit 1 is a failed check, whose report is still written and hashed
+    if done.returncode not in (0, 1) or not out.exists():
+        sys.exit(f"operlax {' '.join(argv)} exited {done.returncode}: {done.stderr.strip()}")
+    return out.read_bytes()
+
+
+def digests(checkout: Path) -> dict:
+    """File name -> SHA-256 hex digest of each output, in a fixed order."""
+    found = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for suite, argv in SUITES.items():
+            for seed in SEEDS:
+                name = f"{suite}-seed{seed}.json"
+                report = json.loads(_run(checkout, [*argv, "--seed", str(seed)], Path(tmp, name)))
+                del report["wall_time_seconds"]
+                found[name] = hashlib.sha256(json.dumps(report, indent=2).encode()).hexdigest()
+        csv = _run(checkout, SIMULATE, Path(tmp, "simulate.csv"))
+        found["simulate.csv"] = hashlib.sha256(csv).hexdigest()
+    return found
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("checkout", nargs="?", type=Path, default=Path(__file__).resolve().parents[1],
+                        help="repository whose src/ is run (default: this one)")
+    args = parser.parse_args()
+    for name, digest in digests(args.checkout.resolve()).items():
+        print(f"{digest}  {name}")
+
+
+if __name__ == "__main__":
+    main()

@@ -123,7 +123,8 @@ def _unit_laws(d: int, f: np.ndarray, n: int) -> list:
 # (d^(l+m+n-1) per trial for three operations: 6561 at dim 3 and arities 3).
 # Larger groups are split, so peak memory stays near the one-trial path's.
 STACK_COEFFS = 8192
-# One trial's cap in operad_law_suite, max_dim ** (3 max_arity - 1): 8 MiB of doubles
+# One trial's cap in operad_law_suite, max(max_dim, 2) ** (3 max_arity - 1): 8 MiB of
+# doubles, and arity <= 7 at dim 1, where the compositions grow with arity squared
 OPERAD_MAX_COEFFS = 2 ** 20
 
 
@@ -316,8 +317,14 @@ def _check_suite_args(tol, **counts):
     for k, (name, n) in enumerate(counts.items()):
         if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < min(k, 1):
             raise ValueError(f"{name} must be an int >= {min(k, 1)}, got {n!r}")
-    if isinstance(tol, bool) or not (isinstance(tol, numbers.Real) and tol > 0.0):
-        raise ValueError(f"tol must be a number > 0, got {tol!r}")
+    _check_positive(tol=tol)
+
+
+def _check_positive(**values):
+    """Raise ValueError unless each value is a number > 0 (NaN is not); a bool is not a number."""
+    for name, x in values.items():
+        if isinstance(x, bool) or not (isinstance(x, numbers.Real) and x > 0.0):
+            raise ValueError(f"{name} must be a number > 0, got {x!r}")
 
 
 def _worst_case_reports(names, blocks, tol: float) -> list[LawReport]:
@@ -371,12 +378,12 @@ def operad_law_suite(
     that produced it.  Each law runs once per group of a block's trials that
     share the dim and arities it reads, with the one-trial checks' digits.
     Raises ValueError unless trials >= 0, max_dim, max_arity >= 1, tol > 0 and
-    max_dim ** (3 max_arity - 1) <= OPERAD_MAX_COEFFS.
+    max(max_dim, 2) ** (3 max_arity - 1) <= OPERAD_MAX_COEFFS.
     """
     _check_suite_args(tol, trials=trials, max_dim=max_dim, max_arity=max_arity)
     cap = OPERAD_MAX_COEFFS  # clamped, the power is small and > cap exactly when the bound is
-    if min(max_dim, cap + 1) ** min(3 * max_arity - 1, cap.bit_length()) > cap:
-        raise ValueError(f"max_dim ** (3 max_arity - 1) must be <= {cap}, "
+    if min(max(max_dim, 2), cap + 1) ** min(3 * max_arity - 1, cap.bit_length()) > cap:
+        raise ValueError(f"max(max_dim, 2) ** (3 max_arity - 1) must be <= {cap}, "
                          f"got max_dim={max_dim}, max_arity={max_arity}")
     names = ["antisymmetry", "composition-relations", "graded-jacobi", "unit-laws"]
     rows = _blocked_rows(trials, lambda k0, k1: _operad_rows(seed, k0, k1, max_dim, max_arity))

@@ -14,6 +14,7 @@ PDE residuals, order measurements, and the randomized verification suites.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
 
@@ -22,6 +23,7 @@ import numpy as np
 from .calculus import (
     LawReport,
     _blocked_rows,
+    _check_positive,
     _check_suite_args,
     _worst_case_reports,
     gerstenhaber_bracket,
@@ -122,8 +124,9 @@ class IntegratorConfig:
         # times are step * dt, exact only while the step index is
         if not (self.t_end > 0.0 and self.t_end / self.dt <= 2.0 ** 53):
             raise ValueError(f"t_end must be positive with at most 2**53 steps, got {self.t_end}")
-        if self.record_every < 1:
-            raise ValueError(f"record_every must be >= 1, got {self.record_every}")
+        n = self.record_every  # a bool is not a count, and 2.5 would record steps 0, 5, 10
+        if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
+            raise ValueError(f"record_every must be an int >= 1, got {n!r}")
 
     def initial_state(self) -> OscState:
         return OscState(self.omega, self.q0, self.p0)
@@ -343,7 +346,8 @@ def evolve(config: IntegratorConfig) -> Trajectory:
     kept, steps = [], []
     for first, block in batch.chunks():
         j = np.arange(first, first + len(block))
-        keep = (j % config.record_every == 0) | (j == batch.n_steps)
+        # past n_steps every record_every keeps the same records, and fits an int64
+        keep = (j % min(config.record_every, batch.n_steps) == 0) | (j == batch.n_steps)
         kept.append(block[keep])
         steps.append(j[keep])
     ys = np.concatenate(kept)
@@ -473,15 +477,19 @@ def theorem_suite(
     (drift_tol), the spectral invariant |det L + 2 H0| with trace L = 0
     (det_tol), and half-period antiperiodicity of the analytic branch
     (antiperiod_tol).  dt must satisfy IntegratorConfig's dt <= 0.1/omega for
-    the largest omega, whatever omegas the seed draws.  Raises ValueError
-    unless trials >= 0 and tol > 0.
+    the largest omega, whatever omegas the seed draws.  Raises ValueError,
+    before any draw, unless trials >= 0, the four tolerances and dt are
+    numbers > 0 (NaN is not, nor is a bool) and t_end is positive with at
+    most 2**53 steps.
     """
     _check_suite_args(tol, trials=trials)
-    if not 0.0 < dt <= 0.1 / max(_OMEGAS):
+    _check_positive(drift_tol=drift_tol, det_tol=det_tol, antiperiod_tol=antiperiod_tol, dt=dt)
+    if dt > 0.1 / max(_OMEGAS):
         raise ValueError(f"dt: theorem trials sample omega up to {max(_OMEGAS)}, "
                          f"so dt must be in (0, {0.1 / max(_OMEGAS)}], got {dt}")
-    if not (t_end > 0.0 and t_end / dt <= 2.0 ** 53):
-        raise ValueError(f"t_end must be positive with at most 2**53 steps, got {t_end}")
+    if isinstance(t_end, bool) or not (isinstance(t_end, numbers.Real) and t_end > 0.0
+                                       and t_end / dt <= 2.0 ** 53):
+        raise ValueError(f"t_end must be positive with at most 2**53 steps, got {t_end!r}")
     if not trials:
         return []
     w, h, theta, *cs = _trial_draws(seed, range(trials), _THEOREM_RANGES, True)
@@ -546,11 +554,12 @@ def pde_suite(
     one-parameter family generators the rounding cancels bit-exactly and the
     quadratic law is cleanly resolvable.  Linearity of the family in its
     parameters extends the law from the generators to every parameter vector.
-    A NaN factor counts as outside.  Raises ValueError unless h and h/2 are
-    positive and finite, n_states >= 0, n_params and n_probe_states >= 1 and
-    tol > 0.
+    A NaN factor counts as outside.  Raises ValueError unless h is a number
+    (not a bool) and h and h/2 are positive and finite, n_states >= 0,
+    n_params and n_probe_states >= 1 and tol > 0.
     """
     _check_suite_args(tol, n_states=n_states, n_params=n_params, n_probe_states=n_probe_states)
+    _check_positive(h=h)
     if not 0.0 < 0.5 * h < math.inf:
         raise ValueError(f"h and h/2 must be positive and finite, got {h}")
     # state k takes vector k % n_params, so only the first n_states are ever read

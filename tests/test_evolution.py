@@ -532,6 +532,9 @@ def test_evolve_record_every_keeps_final_step():
     traj = evolve(cfg)
     steps = [round(t / cfg.dt) for t in traj.t.tolist()]
     assert steps == [0, 300, 600, 900, 1000]
+    # a record_every past the step count, even past int64, keeps the first and last
+    traj = evolve(replace(cfg, record_every=2 ** 64))
+    assert [round(t / cfg.dt) for t in traj.t.tolist()] == [0, 1000]
 
 
 def test_evolve_g_values_stay_onshell():
@@ -562,8 +565,10 @@ def test_integrator_config_validation():
         IntegratorConfig(dt=0.3, t_end=1.0, omega=1.0, q0=0.0, p0=1.0)  # dt > 0.1/omega
     with pytest.raises(ValueError):
         IntegratorConfig(dt=1e-3, t_end=-1.0, omega=1.0, q0=0.0, p0=1.0)
-    with pytest.raises(ValueError):
-        IntegratorConfig(dt=1e-3, t_end=1.0, omega=1.0, q0=0.0, p0=1.0, record_every=0)
+    for record_every in (0, 2.5, True):  # 2.5 would record steps 0, 5 and 10 of 10
+        with pytest.raises(ValueError, match="record_every must be an int >= 1"):
+            IntegratorConfig(dt=1e-3, t_end=1.0, omega=1.0, q0=0.0, p0=1.0,
+                             record_every=record_every)
     with pytest.raises(ValueError):
         IntegratorConfig(dt=1e-3, t_end=1e308, omega=1.0, q0=0.0, p0=1.0)  # t_end/dt = inf
 
@@ -717,17 +722,22 @@ def test_suites_at_zero_trials():
 
 
 @pytest.mark.parametrize("max_dim, max_arity", [(3, 9), (2 ** 70, 3), (2, 8), (1025, 1),
-                                                 (2 ** 64, 2 ** 64)])
-def test_operad_suite_caps_the_widest_intermediate(max_dim, max_arity):
-    # max_dim ** (3 max_arity - 1) past OPERAD_MAX_COEFFS, checked before any draw
+                                                 (2 ** 64, 2 ** 64), (1, 8), (1, 10 ** 4),
+                                                 (1, 2 ** 64)])
+def test_operad_suite_caps_the_widest_intermediate(monkeypatch, max_dim, max_arity):
+    # max(max_dim, 2) ** (3 max_arity - 1) past OPERAD_MAX_COEFFS, checked before any
+    # draw: at dim 1 the compositions of a trial grow with the arity squared
+    monkeypatch.setattr(calculus, "_trial_streams", lambda seed, ks: pytest.fail("drew"))
     with pytest.raises(ValueError, match="must be <= 1048576"):
-        operad_law_suite(0, 0, 1e-10, max_dim=max_dim, max_arity=max_arity)
+        operad_law_suite(1, 0, 1e-10, max_dim=max_dim, max_arity=max_arity)
 
 
-@pytest.mark.parametrize("max_dim, max_arity", [(3, 3), (2, 7), (1024, 1), (1, 2 ** 64)])
+@pytest.mark.parametrize("max_dim, max_arity", [(3, 3), (2, 7), (1024, 1), (1, 7)])
 def test_operad_suite_accepts_sizes_within_the_cap(max_dim, max_arity):
     assert calculus.OPERAD_MAX_COEFFS == 2 ** 20
     assert len(operad_law_suite(0, 0, 1e-10, max_dim=max_dim, max_arity=max_arity)) == 4
+    assert [r.trials for r in operad_law_suite(2, 0, 1e-10, max_dim=max_dim,
+                                               max_arity=max_arity)] == [2] * 4
 
 
 def test_pde_suite_draws_only_the_parameter_vectors_its_states_read(monkeypatch):
@@ -761,18 +771,36 @@ def test_theorem_suite_checks_t_end_at_any_trial_count(trials, t_end):
         theorem_suite(trials, 0, 1e-6, t_end=t_end)
 
 
-_FUZZ_VALUES = [0, -1, 0.5, math.nan, math.inf, -math.inf, 1e300, True, 2 ** 64]
+def _short_run(trials, seed, **kwargs):
+    # IntegratorConfig's keywords through one short evolve, which gives no reports
+    evolve(IntegratorConfig(1e-3, 0.01, 1.0, 0.0, 1.0, **kwargs))
+    return []
+
+
+_FUZZ_VALUES = [0, -1, 0.5, math.nan, math.inf, -math.inf, 1e300, True, 2 ** 64, "x"]
 # each suite's keyword arguments, drawn or left out; a work size takes no large
 # int, since any size is a valid request, and theorem_suite always draws t_end,
-# whose valid values here (0.5 and True) keep its runs short
+# whose valid value here (0.5) keeps its runs short
 _FUZZ_KWARGS = {
-    operad_law_suite: ({}, {"max_dim": _FUZZ_VALUES, "max_arity": _FUZZ_VALUES}),
-    proof_identity_suite: ({}, {}),
-    theorem_suite: ({"t_end": _FUZZ_VALUES},
+    operad_law_suite: ({"tol": _FUZZ_VALUES}, {"max_dim": _FUZZ_VALUES,
+                                               "max_arity": _FUZZ_VALUES}),
+    proof_identity_suite: ({"tol": _FUZZ_VALUES}, {}),
+    theorem_suite: ({"tol": _FUZZ_VALUES, "t_end": _FUZZ_VALUES},
                     {k: _FUZZ_VALUES for k in ("dt", "drift_tol", "det_tol", "antiperiod_tol")}),
-    pde_suite: ({}, {"h": _FUZZ_VALUES, "n_params": _FUZZ_VALUES,
-                     "n_probe_states": [0, -1, 0.5, math.nan, math.inf, 1e300, True, 1, 2]}),
+    pde_suite: ({"tol": _FUZZ_VALUES},
+                {"h": _FUZZ_VALUES, "n_params": _FUZZ_VALUES,
+                 "n_probe_states": [0, -1, 0.5, math.nan, math.inf, 1e300, True, 1, 2, "x"]}),
+    _short_run: ({"record_every": _FUZZ_VALUES}, {}),
 }
+_COUNTS = {"max_dim", "max_arity", "n_params", "n_probe_states", "record_every"}
+
+
+def _refused(name, value):
+    # a value that no keyword takes: a bool or a string; for a count anything but an
+    # int >= 1, for every other keyword a number that is not > 0 (NaN included)
+    if isinstance(value, (bool, str)):
+        return True
+    return not (isinstance(value, int) and value >= 1) if name in _COUNTS else not value > 0
 
 
 @st.composite
@@ -781,20 +809,32 @@ def _suite_calls(draw):
     required, optional = ({k: st.sampled_from(v) for k, v in d.items()}
                           for d in _FUZZ_KWARGS[suite])
     kwargs = draw(st.fixed_dictionaries(required, optional=optional))
-    return suite, draw(st.sampled_from([0, 1, 2])), draw(st.sampled_from(_FUZZ_VALUES)), kwargs
+    return suite, draw(st.sampled_from([0, 1, 2])), kwargs
 
 
 @settings(derandomize=True, database=None, max_examples=200, deadline=None)
 @given(_suite_calls())
-@example((pde_suite, 2, 0.5, {"h": 2 ** 64}))  # an int step past int64: no TypeError
+@example((pde_suite, 2, {"tol": 0.5, "h": 2 ** 64}))  # an int step past int64: no TypeError
+@example((pde_suite, 2, {"tol": 0.5, "h": True}))  # not run as h = 1.0
+@example((theorem_suite, 1, {"tol": 1e-6, "t_end": 0.5, "dt": "x"}))  # no TypeError
+@example((theorem_suite, 1, {"tol": 1e-6, "t_end": 0.5, "drift_tol": math.nan}))
+@example((theorem_suite, 1, {"tol": 1e-6, "t_end": 0.5, "det_tol": -1}))
+@example((theorem_suite, 1, {"tol": 1e-6, "t_end": 0.5, "antiperiod_tol": True}))
+@example((_short_run, 0, {"record_every": 0.5}))
+@example((_short_run, 0, {"record_every": True}))
+@example((_short_run, 0, {"record_every": 2 ** 64}))  # past int64: no OverflowError
 def test_suite_fuzz_ends_in_reports_or_a_known_error(call):
-    suite, trials, tol, kwargs = call
+    suite, trials, kwargs = call
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         try:
-            reports = suite(trials, 0, tol, **kwargs)
-        except (ValueError, BranchCutError, DegenerateStateError, DivergenceError):
+            reports = suite(trials, 0, **kwargs)
+        except ValueError:  # DegenerateStateError and EnergyOverflowError among them
             return
+        except (BranchCutError, DivergenceError):
+            reports = []
+    # a refused value ends in ValueError, before any work
+    assert [k for k, v in kwargs.items() if _refused(k, v)] == []
     assert all(isinstance(r, LawReport) for r in reports)
     assert not any(r.passed and math.isnan(r.max_abs_residual) for r in reports)
 

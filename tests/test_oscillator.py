@@ -416,7 +416,7 @@ _SAMPLER_USES = {
     "theorem": (_THEOREM_RANGES, True,
                 lambda rng: [rng.choice(_OMEGAS), rng.uniform(0.1, 10.0),
                              rng.uniform(-math.pi, math.pi), *rng.uniform(-1.0, 1.0, size=8)],
-                lambda d: (d[0], d[1], d[2])),
+                lambda d: d[:3]),
     "pde-state": (_PDE_RANGES, True,
                   lambda rng: [rng.choice(_OMEGAS), rng.uniform(math.log(0.1), math.log(10.0)),
                                rng.uniform(-0.95 * math.pi, 0.95 * math.pi)],
@@ -429,13 +429,13 @@ _SAMPLER_USES = {
     "identity": (_IDENTITY_RANGES, False,
                  lambda rng: [rng.uniform(0.5, 2.0), rng.uniform(0.1, 10.0),
                               rng.uniform(-math.pi, math.pi), *rng.uniform(-2.0, 2.0, size=2)],
-                 lambda d: (d[0], d[1], d[2])),
+                 lambda d: d[:3]),
 }
 
 
 @pytest.mark.parametrize("use", _SAMPLER_USES)
 @pytest.mark.parametrize("seed, first, count", [
-    (104, 40, 300),           # a first trial past 0, over a block boundary
+    (104, 40, 300),           # a first trial past 0
     (2 ** 32 + 5, 250, 12),   # a seed of two 32-bit words
     (2 ** 64 + 1, 3, 12),     # a seed past 64 bits: trial_rng itself
     (7, 9, 0),                # no trials

@@ -2,8 +2,9 @@
 
 The outputs are the reports of `verify operad`, `verify identities`,
 `pde-check` and `verify theorem --t-end 4` at seeds 0, 7 and 101 (every other
-setting at its CLI default), and the trajectory CSV of the README's
-`simulate` example.  Each report is hashed without its `wall_time_seconds`,
+setting at its CLI default), and the trajectory CSVs of the README's
+`simulate` example and of two runs whose numbers span very small and very
+large magnitudes.  Each report is hashed without its `wall_time_seconds`,
 the one field that differs between identical runs.  The CLI runs in a
 subprocess with the checkout's `src` first on the path, so
 
@@ -31,8 +32,17 @@ SUITES = {
     "pde-check": ["pde-check"],
     "verify-theorem": ["verify", "theorem", "--t-end", "4"],
 }
-SIMULATE = ["simulate", "--omega", "1", "--q0", "0", "--p0", "1", "--c", "0,0,0,0,1,0,0,0",
-            "--dt", "1e-3", "--t-end", "20"]
+# the README's example, then two runs whose CSVs hold every spelling of a number
+# that the formatter rewrites: exponents e-05 to e-09 and [1e-5, 1e-4), then e+17
+SIMULATES = {
+    "simulate.csv": ["simulate", "--omega", "1", "--q0", "0", "--p0", "1",
+                     "--c", "0,0,0,0,1,0,0,0", "--dt", "1e-3", "--t-end", "20"],
+    "simulate-small.csv": ["simulate", "--omega", "0.5", "--q0", "1e-5", "--p0", "3e-5",
+                           "--c", "0.1,-0.2,0.3,-0.4,0.5,-0.6,0.7,-0.8", "--t-end", "50",
+                           "--record-every", "3"],
+    "simulate-large.csv": ["simulate", "--omega", "1", "--q0", "1e9", "--p0", "0",
+                           "--c", "1,0,0,0,1,0,0,0", "--t-end", "2"],
+}
 
 
 def _run(checkout: Path, argv: list, out: Path) -> bytes:
@@ -55,8 +65,8 @@ def digests(checkout: Path) -> dict:
                 report = json.loads(_run(checkout, [*argv, "--seed", str(seed)], Path(tmp, name)))
                 del report["wall_time_seconds"]
                 found[name] = hashlib.sha256(json.dumps(report, indent=2).encode()).hexdigest()
-        csv = _run(checkout, SIMULATE, Path(tmp, "simulate.csv"))
-        found["simulate.csv"] = hashlib.sha256(csv).hexdigest()
+        for name, argv in SIMULATES.items():
+            found[name] = hashlib.sha256(_run(checkout, argv, Path(tmp, name))).hexdigest()
     return found
 
 

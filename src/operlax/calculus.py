@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -325,6 +326,15 @@ def _check_positive(**values):
     for name, x in values.items():
         if isinstance(x, bool) or not (isinstance(x, numbers.Real) and x > 0.0):
             raise ValueError(f"{name} must be a number > 0, got {x!r}")
+
+
+def _check_finite(**values):
+    """Raise ValueError unless each value is a number that a finite double holds (NaN,
+    +-inf and an int past the largest double are not); a bool is not a number."""
+    for name, x in values.items():
+        if isinstance(x, bool) or not (isinstance(x, numbers.Real)
+                                       and abs(x) <= sys.float_info.max):
+            raise ValueError(f"{name} must be a finite number, got {x!r}")
 
 
 def _worst_case_reports(names, blocks, tol: float) -> list[LawReport]:

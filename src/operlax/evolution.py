@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import re
 from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
 
@@ -23,6 +24,7 @@ import numpy as np
 from .calculus import (
     LawReport,
     _blocked_rows,
+    _check_finite,
     _check_positive,
     _check_suite_args,
     _worst_case_reports,
@@ -117,7 +119,8 @@ class IntegratorConfig:
     record_every: int = 1
 
     def __post_init__(self):
-        if not (self.omega > 0.0 and math.isfinite(self.omega)):
+        _check_finite(dt=self.dt, t_end=self.t_end, omega=self.omega, q0=self.q0, p0=self.p0)
+        if not self.omega > 0.0:
             raise ValueError(f"omega must be positive, got {self.omega}")
         if not (0.0 < self.dt <= 0.1 / self.omega):
             raise ValueError(f"dt must be in (0, 0.1/omega], got {self.dt}")
@@ -127,6 +130,9 @@ class IntegratorConfig:
         n = self.record_every  # a bool is not a count, and 2.5 would record steps 0, 5, 10
         if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
             raise ValueError(f"record_every must be an int >= 1, got {n!r}")
+        if not isinstance(self.params, MuParams):
+            raise ValueError(f"params must be a MuParams, got {self.params!r}")
+        self.initial_state()  # whose energy must not overflow
 
     def initial_state(self) -> OscState:
         return OscState(self.omega, self.q0, self.p0)
@@ -404,6 +410,7 @@ def _pde_residuals(w, q, p, cs, h: float) -> np.ndarray:
 
 def pde_residual(s: OscState, params: MuParams, h: float) -> float:
     """PDE residual of the principal-branch family at one state; O(h^2) exact."""
+    _check_positive(h=h)
     return float(_pde_residuals(*(np.array([x]) for x in (s.omega, s.q, s.p)), [params.c], h)[0])
 
 
@@ -439,20 +446,59 @@ CSV_HEADER = (
 )
 
 
-def trajectory_csv_lines(traj: Trajectory):
-    """Yield the exact CSV lines for a trajectory (header first).
+def _band_spelling(m: re.Match) -> str:
+    # 0.0000ddd is 1e-05 .. 9.99e-05 unless a digit precedes it, as in 10.00001
+    if m.string[m.start() - 1].isdigit():
+        return m[0]
+    return m[1] + ("." + m[2] if m[2] else "") + "e-05"
 
-    Numbers are written with shortest round-trip decimal formatting (at most
-    17 significant digits), so re-parsing reproduces the doubles bit for bit.
+
+# The three ways orjson spells a double otherwise than repr does, as (the range of |x|
+# that orjson spells so, its pattern, repr's spelling): a positive exponent has no sign
+# (1e16 for 1e+16), a negative one a single digit (1e-7 for 1e-07), and [1e-5, 1e-4)
+# is written as a decimal (0.0000123 for 1.23e-05).  Shortest digits lie on the same
+# side of a power of ten as the double they spell, so |x| alone tells which apply.
+_REPR_SPELLINGS = (
+    (1e16, math.inf, re.compile(r"e(\d)"), r"e+\1"),
+    (1e-9, 1e-5, re.compile(r"e-(\d)\b"), r"e-0\1"),
+    (1e-5, 1e-4, re.compile(r"0\.0000(\d)(\d*)"), _band_spelling),
+)
+
+
+def _csv_rows(table: np.ndarray) -> list:
+    """The CSV lines of a 2-d table of doubles, each number spelled as repr spells it.
+
+    A table of finite values is one orjson call, which writes the same
+    shortest round-trip digits as repr, then a rewrite of each spelling in
+    _REPR_SPELLINGS that some value of the table takes.  orjson writes NaN
+    and +-inf as null, so a table holding one is formatted by repr itself.
+    """
+    import orjson  # only a CSV needs it, so importing operlax does not load it
+
+    table = np.ascontiguousarray(table, dtype=float)
+    size = np.abs(table)
+    if not np.isfinite(size).all():
+        return [",".join(map(repr, row)) for row in table.tolist()]
+    text = orjson.dumps(table, option=orjson.OPT_SERIALIZE_NUMPY).decode()
+    for low, high, pattern, spelling in _REPR_SPELLINGS:
+        if ((low <= size) & (size < high)).any():
+            text = pattern.sub(spelling, text)
+    return text[2:-2].split("],[")
+
+
+def trajectory_csv_lines(traj: Trajectory):
+    """Yield the exact CSV lines for a trajectory (header first), without newlines.
+
+    Numbers are written as repr writes them: shortest round-trip decimal
+    formatting (at most 17 significant digits), so re-parsing reproduces the
+    doubles bit for bit.  Each CHUNK_STEPS records are formatted at once.
     """
     yield CSV_HEADER
     for lo in range(0, len(traj), CHUNK_STEPS):
         rows = slice(lo, lo + CHUNK_STEPS)
-        table = np.column_stack((traj.t[rows], traj.q[rows], traj.p[rows], traj.H[rows],
-                                 traj.mu[rows], traj.mu_ana[rows], traj.err[rows],
-                                 traj.drift[rows]))
-        for row in table.tolist():
-            yield ",".join(map(repr, row))
+        yield from _csv_rows(np.column_stack((traj.t[rows], traj.q[rows], traj.p[rows],
+                                              traj.H[rows], traj.mu[rows], traj.mu_ana[rows],
+                                              traj.err[rows], traj.drift[rows])))
 
 
 # (energy, angle, C1..C8) of the theorem suite's trials, each uniform in [low, high]

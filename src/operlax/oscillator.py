@@ -17,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calculus import _blocked_rows, _check_suite_args, _trial_streams, _worst_case_reports
+from .calculus import (_blocked_rows, _check_finite, _check_suite_args, _trial_streams,
+                       _worst_case_reports)
 from .errors import DegenerateStateError, EnergyOverflowError
 from .multilinear import Operation, make_operation
 
@@ -44,10 +45,9 @@ class OscState:
     p: float
 
     def __post_init__(self):
-        if not (self.omega > 0.0 and math.isfinite(self.omega)):
-            raise ValueError(f"omega must be positive and finite, got {self.omega}")
-        if not (math.isfinite(self.q) and math.isfinite(self.p)):
-            raise ValueError("q and p must be finite")
+        _check_finite(omega=self.omega, q=self.q, p=self.p)
+        if not self.omega > 0.0:
+            raise ValueError(f"omega must be positive, got {self.omega}")
         if not math.isfinite(hamiltonian(self)):
             raise EnergyOverflowError(f"energy of (q, p) = ({self.q!r}, {self.p!r}) overflows")
 
@@ -59,12 +59,11 @@ class MuParams:
     c: tuple
 
     def __post_init__(self):
-        c = tuple(float(x) for x in self.c)
+        c = tuple(self.c)
         if len(c) != 8:
             raise ValueError(f"need exactly 8 parameters, got {len(c)}")
-        if not all(math.isfinite(x) for x in c):
-            raise ValueError("parameters must be finite")
-        object.__setattr__(self, "c", c)
+        _check_finite(**{f"C{i}": x for i, x in enumerate(c, 1)})
+        object.__setattr__(self, "c", tuple(float(x) for x in c))
 
     @classmethod
     def zeros(cls) -> "MuParams":

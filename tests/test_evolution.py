@@ -46,7 +46,9 @@ from operlax.evolution import (
     _THEOREM_RANGES,
     CHUNK_STEPS,
     CSV_HEADER,
+    Trajectory,
     _Batch,
+    _csv_rows,
     _increment_matrix,
     _pde_residuals,
     _rk4_chunks,
@@ -571,6 +573,16 @@ def test_integrator_config_validation():
                              record_every=record_every)
     with pytest.raises(ValueError):
         IntegratorConfig(dt=1e-3, t_end=1e308, omega=1.0, q0=0.0, p0=1.0)  # t_end/dt = inf
+    # every number a number (no bool) that a finite double holds, and params a MuParams
+    for args in [("x", 1.0, 1.0, 0.0, 1.0), (1e-3, True, True, 0.0, 1.0),
+                 (1e-3, 1.0, 1.0, math.nan, 1.0), (1e-3, 1.0, 1.0, 0.0, math.inf),
+                 (1e-3, 2 ** 1100, 1.0, 0.0, 1.0), (1e-3, 1.0, 2 ** 1100, 0.0, 1.0),
+                 (1e-3, 1.0, 1.0, 0.0, 1.0, (0.0,) * 8)]:
+        with pytest.raises(ValueError):
+            IntegratorConfig(*args)
+    # its initial state is built, so an energy that overflows is refused before any run
+    with pytest.raises(EnergyOverflowError):
+        IntegratorConfig(dt=1e-3, t_end=1.0, omega=1.0, q0=0.0, p0=1e200)
 
 
 def test_integrator_config_bounds_step_count():
@@ -618,6 +630,12 @@ def test_pde_residual_constant_field_measures_bracket():
     frozen = make_operation(2, 2, coeffs)
     r = _field_residual(OscState(1.0, 0.4, 1.2), lambda s: frozen, 1e-5)
     assert abs(r - 0.5) <= 1e-12  # derivatives vanish, bracket has max entry omega/2
+
+
+def test_pde_residual_checks_h():
+    for h in (True, 0.0, math.nan, "x"):
+        with pytest.raises(ValueError, match="^h must be a number > 0"):
+            pde_residual(OscState(1.0, 0.3, 1.0), C5, h)
 
 
 def test_pde_residual_zero_params():
@@ -931,3 +949,63 @@ def test_trajectory_csv_format():
     # shortest round-trip formatting reparses exactly
     row = lines[1].split(",")
     assert float(row[2]) == 1.0
+
+
+def _repr_rows(table):
+    # the formatter's reference: every number by repr, one row at a time
+    return [",".join(map(repr, row)) for row in np.asarray(table, dtype=float).tolist()]
+
+
+def _repr_csv(traj):
+    return [CSV_HEADER] + _repr_rows(np.column_stack(
+        (traj.t, traj.q, traj.p, traj.H, traj.mu, traj.mu_ana, traj.err, traj.drift)))
+
+
+def _table_trajectory(table):
+    # a Trajectory whose CSV rows are the rows of table (n, 22); g is not written
+    table = np.asarray(table, dtype=float)
+    cols = np.split(table, [1, 2, 3, 4, 12, 20, 21], axis=1)
+    t, q, p, h, mu, mu_ana, err, drift = (c[:, 0] if c.shape[1] == 1 else c for c in cols)
+    cfg = IntegratorConfig(dt=1e-3, t_end=1.0, omega=1.0, q0=0.0, p0=1.0)
+    return Trajectory(cfg, t, q, p, h, mu, mu_ana, err, np.zeros((len(table), 4)), drift)
+
+
+@settings(derandomize=True, database=None, max_examples=500, deadline=None)
+@given(st.lists(st.floats(), min_size=1, max_size=44))
+def test_csv_rows_match_repr_for_every_float(values):
+    # NaN and +-inf included: a table holding one is formatted by repr itself
+    for table in (np.array([values]), np.array(values)[:, None]):
+        assert _csv_rows(table) == _repr_rows(table)
+
+
+# each side of every power of ten where orjson's spelling of a double leaves repr's,
+# a band value inside longer numbers, the extremes and both zeros
+_CSV_EDGES = [1e-05, 9.999999999999999e-05, 0.0001, 1e16, 9999999999999998.0, 1e-07,
+              1e-09, 9.999999999999999e-10, 9.999999999999999e-06, 5e-324,
+              1.7976931348623157e+308, 0.0, -0.0, 10.00001, 100.00001, 1e+22]
+
+
+@pytest.mark.parametrize("x", _CSV_EDGES)
+def test_csv_rows_match_repr_at_edge_values(x):
+    for table in ([[x]], [[-x]], [[x, 1.0, -x]], [_CSV_EDGES]):
+        assert _csv_rows(np.array(table)) == _repr_rows(table)
+
+
+def test_csv_writes_non_finite_values_as_repr_does():
+    table = np.tile(np.linspace(-1.0, 1.0, 22), (3, 1))
+    table[0, 4], table[1, 12], table[2, 21] = math.nan, math.inf, -math.inf
+    lines = list(trajectory_csv_lines(_table_trajectory(table)))
+    assert lines == _repr_csv(_table_trajectory(table))
+    assert [line.split(",")[k] for line, k in zip(lines[1:], (4, 12, 21))] == ["nan", "inf", "-inf"]
+
+
+@pytest.mark.parametrize("records", [1, CHUNK_STEPS, CHUNK_STEPS + 1])
+def test_trajectory_csv_matches_repr_across_chunks(records):
+    # between them the rows hold all three spellings orjson writes otherwise than repr
+    if records == 1:
+        traj = _table_trajectory(np.linspace(-2e-5, 3e16, 22)[None, :])
+    else:  # steps 0 .. records - 1
+        traj = evolve(IntegratorConfig(dt=1e-3, t_end=(records - 1) * 1e-3, omega=0.5,
+                                       q0=1e-7, p0=3e-7, params=MuParams(np.linspace(-1, 1, 8))))
+    assert len(traj) == records
+    assert list(trajectory_csv_lines(traj)) == _repr_csv(traj)

@@ -72,10 +72,11 @@ def test_hamiltonian_values():
 
 
 def test_state_validation():
-    with pytest.raises(ValueError):
-        OscState(0.0, 1.0, 1.0)
-    with pytest.raises(ValueError):
-        OscState(1.0, math.nan, 0.0)
+    # a string, None, a bool or an int past the largest double is not a number
+    for state in [(0.0, 1.0, 1.0), (1.0, math.nan, 0.0), ("x", 0.0, 1.0), (1.0, 2 ** 1100, 1.0),
+                  (True, 0.0, 1.0), (1.0, 0.0, None)]:
+        with pytest.raises(ValueError):
+            OscState(*state)
 
 
 def test_state_rejects_energy_overflow():
@@ -295,10 +296,10 @@ def test_mu_family_linear_in_params():
 
 
 def test_mu_params_validation():
-    with pytest.raises(ValueError):
-        MuParams((1.0,) * 7)
-    with pytest.raises(ValueError):
-        MuParams((math.inf,) + (0.0,) * 7)
+    for c in [(1.0,) * 7, (math.inf,) + (0.0,) * 7, (True,) * 8, (0.0,) * 7 + (2 ** 1100,),
+              "12345678", (0.0,) * 7 + ("1",)]:
+        with pytest.raises(ValueError):
+            MuParams(c)
 
 
 def _gamma(s, dq, dp):

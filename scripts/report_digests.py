@@ -11,7 +11,13 @@ subprocess with the checkout's `src` first on the path, so
     python scripts/report_digests.py               # this checkout
     python scripts/report_digests.py OTHER_CHECKOUT
 
-print the same lines exactly when the two compute the same bytes.
+print the same lines exactly when the two compute the same bytes.  The
+repository keeps its lines in REPORT_DIGESTS.txt, and
+
+    python scripts/report_digests.py --check REPORT_DIGESTS.txt
+
+also names on stderr each output whose digest differs from the file's, and
+then exits 1.
 """
 
 from __future__ import annotations
@@ -74,9 +80,19 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("checkout", nargs="?", type=Path, default=Path(__file__).resolve().parents[1],
                         help="repository whose src/ is run (default: this one)")
+    parser.add_argument("--check", type=Path, metavar="FILE",
+                        help="compare with the lines FILE holds and exit 1 if any output differs")
     args = parser.parse_args()
-    for name, digest in digests(args.checkout.resolve()).items():
+    found = digests(args.checkout.resolve())
+    for name, digest in found.items():
         print(f"{digest}  {name}")
+    if args.check is not None:
+        expected = {name: digest for digest, name in
+                    (line.split("  ", 1) for line in args.check.read_text().splitlines())}
+        differ = [name for name in {**expected, **found} if expected.get(name) != found.get(name)]
+        for name in differ:
+            print(f"differs: {name}", file=sys.stderr)
+        sys.exit(1 if differ else 0)
 
 
 if __name__ == "__main__":

@@ -12,22 +12,27 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 import time
 from dataclasses import dataclass, fields
 
-from .calculus import gerstenhaber_bracket, operad_law_suite
 from .errors import BranchCutError, ConfigError, DegenerateStateError, DivergenceError
-from .evolution import (
-    IntegratorConfig,
-    evolve,
-    pde_suite,
-    theorem_suite,
-    trajectory_csv_lines,
-)
-from .multilinear import operation_from_dict, operation_to_dict
-from .oscillator import MuParams, hamiltonian, proof_identity_suite
+
+# The library names the modes call, bound here when a mode runs so that --help and usage
+# and config errors never import numpy.  A bound name (a tracer's or test's patch) is kept.
+_LIBRARY = ("IntegratorConfig", "MuParams", "evolve", "gerstenhaber_bracket", "hamiltonian",
+            "operad_law_suite", "operation_from_dict", "operation_to_dict", "pde_suite",
+            "proof_identity_suite", "theorem_suite", "trajectory_csv_lines")
+
+
+def __getattr__(name):  # a library name read before a mode has bound it
+    if name not in _LIBRARY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(sys.modules[__package__], name)
+
+
+def _bind_library():
+    globals().update({name: __getattr__(name) for name in _LIBRARY if name not in globals()})
 
 # Each verification mode's suite, called by its module-level name when the mode
 # runs, so that a patched attribute (a tracer's, a test's) is the one called.
@@ -76,7 +81,7 @@ def _parse_c(value) -> tuple:
         raise ConfigError(f"c: expected 8 comma-separated values, got {len(parts)}")
     try:
         return tuple(float(x) for x in parts)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:  # an int past the doubles overflows
         raise ConfigError(f"c: {exc}") from exc
 
 
@@ -104,7 +109,7 @@ def _validated(cfg: RunConfig) -> RunConfig:
         bad("out", f"must be a path, got {cfg.out!r}")
     for name in ("omega", "q0", "p0"):
         v = getattr(cfg, name)
-        if v is not None and not (isinstance(v, (int, float)) and math.isfinite(v)):
+        if v is not None and not (isinstance(v, (int, float)) and abs(v) <= sys.float_info.max):
             bad(name, f"must be a finite number, got {v!r}")
     if cfg.mode == "simulate":
         for name in ("omega", "q0", "p0"):
@@ -183,6 +188,7 @@ def _report_json(suite: str, seed: int, checks) -> tuple[dict, bool]:
 def cmd_simulate(cfg: RunConfig) -> int:
     if cfg.out is None:
         raise ConfigError("out: simulate needs an output path for the CSV")
+    _bind_library()
     icfg = IntegratorConfig(dt=cfg.dt, t_end=cfg.t_end, omega=cfg.omega, q0=cfg.q0,
                             p0=cfg.p0, params=MuParams(cfg.c), record_every=cfg.record_every)
     if hamiltonian(icfg.initial_state()) <= 0.0:
@@ -202,6 +208,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
 
 
 def cmd_verify(cfg: RunConfig) -> int:
+    _bind_library()
     started = time.monotonic()
     obj, overall = _report_json(cfg.mode, cfg.seed, _SUITES[cfg.mode](cfg))
     obj["wall_time_seconds"] = time.monotonic() - started
@@ -210,6 +217,7 @@ def cmd_verify(cfg: RunConfig) -> int:
 
 
 def cmd_bracket(first: str, second: str, out: str | None) -> int:
+    _bind_library()
     f, g = (operation_from_dict(_read_json(path, "operation file")) for path in (first, second))
     result = gerstenhaber_bracket(f, g)
     _write_text(out, json.dumps(operation_to_dict(result)) + "\n")

@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 import numbers
 import re
+import sys
 from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
 
@@ -534,7 +535,7 @@ def theorem_suite(
         raise ValueError(f"dt: theorem trials sample omega up to {max(_OMEGAS)}, "
                          f"so dt must be in (0, {0.1 / max(_OMEGAS)}], got {dt}")
     if isinstance(t_end, bool) or not (isinstance(t_end, numbers.Real) and t_end > 0.0
-                                       and t_end / dt <= 2.0 ** 53):
+                                       and t_end <= sys.float_info.max and t_end / dt <= 2.0 ** 53):
         raise ValueError(f"t_end must be positive with at most 2**53 steps, got {t_end!r}")
     if not trials:
         return []
@@ -606,7 +607,7 @@ def pde_suite(
     """
     _check_suite_args(tol, n_states=n_states, n_params=n_params, n_probe_states=n_probe_states)
     _check_positive(h=h)
-    if not 0.0 < 0.5 * h < math.inf:
+    if not (h <= sys.float_info.max and 0.5 * h > 0.0):  # an int past the doubles overflows
         raise ValueError(f"h and h/2 must be positive and finite, got {h}")
     # state k takes vector k % n_params, so only the first n_states are ever read
     params_pool = _trial_draws(seed, range(10_000, 10_000 + min(n_params, n_states)),

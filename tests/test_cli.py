@@ -323,6 +323,21 @@ def test_rejected_input_is_usage_error(argv, config, tmp_path):
     assert "Traceback" not in stderr and "usage:" in stderr
 
 
+@pytest.mark.parametrize("command, config", [
+    (["verify", "theorem", "--trials", "1"], {"t_end": 2 ** 1100}),
+    (["simulate", "--out", "x.csv"], {"omega": 2 ** 1100, "q0": 0, "p0": 1}),
+    (["simulate", "--out", "x.csv"], {"omega": 1, "q0": 2 ** 1100, "p0": 1}),
+    (["simulate", "--out", "x.csv"], {"omega": 1, "q0": 0, "p0": 1, "c": [2 ** 1100] + [0] * 7}),
+], ids=["theorem-t_end", "simulate-omega", "simulate-q0", "simulate-c"])
+def test_config_int_past_the_doubles_is_usage_error(command, config, tmp_path):
+    # JSON ints have no size limit: float() of one past the largest double raises
+    # OverflowError, which is not a ValueError
+    (tmp_path / "big.json").write_text(json.dumps(config))
+    code, stderr = run_subprocess(command + ["--config", "big.json"], tmp_path)
+    assert code == 2, stderr
+    assert "Traceback" not in stderr and "usage:" in stderr
+
+
 def test_simulate_out_of_memory_exits_1(tmp_path, capsys, monkeypatch):
     def no_memory(config):
         raise MemoryError("Unable to allocate 7.28 TiB")

@@ -789,6 +789,19 @@ def test_theorem_suite_checks_t_end_at_any_trial_count(trials, t_end):
         theorem_suite(trials, 0, 1e-6, t_end=t_end)
 
 
+@pytest.mark.parametrize("trials", [0, 1])
+def test_theorem_suite_t_end_past_the_doubles_is_value_error(trials):
+    # an int that no double holds: t_end / dt would raise OverflowError
+    with pytest.raises(ValueError, match=r"^t_end must be positive with at most 2\*\*53 steps"):
+        theorem_suite(trials, 0, 1e-6, t_end=2 ** 1100)
+
+
+def test_pde_suite_h_past_the_doubles_is_value_error():
+    # an int that no double holds: 0.5 * h would raise OverflowError
+    with pytest.raises(ValueError, match="^h and h/2 must be positive and finite"):
+        pde_suite(1, 0, 1e-8, h=2 ** 1100)
+
+
 def _short_run(trials, seed, **kwargs):
     # IntegratorConfig's keywords through one short evolve, which gives no reports
     evolve(IntegratorConfig(1e-3, 0.01, 1.0, 0.0, 1.0, **kwargs))

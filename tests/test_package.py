@@ -1,6 +1,8 @@
-"""The package exports each layer module's public names, as the same objects."""
+"""The package exports each layer module's public names, as the same objects, and
+importing it or the CLI's start-up does not import numpy."""
 
 import inspect
+import json
 import os
 import subprocess
 import sys
@@ -36,3 +38,45 @@ def test_cli_import_and_help_leave_orjson_unloaded():
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "False"
+
+
+def _fresh(code: str) -> str:
+    """The last line `code` prints in a fresh interpreter that runs this checkout's src."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()[-1]
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["--help"], 0), (["verify", "nosuch"], 2), (["simulate", "--q0", "0", "--p0", "1"], 2),
+], ids=["help", "usage-error", "config-error"])
+def test_cli_exits_before_a_mode_without_numpy(argv, code):
+    # the library (and numpy with it) loads when a mode runs, not at start-up
+    out = _fresh("import contextlib, io, sys, operlax.cli\n"
+                 "with contextlib.redirect_stdout(io.StringIO()), "
+                 "contextlib.redirect_stderr(io.StringIO()):\n"
+                 f"    try:\n        code = operlax.cli.main({argv!r})\n"
+                 "    except SystemExit as exc:\n        code = exc.code\n"
+                 "print(code, 'numpy' in sys.modules)")
+    assert out == f"{code} False"
+
+
+def test_package_import_leaves_numpy_unloaded():
+    assert _fresh("import sys, operlax\nprint('numpy' in sys.modules)") == "False"
+
+
+def test_star_import_and_dir_list_every_export():
+    # each module's __all__, the exception types of `errors` and the five submodules
+    types = [n for n, v in vars(errors).items()
+             if inspect.isclass(v) and v.__module__ == errors.__name__]
+    expected = {*types, "calculus", "errors", "evolution", "multilinear", "oscillator",
+                *(n for m in (calculus, evolution, multilinear, oscillator) for n in m.__all__)}
+    star, listed = json.loads(_fresh(
+        "import json, operlax\nlisted = dir(operlax)\nns = {}\n"
+        "exec('from operlax import *', ns)\n"
+        "print(json.dumps([sorted(set(ns) - {'__builtins__'}), listed]))"))
+    assert set(star) == expected
+    assert expected <= set(listed)

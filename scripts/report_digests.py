@@ -5,7 +5,10 @@ The outputs are the reports of `verify operad`, `verify identities`,
 setting at its CLI default), and the trajectory CSVs of the README's
 `simulate` example and of two runs whose numbers span very small and very
 large magnitudes.  Each report is hashed without its `wall_time_seconds`,
-the one field that differs between identical runs.  The CLI runs in a
+the one field that differs between identical runs.  One more line hashes
+what `load_config` makes of a fixed grid of config files (each mode and one
+unknown mode, by each field, by each value of CONFIG_VALUES): the resolved
+values, or the exception type without its message.  The CLI runs in a
 subprocess with the checkout's `src` first on the path, so
 
     python scripts/report_digests.py               # this checkout
@@ -50,6 +53,41 @@ SIMULATES = {
                            "--c", "1,0,0,0,1,0,0,0", "--t-end", "2"],
 }
 
+CONFIG_MODES = ("simulate", "verify-operad", "verify-theorem", "verify-identities", "pde-check",
+                "nosuch")
+CONFIG_FIELDS = ("omega", "q0", "p0", "c", "dt", "t_end", "record_every", "trials", "tol", "seed",
+                 "out")
+CONFIG_VALUES = [None, True, False, -1, 0, 1, 3, 2 ** 63, 2 ** 64 - 1, 2 ** 64, 2 ** 1100, -1.0,
+                 -0.0, 0.0, 1e-3, 0.05, 0.5, 2.5, 3.0, 1e300, float("nan"), float("inf"),
+                 float("-inf"), "x", "", "1,2,3,4,5,6,7,8", [0] * 8, [1] * 7,
+                 [0, 0, 0, 0, True, 0, 0, 0], [2 ** 1100] + [0] * 7, {"a": 1}, ["a"]]
+# each config holds the README example's state, so that simulate's required fields
+# do not hide the outcome of the field under test; one line per config
+_CONFIG_PROBE = """
+import dataclasses, json, sys
+from operlax.cli import load_config
+modes, fields, values, path = json.load(sys.stdin)
+for mode in modes:
+    for field in fields:
+        for value in values:
+            with open(path, "w") as fh:
+                json.dump({"mode": mode, "omega": 1, "q0": 0, "p0": 1, field: value}, fh)
+            try:
+                print(sorted(dataclasses.asdict(load_config(path)).items()))
+            except Exception as exc:
+                print(type(exc).__name__)
+"""
+
+
+def _config_outcomes(checkout: Path, tmp: str) -> bytes:
+    env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
+    grid = json.dumps([CONFIG_MODES, CONFIG_FIELDS, CONFIG_VALUES, str(Path(tmp, "config.json"))])
+    done = subprocess.run([sys.executable, "-c", _CONFIG_PROBE], input=grid.encode(), env=env,
+                          capture_output=True)
+    if done.returncode != 0:
+        sys.exit(f"config probe exited {done.returncode}: {done.stderr.decode().strip()}")
+    return done.stdout
+
 
 def _run(checkout: Path, argv: list, out: Path) -> bytes:
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
@@ -73,6 +111,7 @@ def digests(checkout: Path) -> dict:
                 found[name] = hashlib.sha256(json.dumps(report, indent=2).encode()).hexdigest()
         for name, argv in SIMULATES.items():
             found[name] = hashlib.sha256(_run(checkout, argv, Path(tmp, name))).hexdigest()
+        found["config-acceptance"] = hashlib.sha256(_config_outcomes(checkout, tmp)).hexdigest()
     return found
 
 

@@ -5,8 +5,8 @@ the composition calculus with its law checkers (`calculus`), the harmonic
 oscillator model with its half-angle phase functions (`oscillator`), and the
 coupled integration plus verification machinery (`evolution`).  `cli` exposes
 all of it as the ``operlax`` command.  The package exports every name in each
-module's ``__all__``, and the exception types of `errors`, bound on first use,
-so that importing the package (or the CLI) does not import numpy.
+module's ``__all__``, bound on first use, so that importing the package (or
+the CLI) does not import numpy.
 """
 
 import importlib as _importlib
@@ -21,14 +21,14 @@ def _exports() -> list:
     names = list(_MODULES)
     for short in _MODULES:
         module = _importlib.import_module(f"{__name__}.{short}")
-        public = getattr(module, "__all__", [n for n in vars(module) if not n.startswith("_")])
-        names += public
-        globals().update({n: getattr(module, n) for n in public if n not in globals()})
+        names += module.__all__
+        globals().update({n: getattr(module, n) for n in module.__all__ if n not in globals()})
     return names
 
 
 def __getattr__(name):
-    globals()["__all__"] = _exports()
+    if name != "cli":  # `from operlax import cli` asks first; the import system then imports it
+        globals()["__all__"] = _exports()
     if name in globals():
         return globals()[name]
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

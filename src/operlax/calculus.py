@@ -11,13 +11,11 @@ worst residual seen.
 from __future__ import annotations
 
 import math
-import numbers
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError
+from .errors import DimensionMismatchError, _check_int, _check_positive
 from .multilinear import Operation, _quiet
 
 __all__ = [
@@ -314,27 +312,10 @@ def _blocked_rows(trials: int, block_rows):
 
 def _check_suite_args(tol, **counts):
     """Raise ValueError unless tol is a number > 0 and each count an int, the first
-    (the number of trials) >= 0 and every later one (a size) >= 1; a bool is neither."""
+    (the number of trials) >= 0 and every later one (a size) >= 1."""
     for k, (name, n) in enumerate(counts.items()):
-        if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < min(k, 1):
-            raise ValueError(f"{name} must be an int >= {min(k, 1)}, got {n!r}")
+        _check_int(min(k, 1), **{name: n})
     _check_positive(tol=tol)
-
-
-def _check_positive(**values):
-    """Raise ValueError unless each value is a number > 0 (NaN is not); a bool is not a number."""
-    for name, x in values.items():
-        if isinstance(x, bool) or not (isinstance(x, numbers.Real) and x > 0.0):
-            raise ValueError(f"{name} must be a number > 0, got {x!r}")
-
-
-def _check_finite(**values):
-    """Raise ValueError unless each value is a number that a finite double holds (NaN,
-    +-inf and an int past the largest double are not); a bool is not a number."""
-    for name, x in values.items():
-        if isinstance(x, bool) or not (isinstance(x, numbers.Real)
-                                       and abs(x) <= sys.float_info.max):
-            raise ValueError(f"{name} must be a finite number, got {x!r}")
 
 
 def _worst_case_reports(names, blocks, tol: float) -> list[LawReport]:

@@ -14,9 +14,11 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass, fields
+from dataclasses import make_dataclass
+from functools import partial
 
-from .errors import BranchCutError, ConfigError, DegenerateStateError, DivergenceError
+from .errors import (BranchCutError, ConfigError, DegenerateStateError, DivergenceError,
+                     _check_finite, _check_int, _check_positive)
 
 # The library names the modes call, bound here when a mode runs so that --help and usage
 # and config errors never import numpy.  A bound name (a tracer's or test's patch) is kept.
@@ -54,23 +56,36 @@ _DEFAULTS = {
 }
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    mode: str
-    omega: float | None = None
-    q0: float | None = None
-    p0: float | None = None
-    c: tuple | None = None
-    dt: float | None = None
-    t_end: float | None = None
-    record_every: int | None = None
-    trials: int | None = None
-    tol: float | None = None
-    seed: int | None = None
-    out: str | None = None
+def _rule(holds, what):  # a rule in the library's form, for a value the library takes
+    def check(**values):
+        (name, v), = values.items()
+        if not holds(v):
+            raise ValueError(f"{name} must be {what}, got {v!r}")
+    return check
 
 
-_FIELDS = tuple(f.name for f in fields(RunConfig)[1:])
+_ALL = "simulate verify pde-check"
+# One row per run field: its name, the type its flag parses to, the rules a given value
+# must pass (each raises ValueError: the library's own, and the CLI's where the library
+# takes more), the subcommands whose flag it is, and the flag's help.
+_TABLE = (
+    ("omega", float, (_check_finite, _check_positive), "simulate", None),
+    ("q0", float, (_check_finite,), "simulate", None),
+    ("p0", float, (_check_finite,), "simulate", None),
+    ("c", str, (), "simulate", "C1,...,C8 family parameters"),
+    ("dt", float, (_check_positive,), "simulate verify", None),
+    ("t_end", float, (_check_positive,), "simulate verify", None),
+    ("record_every", int, (partial(_check_int, 1),), "simulate", None),
+    ("trials", int, (partial(_check_int, 1),), "verify pde-check", None),  # the suites take 0
+    ("tol", float, (_check_positive,), "verify pde-check", None),
+    ("seed", int, (partial(_check_int, 0), _rule(lambda n: n < 2 ** 64, "< 2**64")), _ALL,
+     "root PRNG seed"),
+    ("out", str, (_rule(lambda v: isinstance(v, str), "a path"),), _ALL,
+     "output path (default: stdout)"),
+)
+_FIELDS = tuple(row[0] for row in _TABLE)
+RunConfig = make_dataclass("RunConfig", ["mode", *((name, object, None) for name in _FIELDS)],
+                           frozen=True, namespace={"__module__": __name__})
 
 
 def _parse_c(value) -> tuple:
@@ -86,35 +101,18 @@ def _parse_c(value) -> tuple:
 
 
 def _validated(cfg: RunConfig) -> RunConfig:
-    def bad(field, why):
-        raise ConfigError(f"{field}: {why}")
-
     if cfg.mode not in MODES:
-        bad("mode", f"must be one of {MODES}, got {cfg.mode!r}")
-    if cfg.dt is not None and not (isinstance(cfg.dt, (int, float)) and cfg.dt > 0):
-        bad("dt", f"must be a positive number, got {cfg.dt!r}")
-    if cfg.t_end is not None and not (isinstance(cfg.t_end, (int, float)) and cfg.t_end > 0):
-        bad("t_end", f"must be a positive number, got {cfg.t_end!r}")
-    if cfg.omega is not None and not (isinstance(cfg.omega, (int, float)) and cfg.omega > 0):
-        bad("omega", f"must be a positive number, got {cfg.omega!r}")
-    if cfg.record_every is not None and (not isinstance(cfg.record_every, int) or cfg.record_every < 1):
-        bad("record_every", f"must be a positive integer, got {cfg.record_every!r}")
-    if cfg.trials is not None and (not isinstance(cfg.trials, int) or cfg.trials < 1):
-        bad("trials", f"must be a positive integer, got {cfg.trials!r}")
-    if cfg.tol is not None and not (isinstance(cfg.tol, (int, float)) and cfg.tol > 0):
-        bad("tol", f"must be a positive number, got {cfg.tol!r}")
-    if cfg.seed is not None and (not isinstance(cfg.seed, int) or not 0 <= cfg.seed < 2 ** 64):
-        bad("seed", f"must be an unsigned 64-bit integer, got {cfg.seed!r}")
-    if cfg.out is not None and not isinstance(cfg.out, str):
-        bad("out", f"must be a path, got {cfg.out!r}")
-    for name in ("omega", "q0", "p0"):
-        v = getattr(cfg, name)
-        if v is not None and not (isinstance(v, (int, float)) and abs(v) <= sys.float_info.max):
-            bad(name, f"must be a finite number, got {v!r}")
+        raise ConfigError(f"mode: must be one of {MODES}, got {cfg.mode!r}")
+    try:
+        for name, _, rules, *_ in _TABLE:
+            for rule in rules if getattr(cfg, name) is not None else ():
+                rule(**{name: getattr(cfg, name)})
+    except ValueError as exc:  # the rule's own words, which name the field
+        raise ConfigError(str(exc)) from exc
     if cfg.mode == "simulate":
         for name in ("omega", "q0", "p0"):
             if getattr(cfg, name) is None:
-                bad(name, "is required for simulate")
+                raise ConfigError(f"{name}: is required for simulate")
     return cfg
 
 
@@ -136,10 +134,10 @@ def _read_config_file(path: str) -> dict:
     if unknown:
         raise ConfigError(f"config: unknown fields {sorted(unknown)}")
     for name, value in raw.items():  # bool is an int: JSON true would pass as 1
-        if bool in map(type, value if name == "c" and isinstance(value, list) else [value]):
+        if bool in map(type, value if isinstance(value, list) else [value]):
             raise ConfigError(f"{name}: JSON booleans are not numbers, got {json.dumps(value)}")
-    for name in ("record_every", "trials", "seed"):
-        if name in raw and raw[name] is not None and isinstance(raw[name], float):
+    for name, kind, *_ in _TABLE:  # a JSON 3.0 is the int 3
+        if kind is int and isinstance(raw.get(name), float):
             if not raw[name].is_integer():
                 raise ConfigError(f"{name}: must be an integer, got {raw[name]!r}")
             raw[name] = int(raw[name])
@@ -230,39 +228,22 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Operadic Lax flows of the harmonic oscillator: simulate and verify.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p, *, trials=False):
+    parsers = {command: sub.add_parser(command, help=text) for command, text in (
+        ("simulate", "integrate one configuration and write a CSV trajectory"),
+        ("verify", "run a randomized verification suite"),
+        ("pde-check", "finite-difference residuals of the defining PDE"))}
+    parsers["verify"].add_argument("suite",
+                                   choices=[m[7:] for m in _SUITES if m.startswith("verify-")])
+    for p in parsers.values():
         p.add_argument("--config", help="JSON file with the same keys as the flags")
-        p.add_argument("--seed", type=int, default=None, help="root PRNG seed")
-        p.add_argument("--out", default=None, help="output path (default: stdout)")
-        if trials:
-            p.add_argument("--trials", type=int, default=None)
-            p.add_argument("--tol", type=float, default=None)
-
-    sim = sub.add_parser("simulate", help="integrate one configuration and write a CSV trajectory")
-    sim.add_argument("--omega", type=float, default=None)
-    sim.add_argument("--q0", type=float, default=None)
-    sim.add_argument("--p0", type=float, default=None)
-    sim.add_argument("--c", default=None, help="C1,...,C8 family parameters")
-    sim.add_argument("--dt", type=float, default=None)
-    sim.add_argument("--t-end", dest="t_end", type=float, default=None)
-    sim.add_argument("--record-every", dest="record_every", type=int, default=None)
-    add_common(sim)
-
-    ver = sub.add_parser("verify", help="run a randomized verification suite")
-    ver.add_argument("suite", choices=[m[7:] for m in _SUITES if m.startswith("verify-")])
-    ver.add_argument("--dt", type=float, default=None)
-    ver.add_argument("--t-end", dest="t_end", type=float, default=None)
-    add_common(ver, trials=True)
-
-    pde = sub.add_parser("pde-check", help="finite-difference residuals of the defining PDE")
-    add_common(pde, trials=True)
-
+    for name, kind, _, commands, help_text in _TABLE:
+        for command in commands.split():
+            parsers[command].add_argument(f"--{name.replace('_', '-')}", dest=name, type=kind,
+                                          help=help_text)
     br = sub.add_parser("bracket", help="bracket of two operation JSON files")
     br.add_argument("first")
     br.add_argument("second")
     br.add_argument("--out", default=None)
-
     return parser
 
 

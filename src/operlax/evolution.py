@@ -14,7 +14,6 @@ PDE residuals, order measurements, and the randomized verification suites.
 from __future__ import annotations
 
 import math
-import numbers
 import re
 import sys
 from dataclasses import dataclass, field, fields, replace
@@ -25,14 +24,13 @@ import numpy as np
 from .calculus import (
     LawReport,
     _blocked_rows,
-    _check_finite,
-    _check_positive,
     _check_suite_args,
     _worst_case_reports,
     gerstenhaber_bracket,
 )
 from .errors import (BranchCutError, DegenerateStateError, DimensionMismatchError,
-                     DivergenceError, EnergyOverflowError)
+                     DivergenceError, EnergyOverflowError, _check_finite, _check_int,
+                     _check_positive, _check_steps)
 from .multilinear import Operation, _quiet
 from .oscillator import (
     _OMEGAS,
@@ -125,12 +123,8 @@ class IntegratorConfig:
             raise ValueError(f"omega must be positive, got {self.omega}")
         if not (0.0 < self.dt <= 0.1 / self.omega):
             raise ValueError(f"dt must be in (0, 0.1/omega], got {self.dt}")
-        # times are step * dt, exact only while the step index is
-        if not (self.t_end > 0.0 and self.t_end / self.dt <= 2.0 ** 53):
-            raise ValueError(f"t_end must be positive with at most 2**53 steps, got {self.t_end}")
-        n = self.record_every  # a bool is not a count, and 2.5 would record steps 0, 5, 10
-        if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
-            raise ValueError(f"record_every must be an int >= 1, got {n!r}")
+        _check_steps(self.t_end, self.dt)
+        _check_int(1, record_every=self.record_every)  # 2.5 would record steps 0, 5, 10
         if not isinstance(self.params, MuParams):
             raise ValueError(f"params must be a MuParams, got {self.params!r}")
         self.initial_state()  # whose energy must not overflow
@@ -534,9 +528,7 @@ def theorem_suite(
     if dt > 0.1 / max(_OMEGAS):
         raise ValueError(f"dt: theorem trials sample omega up to {max(_OMEGAS)}, "
                          f"so dt must be in (0, {0.1 / max(_OMEGAS)}], got {dt}")
-    if isinstance(t_end, bool) or not (isinstance(t_end, numbers.Real) and t_end > 0.0
-                                       and t_end <= sys.float_info.max and t_end / dt <= 2.0 ** 53):
-        raise ValueError(f"t_end must be positive with at most 2**53 steps, got {t_end!r}")
+    _check_steps(t_end, dt)
     if not trials:
         return []
     w, h, theta, *cs = _trial_draws(seed, range(trials), _THEOREM_RANGES, True)

@@ -17,9 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calculus import (_blocked_rows, _check_finite, _check_suite_args, _trial_streams,
-                       _worst_case_reports)
-from .errors import DegenerateStateError, EnergyOverflowError
+from .calculus import _blocked_rows, _check_suite_args, _trial_streams, _worst_case_reports
+from .errors import DegenerateStateError, EnergyOverflowError, _check_finite
 from .multilinear import Operation, make_operation
 
 __all__ = [

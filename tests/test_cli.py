@@ -199,6 +199,15 @@ def test_config_rejects_json_booleans(tmp_path, capsys, field, value):
     assert code == 2 and f"{field}: JSON booleans" in stderr
 
 
+@pytest.mark.parametrize("field", ["omega", "q0", "p0", "dt", "t_end", "record_every", "trials",
+                                   "tol", "seed"])
+def test_build_config_refuses_a_bool_for_a_number(field):
+    # the config file refuses JSON booleans; a flag value handed over directly is held to
+    # the same rules as the library's, where a bool is not a number
+    with pytest.raises(ConfigError, match=f"^{field} must be"):
+        build_config("verify-theorem", {field: True}, {})
+
+
 def test_verify_config_with_booleans_is_usage_error(tmp_path, capsys):
     # read as numbers, this config would run 1 trial at tolerance 1.0 and exit 0
     path = tmp_path / "run.json"

@@ -52,7 +52,10 @@ def _fresh(code: str) -> str:
 
 @pytest.mark.parametrize("argv, code", [
     (["--help"], 0), (["verify", "nosuch"], 2), (["simulate", "--q0", "0", "--p0", "1"], 2),
-], ids=["help", "usage-error", "config-error"])
+    (["simulate", "--omega", "1", "--q0", "0", "--p0", "1", "--dt", "-1"], 2),
+    (["verify", "operad", "--trials", "0"], 2),
+    (["verify", "operad", "--seed", "18446744073709551616"], 2),
+], ids=["help", "usage-error", "config-error", "dt-range", "trials-range", "seed-range"])
 def test_cli_exits_before_a_mode_without_numpy(argv, code):
     # the library (and numpy with it) loads when a mode runs, not at start-up
     out = _fresh("import contextlib, io, sys, operlax.cli\n"
@@ -66,6 +69,11 @@ def test_cli_exits_before_a_mode_without_numpy(argv, code):
 
 def test_package_import_leaves_numpy_unloaded():
     assert _fresh("import sys, operlax\nprint('numpy' in sys.modules)") == "False"
+
+
+def test_from_package_import_cli_leaves_numpy_unloaded():
+    # the import system asks the package for `cli` before it imports the submodule
+    assert _fresh("import sys\nfrom operlax import cli\nprint('numpy' in sys.modules)") == "False"
 
 
 def test_star_import_and_dir_list_every_export():

@@ -122,9 +122,6 @@ def _unit_laws(d: int, f: np.ndarray, n: int) -> list:
 # (d^(l+m+n-1) per trial for three operations: 6561 at dim 3 and arities 3).
 # Larger groups are split, so peak memory stays near the one-trial path's.
 STACK_COEFFS = 8192
-# One trial's cap in operad_law_suite, max(max_dim, 2) ** (3 max_arity - 1): 8 MiB of
-# doubles, and arity <= 7 at dim 1, where the compositions grow with arity squared
-OPERAD_MAX_COEFFS = 2 ** 20
 
 
 def _by_signature(law, trials) -> np.ndarray:
@@ -310,11 +307,9 @@ def _blocked_rows(trials: int, block_rows):
         yield block_rows(first, min(first + TRIAL_BLOCK, trials))
 
 
-def _check_suite_args(tol, **counts):
-    """Raise ValueError unless tol is a number > 0 and each count an int, the first
-    (the number of trials) >= 0 and every later one (a size) >= 1."""
-    for k, (name, n) in enumerate(counts.items()):
-        _check_int(min(k, 1), **{name: n})
+def _check_suite_args(tol, **trials):
+    """Raise ValueError unless the trial count is an int >= 0 and tol a number > 0."""
+    _check_int(0, **trials)
     _check_positive(tol=tol)
 
 
@@ -342,13 +337,13 @@ def _worst_case_reports(names, blocks, tol: float) -> list[LawReport]:
             for name, r, k in zip(names, worst, at)]
 
 
-def _operad_rows(seed: int, first: int, stop: int, max_dim: int, max_arity: int) -> np.ndarray:
-    """Residual rows of trials first..stop-1, each (h, f, g) drawn from its own stream."""
+def _operad_rows(seed: int, first: int, stop: int) -> np.ndarray:
+    """Residual rows of trials first..stop-1, each (h, f, g) of one dim <= 3 and arities
+    <= 3 drawn from its own stream."""
     draws = []
     for rng in _trial_streams(seed, range(first, stop)):
-        d = int(rng.integers(1, max_dim + 1))
-        draws.append([random_operation(rng, d, int(rng.integers(1, max_arity + 1)))
-                      for _ in range(3)])
+        d = int(rng.integers(1, 4))
+        draws.append([random_operation(rng, d, int(rng.integers(1, 4))) for _ in range(3)])
     units = _by_signature(_unit_laws, [(op,) for ops in draws for op in ops])
     return np.stack([_by_signature(_antisymmetry, [(f, g) for h, f, g in draws]),
                      _by_signature(_composition_relations, draws),
@@ -357,25 +352,18 @@ def _operad_rows(seed: int, first: int, stop: int, max_dim: int, max_arity: int)
 
 
 @_quiet
-def operad_law_suite(
-    trials: int, seed: int, tol: float, max_dim: int = 3, max_arity: int = 3
-) -> list[LawReport]:
+def operad_law_suite(trials: int, seed: int, tol: float) -> list[LawReport]:
     """Random-triple verification of all composition-calculus laws.
 
-    Each trial draws a dimension, three arities, and three random operations
-    from its own seeded stream, then exercises the composition relations,
+    Each trial draws a dimension and three arities, each in 1..3, and three random
+    operations from its own seeded stream, then exercises the composition relations,
     unit laws, graded antisymmetry, and graded Jacobi identity.  Each report
     aggregates the worst residual over all trials and records the trial index
     that produced it.  Each law runs once per group of a block's trials that
     share the dim and arities it reads, with the one-trial checks' digits.
-    Raises ValueError unless trials >= 0, max_dim, max_arity >= 1, tol > 0 and
-    max(max_dim, 2) ** (3 max_arity - 1) <= OPERAD_MAX_COEFFS.
+    Raises ValueError unless trials >= 0 and tol > 0.
     """
-    _check_suite_args(tol, trials=trials, max_dim=max_dim, max_arity=max_arity)
-    cap = OPERAD_MAX_COEFFS  # clamped, the power is small and > cap exactly when the bound is
-    if min(max(max_dim, 2), cap + 1) ** min(3 * max_arity - 1, cap.bit_length()) > cap:
-        raise ValueError(f"max(max_dim, 2) ** (3 max_arity - 1) must be <= {cap}, "
-                         f"got max_dim={max_dim}, max_arity={max_arity}")
+    _check_suite_args(tol, trials=trials)
     names = ["antisymmetry", "composition-relations", "graded-jacobi", "unit-laws"]
-    rows = _blocked_rows(trials, lambda k0, k1: _operad_rows(seed, k0, k1, max_dim, max_arity))
+    rows = _blocked_rows(trials, lambda k0, k1: _operad_rows(seed, k0, k1))
     return _worst_case_reports(names, rows, tol)

@@ -64,7 +64,6 @@ def _rule(holds, what):  # a rule in the library's form, for a value the library
     return check
 
 
-_ALL = "simulate verify pde-check"
 # One row per run field: its name, the type its flag parses to, the rules a given value
 # must pass (each raises ValueError: the library's own, and the CLI's where the library
 # takes more), the subcommands whose flag it is, and the flag's help.
@@ -78,9 +77,9 @@ _TABLE = (
     ("record_every", int, (partial(_check_int, 1),), "simulate", None),
     ("trials", int, (partial(_check_int, 1),), "verify pde-check", None),  # the suites take 0
     ("tol", float, (_check_positive,), "verify pde-check", None),
-    ("seed", int, (partial(_check_int, 0), _rule(lambda n: n < 2 ** 64, "< 2**64")), _ALL,
-     "root PRNG seed"),
-    ("out", str, (_rule(lambda v: isinstance(v, str), "a path"),), _ALL,
+    ("seed", int, (partial(_check_int, 0), _rule(lambda n: n < 2 ** 64, "< 2**64")),
+     "verify pde-check", "root PRNG seed"),
+    ("out", str, (_rule(lambda v: isinstance(v, str), "a path"),), "simulate verify pde-check",
      "output path (default: stdout)"),
 )
 _FIELDS = tuple(row[0] for row in _TABLE)
@@ -259,6 +258,8 @@ def main(argv=None) -> int:
             return cmd_bracket(args.first, args.second, args.out)
         mode = args.command if args.command != "verify" else f"verify-{args.suite}"
         file_values = _read_config_file(args.config) if args.config else {}
+        if file_values.get("mode", mode) != mode:
+            raise ConfigError(f"mode: the config file's {file_values['mode']!r} is not {mode!r}")
         cfg = build_config(mode, _flags_dict(args), file_values)
         if mode == "simulate":
             return cmd_simulate(cfg)

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 import re
-import sys
 from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
 
@@ -404,8 +403,10 @@ def _pde_residuals(w, q, p, cs, h: float) -> np.ndarray:
 
 
 def pde_residual(s: OscState, params: MuParams, h: float) -> float:
-    """PDE residual of the principal-branch family at one state; O(h^2) exact."""
+    """PDE residual of the principal-branch family at one state; O(h^2) exact.
+    Raises ValueError unless h is a number > 0 that a finite double holds."""
     _check_positive(h=h)
+    _check_finite(h=h)
     return float(_pde_residuals(*(np.array([x]) for x in (s.omega, s.q, s.p)), [params.c], h)[0])
 
 
@@ -501,30 +502,22 @@ _THEOREM_RANGES = ((0.1, 10.0), (-math.pi, math.pi)) + ((-1.0, 1.0),) * 8
 
 
 def theorem_suite(
-    trials: int,
-    seed: int,
-    tol: float,
-    dt: float = 1e-3,
-    t_end: float = 20.0,
-    drift_tol: float = 1e-9,
-    det_tol: float = 1e-8,
-    antiperiod_tol: float = 1e-9,
+    trials: int, seed: int, tol: float, dt: float = 1e-3, t_end: float = 20.0
 ) -> list[LawReport]:
     """Trajectory-level verification over random configurations.
 
     Per trial: integrate a random configuration (omega in {1/2, 1, 2}, energy
     in [0.1, 10], parameters in [-1, 1]^8), then check four things at every
     record: worst |mu_numeric - mu_analytic| (tol), relative energy drift
-    (drift_tol), the spectral invariant |det L + 2 H0| with trace L = 0
-    (det_tol), and half-period antiperiodicity of the analytic branch
-    (antiperiod_tol).  dt must satisfy IntegratorConfig's dt <= 0.1/omega for
-    the largest omega, whatever omegas the seed draws.  Raises ValueError,
-    before any draw, unless trials >= 0, the four tolerances and dt are
-    numbers > 0 (NaN is not, nor is a bool) and t_end is positive with at
-    most 2**53 steps.
+    (1e-9), the spectral invariant |det L + 2 H0| with trace L = 0 (1e-8),
+    and half-period antiperiodicity of the analytic branch (1e-9).  dt must
+    satisfy IntegratorConfig's dt <= 0.1/omega for the largest omega, whatever
+    omegas the seed draws.  Raises ValueError, before any draw, unless
+    trials >= 0, tol and dt are numbers > 0 (NaN is not, nor is a bool) and
+    t_end is positive with at most 2**53 steps.
     """
     _check_suite_args(tol, trials=trials)
-    _check_positive(drift_tol=drift_tol, det_tol=det_tol, antiperiod_tol=antiperiod_tol, dt=dt)
+    _check_positive(dt=dt)
     if dt > 0.1 / max(_OMEGAS):
         raise ValueError(f"dt: theorem trials sample omega up to {max(_OMEGAS)}, "
                          f"so dt must be in (0, {0.1 / max(_OMEGAS)}], got {dt}")
@@ -555,9 +548,9 @@ def theorem_suite(
     for k in range(trials):
         e, dr, det, trace, anti = (float(x[k]) for x in (err, drift, det_worst, trace_worst,
                                                           anti_worst))
-        checks = (("antiperiodicity", 8, anti, anti <= antiperiod_tol),
-                  ("energy-drift", n, dr, dr <= drift_tol),
-                  ("isospectral", n, max(det, trace), det <= det_tol and trace == 0.0),
+        checks = (("antiperiodicity", 8, anti, anti <= 1e-9),
+                  ("energy-drift", n, dr, dr <= 1e-9),
+                  ("isospectral", n, max(det, trace), det <= 1e-8 and trace == 0.0),
                   ("trajectory-mu", n, e, e <= tol))
         reports += [LawReport(f"{law}-{k:02d}", m, r, ok, k) for law, m, r, ok in checks]
     return reports
@@ -567,40 +560,30 @@ def theorem_suite(
 _PDE_RANGES = ((math.log(0.1), math.log(10.0)), (-0.95 * math.pi, 0.95 * math.pi))
 
 
-def pde_suite(
-    n_states: int,
-    seed: int,
-    tol: float,
-    h: float = 1e-5,
-    n_params: int = 20,
-    n_probe_states: int = 8,
-) -> list[LawReport]:
+def pde_suite(n_states: int, seed: int, tol: float) -> list[LawReport]:
     """Finite-difference PDE residuals over random branch-safe states.
 
-    Two aggregate checks.  "pde-residual": the worst residual at step h over
-    n_states random states (each paired with one of n_params random parameter
+    Two aggregate checks.  "pde-residual": the worst residual at step h = 1e-5
+    over n_states random states (each paired with one of 20 random parameter
     vectors) must stay below tol.  "pde-residual-halving": halving h must
     shrink the residual by a factor in [3, 5]; its report stores the measured
     factor's distance outside that interval (0 when inside).
 
-    The halving factor is measured on a dedicated convergence probe rather
-    than on the random ensemble.  At h = 1e-5 the O(h^2) truncation of this
-    family is around 1e-10, which sits below the central-difference rounding
-    floor eps*|mu|/(2h) for generic states, so a generic residual stops
-    shrinking long before 5e-6.  On states with q = 0 the q-stencil is
-    exactly symmetric (the phase functions are componentwise even or odd in
-    the angle) and the other advective coefficient vanishes, so for the eight
-    one-parameter family generators the rounding cancels bit-exactly and the
-    quadratic law is cleanly resolvable.  Linearity of the family in its
-    parameters extends the law from the generators to every parameter vector.
-    A NaN factor counts as outside.  Raises ValueError unless h is a number
-    (not a bool) and h and h/2 are positive and finite, n_states >= 0,
-    n_params and n_probe_states >= 1 and tol > 0.
+    The halving factor is measured on a dedicated convergence probe of eight
+    states rather than on the random ensemble.  At h = 1e-5 the O(h^2)
+    truncation of this family is around 1e-10, which sits below the
+    central-difference rounding floor eps*|mu|/(2h) for generic states, so a
+    generic residual stops shrinking long before 5e-6.  On states with q = 0
+    the q-stencil is exactly symmetric (the phase functions are componentwise
+    even or odd in the angle) and the other advective coefficient vanishes, so
+    for the eight one-parameter family generators the rounding cancels
+    bit-exactly and the quadratic law is cleanly resolvable.  Linearity of the
+    family in its parameters extends the law from the generators to every
+    parameter vector.  A NaN factor counts as outside.  Raises ValueError
+    unless n_states >= 0 and tol > 0.
     """
-    _check_suite_args(tol, n_states=n_states, n_params=n_params, n_probe_states=n_probe_states)
-    _check_positive(h=h)
-    if not (h <= sys.float_info.max and 0.5 * h > 0.0):  # an int past the doubles overflows
-        raise ValueError(f"h and h/2 must be positive and finite, got {h}")
+    _check_suite_args(tol, n_states=n_states)
+    h, n_params, n_probe_states = 1e-5, 20, 8
     # state k takes vector k % n_params, so only the first n_states are ever read
     params_pool = _trial_draws(seed, range(10_000, 10_000 + min(n_params, n_states)),
                                ((-1.0, 1.0),) * 8, False).T

@@ -9,6 +9,7 @@ multiplications, linear operators, and all of their compositions live here.
 from __future__ import annotations
 
 import functools
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -130,7 +131,11 @@ def operation_to_dict(f: Operation) -> dict:
 
 
 def operation_from_dict(obj: dict) -> Operation:
-    try:
-        return make_operation(int(obj["dim"]), int(obj["arity"]), obj["coeffs"])
+    try:  # a bool, a string or 2.7 is no size
+        sizes = obj["dim"], obj["arity"]
+        if not all(isinstance(n, numbers.Real) and not isinstance(n, bool)
+                   and float(n).is_integer() for n in sizes):
+            raise TypeError(f"got dim={sizes[0]!r}, arity={sizes[1]!r}")
+        return make_operation(*map(int, sizes), obj["coeffs"])
     except (KeyError, TypeError, OverflowError) as exc:
         raise ValueError(f"operation object needs int dim/arity, numeric coeffs: {exc}") from exc

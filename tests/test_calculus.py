@@ -329,15 +329,15 @@ def _one_trial_rows(seed, trials, tol=1e-10):
 def test_operad_law_suite_rows_match_one_trial_checks():
     rows, signatures = _one_trial_rows(seed=3, trials=400)
     assert len(signatures) == 3 ** 4  # every (d, l, m, n) with d and arities in 1..3
-    assert _operad_rows(3, 0, 400, 3, 3).tolist() == rows  # bit for bit, one block of 400
+    assert _operad_rows(3, 0, 400).tolist() == rows  # bit for bit, one block of 400
     names = ["antisymmetry", "composition-relations", "graded-jacobi", "unit-laws"]
     assert operad_law_suite(400, 3, 1e-10) == _worst_case_reports(names, rows, 1e-10)
 
 
 def test_operad_rows_do_not_depend_on_the_block():
-    block = _operad_rows(11, 0, TRIAL_BLOCK, 3, 3)
+    block = _operad_rows(11, 0, TRIAL_BLOCK)
     for k in range(TRIAL_BLOCK):
-        npt.assert_array_equal(_operad_rows(11, k, k + 1, 3, 3)[0], block[k])
+        npt.assert_array_equal(_operad_rows(11, k, k + 1)[0], block[k])
 
 
 def test_operad_law_suite_memory_stays_near_one_trial():

@@ -216,6 +216,17 @@ def test_verify_config_with_booleans_is_usage_error(tmp_path, capsys):
     assert code == 2 and stdout == "" and "usage:" in stderr
 
 
+@pytest.mark.parametrize("mode, code", [("simulate", 2), ("verify-identities", 2),
+                                        ("verify-operad", 0)])
+def test_config_file_mode_must_be_the_command(mode, code, tmp_path, capsys):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"mode": mode, "trials": 2}))
+    got, stdout, stderr = run(["verify", "operad", "--config", str(path)], capsys)
+    assert got == code
+    assert (stdout == "" and f"mode: the config file's {mode!r} is not 'verify-operad'" in stderr
+            if code else json.loads(stdout)["checks"][0]["trials"] == 2)
+
+
 def test_simulate_with_config_file(tmp_path, capsys):
     out = tmp_path / "traj.csv"
     path = tmp_path / "run.json"
@@ -257,7 +268,9 @@ def test_bracket_dim_mismatch(tmp_path, capsys):
 
 @pytest.mark.parametrize("obj", [{"dim": [1], "arity": 1, "coeffs": [1.0]},
                                  {"dim": 1, "arity": 1, "coeffs": {"a": 1.0}},
-                                 {"dim": 1e400, "arity": 1, "coeffs": [1.0]}, [1.0]])
+                                 {"dim": 1e400, "arity": 1, "coeffs": [1.0]}, [1.0],
+                                 {"dim": 2.7, "arity": 1, "coeffs": [1.0, 0.0, 0.0, 1.0]},
+                                 {"dim": True, "arity": 1, "coeffs": [1.0]}])
 def test_bracket_malformed_operation_is_usage_error(obj, tmp_path, capsys):
     fp, gp = tmp_path / "f.json", tmp_path / "g.json"
     fp.write_text(json.dumps(obj))
@@ -321,8 +334,9 @@ def test_simulate_energy_overflow_is_usage_error(tmp_path, capsys):
     (SIM_ARGS[:7] + ["--t-end", "1e300", "--out", "x.csv"], None),
     (["verify", "operad", "--trials", "1"], b'\xff\xfe{"seed": 1}'),
     (["verify", "theorem", "--trials", "1", "--t-end", "1e300"], None),
+    (SIM_ARGS[:7] + ["--seed", "5", "--out", "x.csv"], None),
 ], ids=["t-end-overflow", "out-not-a-path", "c-not-a-list", "t-end-huge", "config-not-utf8",
-        "theorem-steps-above-2**53"])
+        "theorem-steps-above-2**53", "simulate-draws-nothing-to-seed"])
 def test_rejected_input_is_usage_error(argv, config, tmp_path):
     if config is not None:
         (tmp_path / "run.json").write_bytes(config)
@@ -424,7 +438,7 @@ _FLAG_C = st.sampled_from(["0,0,0,0,1,0,0,0", "1e300,0,0,0,0,0,0,-1e300", "nan,0
 # (command, flags drawn or left out, flags always drawn: simulate's state, and
 # the sizes whose defaults are large)
 _FLAG_COMMANDS = [
-    (["simulate", "--out=traj.csv"], ["--c", "--dt", "--record-every", "--seed"],
+    (["simulate", "--out=traj.csv"], ["--c", "--dt", "--record-every"],
      ["--omega", "--q0", "--p0", "--t-end"]),
     (["verify", "theorem", "--out=report.json"], ["--dt", "--tol", "--seed"],
      ["--t-end", "--trials"]),

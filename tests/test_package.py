@@ -88,3 +88,14 @@ def test_star_import_and_dir_list_every_export():
         "print(json.dumps([sorted(set(ns) - {'__builtins__'}), listed]))"))
     assert set(star) == expected
     assert expected <= set(listed)
+
+
+def test_suites_take_only_what_a_caller_sets():
+    # the paper's sizes, step and per-trajectory tolerances are fixed inside each suite
+    params = {name: list(inspect.signature(getattr(operlax, name)).parameters)
+              for name in ("operad_law_suite", "proof_identity_suite", "theorem_suite",
+                           "pde_suite")}
+    assert params == {"operad_law_suite": ["trials", "seed", "tol"],
+                      "proof_identity_suite": ["trials", "seed", "tol"],
+                      "theorem_suite": ["trials", "seed", "tol", "dt", "t_end"],
+                      "pde_suite": ["n_states", "seed", "tol"]}

@@ -61,17 +61,19 @@ CONFIG_VALUES = [None, True, False, -1, 0, 1, 3, 2 ** 63, 2 ** 64 - 1, 2 ** 64, 
                  -0.0, 0.0, 1e-3, 0.05, 0.5, 2.5, 3.0, 1e300, float("nan"), float("inf"),
                  float("-inf"), "x", "", "1,2,3,4,5,6,7,8", [0] * 8, [1] * 7,
                  [0, 0, 0, 0, True, 0, 0, 0], [2 ** 1100] + [0] * 7, {"a": 1}, ["a"]]
-# each config holds the README example's state, so that simulate's required fields
-# do not hide the outcome of the field under test; one line per config
+# each simulate config holds the README example's state, so that simulate's required
+# fields do not hide the outcome of the field under test (no other mode takes them);
+# one line per config
 _CONFIG_PROBE = """
 import dataclasses, json, sys
 from operlax.cli import load_config
 modes, fields, values, path = json.load(sys.stdin)
 for mode in modes:
+    state = {"omega": 1, "q0": 0, "p0": 1} if mode == "simulate" else {}
     for field in fields:
         for value in values:
             with open(path, "w") as fh:
-                json.dump({"mode": mode, "omega": 1, "q0": 0, "p0": 1, field: value}, fh)
+                json.dump({"mode": mode, **state, field: value}, fh)
             try:
                 print(sorted(dataclasses.asdict(load_config(path)).items()))
             except Exception as exc:

@@ -17,43 +17,25 @@ import time
 from dataclasses import make_dataclass
 from functools import partial
 
+import operlax
+
 from .errors import (BranchCutError, ConfigError, DegenerateStateError, DivergenceError,
                      _check_finite, _check_int, _check_positive)
 
-# The library names the modes call, bound here when a mode runs so that --help and usage
-# and config errors never import numpy.  A bound name (a tracer's or test's patch) is kept.
-_LIBRARY = ("IntegratorConfig", "MuParams", "evolve", "gerstenhaber_bracket", "hamiltonian",
-            "operad_law_suite", "operation_from_dict", "operation_to_dict", "pde_suite",
-            "proof_identity_suite", "theorem_suite", "trajectory_csv_lines")
-
-
-def __getattr__(name):  # a library name read before a mode has bound it
-    if name not in _LIBRARY:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return getattr(sys.modules[__package__], name)
-
-
-def _bind_library():
-    globals().update({name: __getattr__(name) for name in _LIBRARY if name not in globals()})
-
-# Each verification mode's suite, called by its module-level name when the mode
-# runs, so that a patched attribute (a tracer's, a test's) is the one called.
-_SUITES = {
-    "verify-operad": lambda c: operad_law_suite(c.trials, c.seed, c.tol),
-    "verify-theorem": lambda c: theorem_suite(c.trials, c.seed, c.tol, dt=c.dt, t_end=c.t_end),
-    "verify-identities": lambda c: proof_identity_suite(c.trials, c.seed, c.tol),
-    "pde-check": lambda c: pde_suite(c.trials, c.seed, c.tol),
+# One row per mode: its subcommand, the package function it calls, and the fields it
+# reads with their defaults (None: required).  The library names are read from the
+# numpy-free package when a mode runs, so a patched one (a tracer's, a test's) is called.
+_MODES = {
+    "simulate": ("simulate", "evolve", {"omega": None, "q0": None, "p0": None, "c": (0.0,) * 8,
+                                        "dt": 1e-3, "t_end": 20.0, "record_every": 1}),
+    "verify-operad": ("verify", "operad_law_suite", {"trials": 200, "tol": 1e-10, "seed": 0}),
+    "verify-theorem": ("verify", "theorem_suite", {"trials": 20, "tol": 1e-6, "seed": 0,
+                                                   "dt": 1e-3, "t_end": 20.0}),
+    "verify-identities": ("verify", "proof_identity_suite",
+                          {"trials": 1000, "tol": 1e-12, "seed": 0}),
+    "pde-check": ("pde-check", "pde_suite", {"trials": 100, "tol": 1e-8, "seed": 0}),
 }
-
-MODES = ("simulate", *_SUITES)
-
-_DEFAULTS = {
-    "simulate": {"dt": 1e-3, "t_end": 20.0, "record_every": 1, "c": (0.0,) * 8},
-    "verify-operad": {"trials": 200, "tol": 1e-10, "seed": 0},
-    "verify-theorem": {"trials": 20, "tol": 1e-6, "seed": 0, "dt": 1e-3, "t_end": 20.0},
-    "verify-identities": {"trials": 1000, "tol": 1e-12, "seed": 0},
-    "pde-check": {"trials": 100, "tol": 1e-8, "seed": 0},
-}
+MODES = tuple(_MODES)
 
 
 def _rule(holds, what):  # a rule in the library's form, for a value the library takes
@@ -66,21 +48,20 @@ def _rule(holds, what):  # a rule in the library's form, for a value the library
 
 # One row per run field: its name, the type its flag parses to, the rules a given value
 # must pass (each raises ValueError: the library's own, and the CLI's where the library
-# takes more), the subcommands whose flag it is, and the flag's help.
+# takes more) and the flag's help.  A subcommand's flags are its modes' fields and out.
 _TABLE = (
-    ("omega", float, (_check_finite, _check_positive), "simulate", None),
-    ("q0", float, (_check_finite,), "simulate", None),
-    ("p0", float, (_check_finite,), "simulate", None),
-    ("c", str, (), "simulate", "C1,...,C8 family parameters"),
-    ("dt", float, (_check_positive,), "simulate verify", None),
-    ("t_end", float, (_check_positive,), "simulate verify", None),
-    ("record_every", int, (partial(_check_int, 1),), "simulate", None),
-    ("trials", int, (partial(_check_int, 1),), "verify pde-check", None),  # the suites take 0
-    ("tol", float, (_check_positive,), "verify pde-check", None),
+    ("omega", float, (_check_finite, _check_positive), None),
+    ("q0", float, (_check_finite,), None),
+    ("p0", float, (_check_finite,), None),
+    ("c", str, (), "C1,...,C8 family parameters"),
+    ("dt", float, (_check_positive,), None),
+    ("t_end", float, (_check_positive,), None),
+    ("record_every", int, (partial(_check_int, 1),), None),
+    ("trials", int, (partial(_check_int, 1),), None),  # the suites take 0
+    ("tol", float, (_check_positive,), None),
     ("seed", int, (partial(_check_int, 0), _rule(lambda n: n < 2 ** 64, "< 2**64")),
-     "verify pde-check", "root PRNG seed"),
-    ("out", str, (_rule(lambda v: isinstance(v, str), "a path"),), "simulate verify pde-check",
-     "output path (default: stdout)"),
+     "root PRNG seed"),
+    ("out", str, (_rule(lambda v: isinstance(v, str), "a path"),), "output path (default: stdout)"),
 )
 _FIELDS = tuple(row[0] for row in _TABLE)
 RunConfig = make_dataclass("RunConfig", ["mode", *((name, object, None) for name in _FIELDS)],
@@ -100,18 +81,19 @@ def _parse_c(value) -> tuple:
 
 
 def _validated(cfg: RunConfig) -> RunConfig:
-    if cfg.mode not in MODES:
-        raise ConfigError(f"mode: must be one of {MODES}, got {cfg.mode!r}")
     try:
-        for name, _, rules, *_ in _TABLE:
+        for name, _, rules, _ in _TABLE:
             for rule in rules if getattr(cfg, name) is not None else ():
                 rule(**{name: getattr(cfg, name)})
     except ValueError as exc:  # the rule's own words, which name the field
         raise ConfigError(str(exc)) from exc
-    if cfg.mode == "simulate":
-        for name in ("omega", "q0", "p0"):
-            if getattr(cfg, name) is None:
-                raise ConfigError(f"{name}: is required for simulate")
+    reads = _MODES[cfg.mode][2]
+    for name in _FIELDS:
+        if name not in reads and name != "out" and getattr(cfg, name) is not None:
+            raise ConfigError(f"{name}: {cfg.mode} does not take it")
+    for name, default in reads.items():
+        if default is None and getattr(cfg, name) is None:
+            raise ConfigError(f"{name}: is required for {cfg.mode}")
     return cfg
 
 
@@ -153,10 +135,12 @@ def load_config(path: str) -> RunConfig:
 
 def build_config(mode: str, flags: dict, file_values: dict) -> RunConfig:
     """Merge flag values over file values over mode defaults, then validate."""
-    merged = dict(_DEFAULTS.get(mode, {}))
+    if mode not in MODES:
+        raise ConfigError(f"mode: must be one of {MODES}, got {mode!r}")
+    merged = {k: v for k, v in _MODES[mode][2].items() if v is not None}
     merged.update({k: v for k, v in file_values.items() if k != "mode" and v is not None})
     merged.update({k: v for k, v in flags.items() if v is not None})
-    if "c" in merged and merged["c"] is not None:
+    if "c" in merged:
         merged["c"] = _parse_c(merged["c"])
     return _validated(RunConfig(mode=mode, **{k: merged.get(k) for k in _FIELDS}))
 
@@ -169,33 +153,20 @@ def _write_text(path: str | None, text: str):
             fh.write(text)
 
 
-def _report_json(suite: str, seed: int, checks) -> tuple[dict, bool]:
-    checks = sorted(checks, key=lambda r: r.law_name)
-    overall = all(c.passed for c in checks)
-    obj = {
-        "suite": suite,
-        "seed": int(seed),
-        "checks": [c.to_dict() for c in checks],
-        "overall_pass": overall,
-        "wall_time_seconds": 0.0,
-    }
-    return obj, overall
-
-
 def cmd_simulate(cfg: RunConfig) -> int:
     if cfg.out is None:
         raise ConfigError("out: simulate needs an output path for the CSV")
-    _bind_library()
-    icfg = IntegratorConfig(dt=cfg.dt, t_end=cfg.t_end, omega=cfg.omega, q0=cfg.q0,
-                            p0=cfg.p0, params=MuParams(cfg.c), record_every=cfg.record_every)
-    if hamiltonian(icfg.initial_state()) <= 0.0:
+    icfg = operlax.IntegratorConfig(dt=cfg.dt, t_end=cfg.t_end, omega=cfg.omega, q0=cfg.q0,
+                                    p0=cfg.p0, params=operlax.MuParams(cfg.c),
+                                    record_every=cfg.record_every)
+    if operlax.hamiltonian(icfg.initial_state()) <= 0.0:
         raise ConfigError("q0/p0: degenerate energy (H = 0); nothing to evolve")
     # the CSV's formatter, imported before the run: imported between the run and the CSV,
     # it left the benchmark's trajectory workload a peak RSS ~3 MB (5%) higher
     import orjson  # noqa: F401
-    traj = evolve(icfg)
+    traj = getattr(operlax, _MODES[cfg.mode][1])(icfg)
     with open(cfg.out, "w") as fh:
-        fh.writelines(line + "\n" for line in trajectory_csv_lines(traj))
+        fh.writelines(line + "\n" for line in operlax.trajectory_csv_lines(traj))
     print(
         f"simulate: records={len(traj)} "
         f"max_err_mu_max={traj.max_err_mu()!r} "
@@ -205,19 +176,24 @@ def cmd_simulate(cfg: RunConfig) -> int:
 
 
 def cmd_verify(cfg: RunConfig) -> int:
-    _bind_library()
+    _, name, reads = _MODES[cfg.mode]
+    suite = getattr(operlax, name)  # imports the library, numpy with it, before the clock
     started = time.monotonic()
-    obj, overall = _report_json(cfg.mode, cfg.seed, _SUITES[cfg.mode](cfg))
-    obj["wall_time_seconds"] = time.monotonic() - started
+    checks = sorted(suite(cfg.trials, cfg.seed, cfg.tol,
+                          **{k: getattr(cfg, k) for k in ("dt", "t_end") if k in reads}),
+                    key=lambda r: r.law_name)
+    overall = all(c.passed for c in checks)
+    obj = {"suite": cfg.mode, "seed": int(cfg.seed), "checks": [c.to_dict() for c in checks],
+           "overall_pass": overall, "wall_time_seconds": time.monotonic() - started}
     _write_text(cfg.out, json.dumps(obj, indent=2) + "\n")
     return 0 if overall else 1
 
 
 def cmd_bracket(first: str, second: str, out: str | None) -> int:
-    _bind_library()
-    f, g = (operation_from_dict(_read_json(path, "operation file")) for path in (first, second))
-    result = gerstenhaber_bracket(f, g)
-    _write_text(out, json.dumps(operation_to_dict(result)) + "\n")
+    f, g = (operlax.operation_from_dict(_read_json(path, "operation file"))
+            for path in (first, second))
+    result = operlax.gerstenhaber_bracket(f, g)
+    _write_text(out, json.dumps(operlax.operation_to_dict(result)) + "\n")
     return 0
 
 
@@ -231,23 +207,19 @@ def _build_parser() -> argparse.ArgumentParser:
         ("simulate", "integrate one configuration and write a CSV trajectory"),
         ("verify", "run a randomized verification suite"),
         ("pde-check", "finite-difference residuals of the defining PDE"))}
-    parsers["verify"].add_argument("suite",
-                                   choices=[m[7:] for m in _SUITES if m.startswith("verify-")])
-    for p in parsers.values():
+    parsers["verify"].add_argument("suite", choices=[
+        mode.removeprefix("verify-") for mode, row in _MODES.items() if row[0] == "verify"])
+    for command, p in parsers.items():
         p.add_argument("--config", help="JSON file with the same keys as the flags")
-    for name, kind, _, commands, help_text in _TABLE:
-        for command in commands.split():
-            parsers[command].add_argument(f"--{name.replace('_', '-')}", dest=name, type=kind,
-                                          help=help_text)
+        takes = {"out"}.union(*(reads for c, _, reads in _MODES.values() if c == command))
+        for name, kind, _, help_text in _TABLE:
+            if name in takes:
+                p.add_argument(f"--{name.replace('_', '-')}", dest=name, type=kind, help=help_text)
     br = sub.add_parser("bracket", help="bracket of two operation JSON files")
     br.add_argument("first")
     br.add_argument("second")
     br.add_argument("--out", default=None)
     return parser
-
-
-def _flags_dict(args: argparse.Namespace) -> dict:
-    return {k: getattr(args, k) for k in _FIELDS if hasattr(args, k)}
 
 
 def main(argv=None) -> int:
@@ -260,10 +232,8 @@ def main(argv=None) -> int:
         file_values = _read_config_file(args.config) if args.config else {}
         if file_values.get("mode", mode) != mode:
             raise ConfigError(f"mode: the config file's {file_values['mode']!r} is not {mode!r}")
-        cfg = build_config(mode, _flags_dict(args), file_values)
-        if mode == "simulate":
-            return cmd_simulate(cfg)
-        return cmd_verify(cfg)
+        cfg = build_config(mode, {k: getattr(args, k, None) for k in _FIELDS}, file_values)
+        return cmd_simulate(cfg) if mode == "simulate" else cmd_verify(cfg)
     except (DegenerateStateError, DivergenceError, BranchCutError, OSError, MemoryError) as exc:
         print(f"operlax: error: {exc}", file=sys.stderr)
         return 1

@@ -371,13 +371,17 @@ def _pde_residuals(w, q, p, cs, h: float) -> np.ndarray:
     since the central differences magnify a last-bit change by 1/h.  [M, mu]
     is structure_rhs_matrix(M) @ mu with one matrix per distinct omega and one
     product per state, so a state's numbers do not depend on its batch.
-    Raises DegenerateStateError at zero energy, EnergyOverflowError for a
-    stencil energy that is not finite, and BranchCutError for a stencil point
-    within 10 h / sqrt(2H) of the cut, where the branch jumps.
+    Raises ValueError for a stencil point that rounds onto its centre (h below
+    the spacing of the state's doubles), DegenerateStateError at zero energy,
+    EnergyOverflowError for a stencil energy that is not finite, and
+    BranchCutError for a stencil point within 10 h / sqrt(2H) of the cut,
+    where the branch jumps.
     """
     h = float(h)  # a Python int past int64 would make the stencil an object array
     w, q, p = (np.asarray(x)[:, None] for x in (w, q, p))
     qs, ps = q + [0.0, h, -h, 0.0, 0.0], p + [0.0, 0.0, 0.0, h, -h]
+    if np.any(qs[:, 1:3] == q) or np.any(ps[:, 3:] == p):
+        raise ValueError(f"step h = {h!r} is below the spacing of the state's doubles")
     hs = 0.5 * (ps * ps + w * w * qs * qs)
     if not np.all(np.isfinite(hs)):
         raise EnergyOverflowError(f"PDE stencil energy at step h = {h!r} is not finite")
@@ -404,7 +408,8 @@ def _pde_residuals(w, q, p, cs, h: float) -> np.ndarray:
 
 def pde_residual(s: OscState, params: MuParams, h: float) -> float:
     """PDE residual of the principal-branch family at one state; O(h^2) exact.
-    Raises ValueError unless h is a number > 0 that a finite double holds."""
+    Raises ValueError unless h is a number > 0 that a finite double holds, and
+    that moves each of q and p to another double."""
     _check_positive(h=h)
     _check_finite(h=h)
     return float(_pde_residuals(*(np.array([x]) for x in (s.omega, s.q, s.p)), [params.c], h)[0])

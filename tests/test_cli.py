@@ -1,4 +1,6 @@
 import contextlib
+import hashlib
+import importlib.util
 import io
 import json
 import math
@@ -13,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import operlax
 from operlax import ConfigError, cli, gerstenhaber_bracket, make_operation, operation_from_dict
 from operlax.cli import build_config, load_config, main
 from operlax.evolution import CSV_HEADER
@@ -227,6 +230,41 @@ def test_config_file_mode_must_be_the_command(mode, code, tmp_path, capsys):
             if code else json.loads(stdout)["checks"][0]["trials"] == 2)
 
 
+# (command, its mode, a flag of a field the mode does not read, that field in a config
+# file); theorem, pde-check and simulate read every flag of their subcommand, so their
+# flag is one that argparse does not know
+_UNREAD = [
+    (["verify", "operad", "--trials", "3"], "verify-operad", ["--dt", "0.5", "--t-end", "1e-9"],
+     {"dt": 0.5}),
+    (["verify", "identities", "--trials", "3"], "verify-identities", ["--dt", "7"],
+     {"t_end": 1.0}),
+    (["verify", "theorem", "--trials", "1", "--t-end", "0.1"], "verify-theorem",
+     ["--record-every", "2"], {"record_every": 2}),
+    (["pde-check", "--trials", "3"], "pde-check", ["--omega", "1"], {"omega": 1}),
+    (SIM_ARGS, "simulate", ["--seed", "5"], {"seed": 5}),
+]
+
+
+@pytest.mark.parametrize("command, mode, flag, key", _UNREAD, ids=[row[1] for row in _UNREAD])
+def test_field_the_mode_does_not_read_is_usage_error(command, mode, flag, key, tmp_path,
+                                                      capsys):
+    argv = command + ["--out", str(tmp_path / "out")]
+    assert run(argv, capsys)[0] == 0  # the command alone runs
+    if mode in ("verify-operad", "verify-identities"):
+        code, _, stderr = run(argv + flag, capsys)
+        assert code == 2 and f"dt: {mode} does not take it" in stderr
+    else:
+        with pytest.raises(SystemExit) as exc:
+            main(argv + flag)
+        assert exc.value.code == 2 and "unrecognized arguments" in capsys.readouterr().err
+    (name, _), = key.items()
+    (tmp_path / "run.json").write_text(json.dumps({"mode": mode, **key}))
+    code, _, stderr = run(argv + ["--config", str(tmp_path / "run.json")], capsys)
+    assert code == 2 and f"{name}: {mode} does not take it" in stderr
+    with pytest.raises(ConfigError, match=f"^{name}: {mode} does not take it$"):
+        load_config(tmp_path / "run.json")
+
+
 def test_simulate_with_config_file(tmp_path, capsys):
     out = tmp_path / "traj.csv"
     path = tmp_path / "run.json"
@@ -365,7 +403,7 @@ def test_simulate_out_of_memory_exits_1(tmp_path, capsys, monkeypatch):
     def no_memory(config):
         raise MemoryError("Unable to allocate 7.28 TiB")
 
-    monkeypatch.setattr(cli, "evolve", no_memory)
+    monkeypatch.setattr(operlax, "evolve", no_memory)
     code, _, stderr = run(SIM_ARGS + ["--out", str(tmp_path / "x.csv")], capsys)
     assert code == 1
     assert stderr == "operlax: error: Unable to allocate 7.28 TiB\n"
@@ -378,7 +416,7 @@ def test_simulate_out_of_memory_exits_1(tmp_path, capsys, monkeypatch):
 def test_each_mode_calls_its_suite_by_name_at_call_time(command, suite, capsys, monkeypatch):
     # a tracer patches the module attribute: the mode must call the patched one
     calls = []
-    monkeypatch.setattr(cli, suite, lambda *args, **kwargs: calls.append((args, kwargs)) or [])
+    monkeypatch.setattr(operlax, suite, lambda *args, **kwargs: calls.append((args, kwargs)) or [])
     code, stdout, _ = run(command + ["--trials", "3", "--seed", "5", "--tol", "0.5"], capsys)
     assert code == 0 and json.loads(stdout)["suite"] == "-".join(command)
     assert [args for args, _ in calls] == [(3, 5, 0.5)]
@@ -413,10 +451,10 @@ _COMMANDS = st.sampled_from([["simulate"], ["verify", "operad"], ["verify", "the
 def test_config_fuzz_exits_0_1_or_2(command, config):
     # null keys fall back to the defaults; shrink those sizes to keep every run small
     small = {"trials": 2, "t_end": 1.0}
-    defaults = {mode: {k: small.get(k, v) for k, v in d.items()}
-                for mode, d in cli._DEFAULTS.items()}
+    modes = {mode: (command, name, {k: small.get(k, v) for k, v in d.items()})
+             for mode, (command, name, d) in cli._MODES.items()}
     with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cli, "_DEFAULTS", defaults)
+        mp.setattr(cli, "_MODES", modes)
         mp.chdir(tmp)
         Path("run.json").write_text(json.dumps(config))
         out, err = io.StringIO(), io.StringIO()
@@ -468,3 +506,17 @@ def test_flag_fuzz_exits_0_1_or_2(argv):
             except SystemExit as exc:  # argparse rejects a malformed value this way
                 code = exc.code
     assert code in (0, 1, 2), err.getvalue()
+
+
+def test_config_acceptance_digest_is_the_stored_line(tmp_path):
+    # what load_config makes of the digest script's grid of config files depends on
+    # config parsing alone, not on libm, so its line holds on any host (the report
+    # lines, which read libm's bits, stay outside the suite)
+    root = Path(__file__).resolve().parents[1]
+    spec = importlib.util.spec_from_file_location("report_digests",
+                                                  root / "scripts" / "report_digests.py")
+    digests = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(digests)
+    line = f"{hashlib.sha256(digests._config_outcomes(root, str(tmp_path))).hexdigest()}  " \
+           "config-acceptance"
+    assert line in (root / "REPORT_DIGESTS.txt").read_text().splitlines()

@@ -655,6 +655,14 @@ def test_pde_residual_checks_h():
     # an int that no double holds: float(h) would raise OverflowError
     with pytest.raises(ValueError, match="^h must be a finite number"):
         pde_residual(OscState(1.0, 0.3, 1.2), MuParams.zeros(), 2 ** 1100)
+    # a step below the spacing of the state's doubles: q +- h (or p +- h) rounds onto
+    # the centre, and the collapsed stencil would read as a residual of |[M, mu]|
+    for h in (5e-324, 1e-310, 1e-20, 1e-17):
+        with pytest.raises(ValueError, match="below the spacing of the state's doubles"):
+            pde_residual(OscState(1.0, 0.3, 1.2), C5, h)
+    with pytest.raises(ValueError, match="below the spacing of the state's doubles"):
+        pde_residual(OscState(1.0, 1e12, 1.0), C5, 1e-5)  # the q stencil alone collapses
+    assert pde_residual(OscState(1.0, 0.3, 1.2), C5, 1e-5) < 1e-10
 
 
 def test_pde_residual_zero_params():

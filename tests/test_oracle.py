@@ -1,16 +1,24 @@
-"""Exact rational oracles for the float kernels.
+"""Exact oracles for the float kernels.
 
 At a dyadic dt and a dyadic omega every entry of the generator z = dt*B is a
 double exactly, so stdlib `Fraction` arithmetic gives the exact RK4 increment
 D = z + z^2/2 + z^3/6 + z^4/24 and its powers, against which the kernels'
-rounding is measured in ulps.
+rounding is measured in ulps.  On operations with small integer coefficients
+every composite is an integer far below 2**53, so the calculus kernels must
+equal an index formula in Python ints exactly, and every law's residual is 0.
 """
 
+import itertools
 import math
+import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from operlax import (IntegratorConfig, MuParams, gerstenhaber_bracket, make_operation,
+                     partial_compose, rk4_order_check, total_compose)
+from operlax import calculus, evolution
 from operlax.evolution import _increment_matrix, _increment_powers, structure_rhs_matrix
 from operlax.oscillator import OscState, lax_matrices
 
@@ -59,3 +67,89 @@ def test_increment_matrix_is_the_exact_d_rounded_and_its_powers_are_near_it(omeg
         got = e[:, 10 * j:10 * (j + 1)].T  # E[j] is stored transposed
         worst = max(_ulps(float(got[a, b]), power[a][b]) for a in range(10) for b in range(10))
         assert worst <= POWER_ULPS, (j, worst)
+
+
+def _exact_rk4_increment(z):
+    z2 = _matmul(z, z)
+    z3, z4 = _matmul(z2, z), _matmul(z2, z2)
+    return [[z[i][j] + z2[i][j] / 2 + z3[i][j] / 6 + z4[i][j] / 24 for j in range(len(z))]
+            for i in range(len(z))]
+
+
+@pytest.mark.parametrize("omega", [0.5, 1.0, 2.0])
+def test_order_check_steps_with_the_exact_2x2_d_rounded(omega, monkeypatch):
+    # the (q, p) block that rk4_order_check steps, at dt and dt/2
+    seen, kernel = [], evolution._rk4_chunks
+
+    def recording(y0, d, n_steps, group=None):
+        seen.append(d.tolist())
+        return kernel(y0, d, n_steps, group)
+
+    monkeypatch.setattr(evolution, "_rk4_chunks", recording)
+    rk4_order_check(IntegratorConfig(dt=DT, t_end=0.5, omega=omega, q0=0.0, p0=1.0,
+                                     params=MuParams.zeros()))
+    exact = []
+    for dt in (Fraction(DT), Fraction(DT) / 2):
+        d = _exact_rk4_increment([[Fraction(0), dt], [-dt * Fraction(omega) ** 2, Fraction(0)]])
+        exact.append([[[float(x) for x in row] for row in d]])
+    assert seen == exact
+
+
+def _flat(d: int, index) -> int:
+    pos = 0
+    for x in index:
+        pos = pos * d + x
+    return pos
+
+
+def _oracle_compose(d, f, m, g, n, i):
+    """g into slot i of f, index by index in ints:
+    (f o_i g)^a_{j1..ji k1..kn j(i+2)..jm} = (-1)^(i(n-1)) sum_b f^a_{j1..ji b ..} g^b_{k1..kn}."""
+    sign = -1 if i * (n - 1) % 2 else 1
+    out = []
+    for a, *ins in itertools.product(range(d), repeat=m + n):
+        before, inner, after = ins[:i], ins[i:i + n], ins[i + n:]
+        out.append(sign * sum(f[_flat(d, (a, *before, b, *after))] * g[_flat(d, (b, *inner))]
+                              for b in range(d)))
+    return out
+
+
+def _oracle_bracket(d, f, m, g, n):
+    fg = [sum(col) for col in zip(*(_oracle_compose(d, f, m, g, n, i) for i in range(m)))]
+    gf = [sum(col) for col in zip(*(_oracle_compose(d, g, n, f, m, i) for i in range(n)))]
+    sign = -1 if (m - 1) * (n - 1) % 2 else 1
+    return fg, [x - sign * y for x, y in zip(fg, gf)]
+
+
+def _integer_coeffs(rng, d, arity):
+    return [rng.randint(-3, 3) for _ in range(d ** (arity + 1))]
+
+
+SIZES = list(itertools.product(range(1, 4), repeat=3))  # (dim, arity of f, arity of g)
+
+
+@pytest.mark.parametrize("d, m, n", SIZES)
+def test_calculus_kernels_equal_the_integer_index_formula(d, m, n):
+    rng = random.Random(f"{d}{m}{n}")
+    f, g = _integer_coeffs(rng, d, m), _integer_coeffs(rng, d, n)
+    fo, go = make_operation(d, m, f), make_operation(d, n, g)
+    # exact equality of every coefficient; an integer has no sign of zero to compare
+    for i in range(m):
+        assert partial_compose(fo, go, i).coeffs.tolist() == _oracle_compose(d, f, m, g, n, i)
+    total, bracket = _oracle_bracket(d, f, m, g, n)
+    assert total_compose(fo, go).coeffs.tolist() == total
+    assert gerstenhaber_bracket(fo, go).coeffs.tolist() == bracket
+
+
+def test_operad_laws_vanish_exactly_on_integer_operations():
+    # the suite's four law kernels, stacked by signature as the suite runs them
+    rng = random.Random(0)
+    triples = []
+    for _ in range(60):
+        d = rng.randint(1, 3)
+        triples.append(tuple(make_operation(d, a, _integer_coeffs(rng, d, a))
+                             for a in (rng.randint(1, 3) for _ in range(3))))
+    for law, arity in ((calculus._composition_relations, 3), (calculus._graded_jacobi, 3),
+                       (calculus._antisymmetry, 2), (calculus._unit_laws, 1)):
+        residuals = calculus._by_signature(law, [ops[:arity] for ops in triples])
+        assert np.all(residuals == 0.0), law.__name__

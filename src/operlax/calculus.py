@@ -186,6 +186,7 @@ def check_composition_relations(h: Operation, f: Operation, g: Operation, tol: f
     intermediate raises ValueError.
     """
     _require_same_dim(h, f, g)
+    _check_positive(tol=tol)
     worst = float(_by_signature(_composition_relations, [(h, f, g)])[0])
     return LawReport("composition-relations", h.arity * (h.arity + f.reduced_degree), worst,
                      worst <= tol)
@@ -198,6 +199,7 @@ def check_graded_jacobi(f: Operation, g: Operation, h: Operation, tol: float) ->
     Overflow in an intermediate raises ValueError.
     """
     _require_same_dim(f, g, h)
+    _check_positive(tol=tol)
     worst = float(_by_signature(_graded_jacobi, [(f, g, h)])[0])
     return LawReport("graded-jacobi", 1, worst, worst <= tol)
 
@@ -205,6 +207,7 @@ def check_graded_jacobi(f: Operation, g: Operation, h: Operation, tol: float) ->
 @_quiet
 def check_unit_laws(f: Operation, tol: float) -> LawReport:
     """Left unit in slot 0 and right unit in every slot must reproduce f exactly."""
+    _check_positive(tol=tol)
     worst = float(_by_signature(_unit_laws, [(f,)])[0])
     return LawReport("unit-laws", f.arity + 1, worst, worst <= tol)
 

@@ -324,13 +324,15 @@ def _config_batch(config: IntegratorConfig) -> _Batch:
     return _Batch(config.dt, config.t_end, w, q, p, [config.params.c])
 
 
+@_quiet
 def analytic_mu(config: IntegratorConfig, t: float) -> Operation:
     """Reference mu at time t on the continuous branch.
 
     The closed-form flow advances the phase angle linearly, so the branch is
     picked by the exact unwrapped angle theta0 + omega*t, with theta0 the
-    principal angle of the initial state.  Requires H > 0.
+    principal angle of the initial state.  Requires H > 0 and a finite number t.
     """
+    _check_finite(t=t)
     return Operation(2, 2, _config_batch(config).analytic_mu(t)[0, 0])
 
 

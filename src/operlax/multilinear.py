@@ -47,10 +47,9 @@ class Operation:
     coeffs: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise DimensionMismatchError(f"dim must be >= 1, got {self.dim}")
-        if self.arity < 1:
-            raise DimensionMismatchError(f"arity must be >= 1, got {self.arity}")
+        for name, n in (("dim", self.dim), ("arity", self.arity)):  # a bool is no int here
+            if not (type(n) is int or isinstance(n, np.integer)) or n < 1:
+                raise DimensionMismatchError(f"{name} must be an int >= 1, got {n!r}")
         coeffs = np.asarray(self.coeffs, dtype=float).reshape(-1)
         expected = self.dim ** (self.arity + 1)
         if coeffs.size != expected:

@@ -182,37 +182,6 @@ def g_functions(s: OscState, dq: float, dp: float) -> tuple:
     return tuple(float(v) for v in _g_values(s.omega, dq, dp, *aux_functions_principal(s)))
 
 
-# One token per entry; p/m are the half-frequency G values, P/M the
-# 3/2-frequency ones.  Zeros here are structural: they hold for any state.
-_GAMMA_PATTERN = [
-    "0 +p -p 0 0 +m -m 0",
-    "0 +m -m 0 0 -p +p 0",
-    "0 0 -p -m +p +m 0 0",
-    "0 0 -m +p +m -p 0 0",
-    "+m 0 -p 0 0 +m 0 -p",
-    "+p 0 +m 0 0 +p 0 +m",
-    "+M -P -P -M -P -M -M +P",
-    "+P +M +M -P +M -P -P -M",
-]
-
-
-# The pattern parsed once: which of (0, p, m, P, M) each entry takes, and its sign.
-_GAMMA_INDEX = np.array([["0pmPM".index(tok[-1]) for tok in row.split()]
-                         for row in _GAMMA_PATTERN])
-_GAMMA_SIGN = np.array([[-1.0 if tok[0] == "-" else 1.0 for tok in row.split()]
-                        for row in _GAMMA_PATTERN])
-
-
-def _gamma_from_g(g: tuple) -> np.ndarray:
-    # g holds the four G values, floats or arrays over trials: shape (..., 8, 8)
-    return np.stack(np.broadcast_arrays(0.0, *g), axis=-1)[..., _GAMMA_INDEX] * _GAMMA_SIGN
-
-
-def gamma_structural_zeros() -> np.ndarray:
-    """Boolean 8x8 mask of the entries that are zero for every state."""
-    return _GAMMA_INDEX == 0
-
-
 def _family_coeffs(ap, am, dp, dm, c) -> np.ndarray:
     # structure constants in flat order (output index first, one-based labels
     # mu_111, mu_112, ..., mu_222); works elementwise on arrays as well
@@ -230,6 +199,25 @@ def _family_coeffs(ap, am, dp, dm, c) -> np.ndarray:
         ],
         axis=-1,
     )
+
+
+# The 8x8 constraint matrix is the family's matrix in C at the four G values:
+# Gamma(G).T @ C == _family_coeffs(*G, C), rows C1..C8, columns mu in flat order.
+# At G = (1, 2, 3, 4) each entry is 0 or +-k, k the one-based G it takes; the
+# zeros hold for any state.
+_GAMMA = _family_coeffs(1.0, 2.0, 3.0, 4.0, np.eye(8))
+_GAMMA_INDEX = np.abs(_GAMMA).astype(int)
+_GAMMA_SIGN = np.sign(_GAMMA)
+
+
+def _gamma_from_g(g: tuple) -> np.ndarray:
+    # g holds the four G values, floats or arrays over trials: shape (..., 8, 8)
+    return np.stack(np.broadcast_arrays(0.0, *g), axis=-1)[..., _GAMMA_INDEX] * _GAMMA_SIGN
+
+
+def gamma_structural_zeros() -> np.ndarray:
+    """Boolean 8x8 mask of the entries that are zero for every state."""
+    return _GAMMA_INDEX == 0
 
 
 def mu_family(s: OscState, params: MuParams) -> Operation:

@@ -160,6 +160,16 @@ def test_graded_jacobi():
     assert rep.passed
 
 
+def test_law_checks_take_tol_by_the_suites_rule():
+    # NaN and -1.0 once gave failing reports, True a passing one, None a TypeError
+    unit = identity_operation(2)
+    for tol in (math.nan, -1.0, True, None):
+        for check, ops in ((check_unit_laws, [unit]), (check_graded_jacobi, [unit] * 3),
+                           (check_composition_relations, [unit] * 3)):
+            with pytest.raises(ValueError, match="tol must be a number > 0"):
+                check(*ops, tol=tol)
+
+
 def _operations(dim):
     # any arity <= 3, coefficients anywhere in [-1, 1]
     return st.integers(1, 3).flatmap(lambda n: arrays(

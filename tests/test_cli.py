@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import hashlib
 import importlib.util
@@ -520,3 +521,17 @@ def test_config_acceptance_digest_is_the_stored_line(tmp_path):
     line = f"{hashlib.sha256(digests._config_outcomes(root, str(tmp_path))).hexdigest()}  " \
            "config-acceptance"
     assert line in (root / "REPORT_DIGESTS.txt").read_text().splitlines()
+
+
+def _print_calls(path: Path) -> list:
+    return [node.lineno for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "print"]
+
+
+def test_only_the_cli_prints():
+    # the library reports through return values and exceptions; writing is the CLI's
+    package = Path(operlax.__file__).parent
+    assert _print_calls(package / "cli.py")  # the finder sees the CLI's own calls
+    calls = {p.name: _print_calls(p) for p in package.glob("*.py") if p.name != "cli.py"}
+    assert calls and not any(calls.values()), calls

@@ -473,6 +473,17 @@ def test_analytic_mu_initial_agreement():
                            mu_family(cfg.initial_state(), cfg.params).coeffs)
 
 
+def test_analytic_mu_takes_a_finite_number_t_quietly():
+    # each once raised a numpy or Python error, ran at t = 1, or warned on stderr first
+    cfg = IntegratorConfig(dt=1e-3, t_end=1.0, omega=2.0, q0=0.3, p0=0.8, params=C5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for t in ("x", None, 2 ** 1100, True, [1.0, 2.0], math.inf, 1e308):
+            with pytest.raises(ValueError):
+                analytic_mu(cfg, t)
+    assert analytic_mu(cfg, 1).coeffs.tobytes() == analytic_mu(cfg, 1.0).coeffs.tobytes()
+
+
 def test_analytic_mu_antiperiodicity():
     rng = trial_rng(4, 4)
     for omega in (0.5, 1.0, 2.0):

@@ -38,6 +38,17 @@ def test_coefficient_length_must_match():
         make_operation(3, 1, np.zeros(8))
 
 
+def test_dim_and_arity_must_be_ints():
+    # 2.0 and True compare with 1, but no tensor has a float or bool dimension
+    for dim, arity, coeffs in ((2.0, 1, [1, 0, 0, 1]), (True, 1, [2.0]), ("2", 1, [1, 0, 0, 1]),
+                               (2, 1.0, [1, 0, 0, 1]), (1, True, [2.0]), (0, 1, [])):
+        with pytest.raises(DimensionMismatchError):
+            make_operation(dim, arity, coeffs)
+    f = make_operation(np.int64(2), np.int32(1), [1, 0, 0, 1])
+    assert operation_to_dict(operation_from_dict({"dim": 2.0, "arity": 1, "coeffs": f.coeffs})) \
+        == {"dim": 2, "arity": 1, "coeffs": [1.0, 0.0, 0.0, 1.0]}
+
+
 def test_nonfinite_coefficients_rejected():
     with pytest.raises(ValueError):
         make_operation(2, 1, [0.0, np.nan, 0.0, 1.0])

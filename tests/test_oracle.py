@@ -6,6 +6,8 @@ D = z + z^2/2 + z^3/6 + z^4/24 and its powers, against which the kernels'
 rounding is measured in ulps.  On operations with small integer coefficients
 every composite is an integer far below 2**53, so the calculus kernels must
 equal an index formula in Python ints exactly, and every law's residual is 0.
+The family and its constraint matrix on small integers are exact in the same
+way, so their identities hold bit for bit.
 """
 
 import itertools
@@ -20,7 +22,7 @@ from operlax import (IntegratorConfig, MuParams, gerstenhaber_bracket, make_oper
                      partial_compose, rk4_order_check, total_compose)
 from operlax import calculus, evolution
 from operlax.evolution import _increment_matrix, _increment_powers, structure_rhs_matrix
-from operlax.oscillator import OscState, lax_matrices
+from operlax.oscillator import OscState, _family_coeffs, _gamma_from_g, lax_matrices
 
 DT = 2.0 ** -10
 POWERS = 16
@@ -153,3 +155,25 @@ def test_operad_laws_vanish_exactly_on_integer_operations():
                        (calculus._antisymmetry, 2), (calculus._unit_laws, 1)):
         residuals = calculus._by_signature(law, [ops[:arity] for ops in triples])
         assert np.all(residuals == 0.0), law.__name__
+
+
+def _integer_draws(seed, n, rows):
+    # rows x n small integers as doubles, each row one argument over n trials
+    return np.random.default_rng(seed).integers(-9, 10, size=(rows, n)).astype(float)
+
+
+def test_family_solves_the_lax_equation_on_shell_exactly():
+    # at omega = 2 the on-shell flow is dA+/dt = -A-, dA-/dt = A+, dD+/dt = -3 D-,
+    # dD-/dt = 3 D+, so [M, mu] of the family is the family at those derivatives
+    rhs = structure_rhs_matrix(lax_matrices(OscState(2.0, 0.0, 0.0))[1])
+    assert rhs.tolist() == structure_rhs_matrix(make_operation(2, 1, [0, -1, 1, 0])).tolist()
+    ap, am, dp, dm, *c = _integer_draws(1, 200, 12)
+    mu = _family_coeffs(ap, am, dp, dm, c)
+    assert (mu @ rhs.T).tolist() == _family_coeffs(-am, ap, -3.0 * dm, 3.0 * dp, c).tolist()
+
+
+def test_gamma_transposed_times_c_is_the_family_exactly():
+    # rows of the constraint matrix are C1..C8, columns the structure constants
+    g, c = tuple(_integer_draws(2, 500, 4)), _integer_draws(3, 500, 8)
+    lhs = np.einsum("kij,ik->kj", _gamma_from_g(g), c)
+    assert lhs.tolist() == _family_coeffs(*g, c).tolist()

@@ -23,7 +23,6 @@ from operlax import (
 from operlax.calculus import TRIAL_BLOCK
 from operlax.evolution import _PDE_RANGES, _THEOREM_RANGES
 from operlax.oscillator import (
-    _GAMMA_PATTERN,
     _IDENTITY_RANGES,
     _OMEGAS,
     _a_dots,
@@ -327,8 +326,23 @@ def test_gamma_structural_sparsity():
     assert np.all(_gamma_from_g(_g_values(w, dq, dp, *aux))[:, mask] == 0.0)
 
 
+# The paper's constraint matrix, one token per entry: p/m are the half-frequency
+# G values, P/M the 3/2-frequency ones, and the zeros hold for any state.  The
+# library reads the matrix off the family instead; this copy checks it.
+_GAMMA_PATTERN = [
+    "0 +p -p 0 0 +m -m 0",
+    "0 +m -m 0 0 -p +p 0",
+    "0 0 -p -m +p +m 0 0",
+    "0 0 -m +p +m -p 0 0",
+    "+m 0 -p 0 0 +m 0 -p",
+    "+p 0 +m 0 0 +p 0 +m",
+    "+M -P -P -M -P -M -M +P",
+    "+P +M +M -P +M -P -P -M",
+]
+
+
 def test_gamma_arrays_follow_the_pattern():
-    # entry by entry from the pattern's tokens, as the arrays are meant to read it
+    # entry by entry from the paper's tokens, against the matrix read off the family
     g = (0.3, -1.7, 2.9, -0.05)
     lookup = dict(zip("pmPM", g))
     expected = [[0.0 if tok == "0" else float(tok[0] + "1") * lookup[tok[1]] for tok in row.split()]

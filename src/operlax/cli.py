@@ -165,8 +165,8 @@ def cmd_simulate(cfg: RunConfig) -> int:
     # it left the benchmark's trajectory workload a peak RSS ~3 MB (5%) higher
     import orjson  # noqa: F401
     traj = getattr(operlax, _MODES[cfg.mode][1])(icfg)
-    with open(cfg.out, "w") as fh:
-        fh.writelines(line + "\n" for line in operlax.trajectory_csv_lines(traj))
+    with open(cfg.out, "w") as fh:  # one write per chunk of records, not one per line
+        fh.writelines(operlax.trajectory_csv_chunks(traj))
     print(
         f"simulate: records={len(traj)} "
         f"max_err_mu_max={traj.max_err_mu()!r} "

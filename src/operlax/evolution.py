@@ -15,8 +15,8 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field, fields, replace
-from functools import cached_property
+from dataclasses import dataclass, field, replace
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -37,7 +37,6 @@ from .oscillator import (
     OscState,
     _aux_values,
     _family_coeffs,
-    _g_values,
     _libm,
     _polar,
     _principal_angle,
@@ -59,6 +58,7 @@ __all__ = [
     "theorem_suite",
     "pde_suite",
     "trajectory_csv_lines",
+    "trajectory_csv_chunks",
     "CSV_HEADER",
 ]
 
@@ -71,31 +71,26 @@ CHUNK_STEPS = 256
 
 @dataclass(frozen=True)
 class Trajectory:
-    """The records of one run as read-only columns; row n of each is record n.
-
-    t, q, p, H (energy), err (worst |mu - mu_ana|) and drift (relative energy
-    drift) have shape (n,).  mu (integrated) and mu_ana (analytic reference on
-    the continuous branch) have shape (n, 8) in flat coefficient order, and g
-    holds the four on-shell G values at the numeric state, shape (n, 4).
-    """
+    """One run's records as one read-only, C-contiguous table of shape (n, 22) in the
+    CSV's column order, row n record n, and its columns as read-only views: t, q, p,
+    H (energy), err (worst |mu - mu_ana|) and drift (relative energy drift) of shape
+    (n,); mu (integrated) and mu_ana (analytic reference on the continuous branch) of
+    shape (n, 8) in flat coefficient order.  A table of another shape is a ValueError."""
 
     config: "IntegratorConfig"
-    t: np.ndarray
-    q: np.ndarray
-    p: np.ndarray
-    H: np.ndarray
-    mu: np.ndarray
-    mu_ana: np.ndarray
-    err: np.ndarray
-    g: np.ndarray
-    drift: np.ndarray
+    table: np.ndarray
+    t, q, p, H, mu, mu_ana, err, drift = (property(lambda self, k=k: self.table[:, k]) for k in (
+        0, 1, 2, 3, slice(4, 12), slice(12, 20), 20, 21))
 
     def __post_init__(self):
-        for f in fields(self)[1:]:
-            getattr(self, f.name).flags.writeable = False
+        table = np.ascontiguousarray(self.table, dtype=float)
+        if table.ndim != 2 or table.shape[1] != 22:
+            raise ValueError(f"table must have shape (n, 22), got {table.shape}")
+        table.flags.writeable = False
+        object.__setattr__(self, "table", table)
 
     def __len__(self) -> int:
-        return len(self.t)
+        return len(self.table)
 
     def max_err_mu(self) -> float:
         return float(np.max(self.err))
@@ -341,8 +336,7 @@ def evolve(config: IntegratorConfig) -> Trajectory:
 
     The initial mu is the family evaluated on the principal branch at the
     initial state.  Each record carries the numeric and analytic structure
-    constants, their worst difference, the on-shell G values at the numeric
-    state, and the relative energy drift.
+    constants, their worst difference, and the relative energy drift.
     """
     batch = _config_batch(config)
     kept, steps = [], []
@@ -355,12 +349,9 @@ def evolve(config: IntegratorConfig) -> Trajectory:
     ys = np.concatenate(kept)
     t = np.concatenate(steps) * config.dt
     energy, mu_ana, dev, drift = (a[0] for a in batch.compare(t[:, None], ys))
-
-    w = config.omega
-    q, p, mu = ys[:, 0, 0], ys[:, 0, 1], ys[:, 0, 2:]
-    aux_num = _aux_values(_principal_angle(w * q, p, np.arctan2), energy)
-    g = np.stack(_g_values(w, p, -w * w * q, *aux_num), axis=1)
-    return Trajectory(config, t, q, p, energy, mu, mu_ana, dev.max(axis=1), g, drift)
+    err = reduce(np.maximum, dev.T)  # column by column: dev.max(axis=1) took ~10x longer
+    return Trajectory(config, np.column_stack((t, ys[:, 0, :2], energy, ys[:, 0, 2:], mu_ana,
+                                               err, drift)))
 
 
 @_quiet
@@ -494,14 +485,20 @@ def trajectory_csv_lines(traj: Trajectory):
 
     Numbers are written as repr writes them: shortest round-trip decimal
     formatting (at most 17 significant digits), so re-parsing reproduces the
-    doubles bit for bit.  Each CHUNK_STEPS records are formatted at once.
+    doubles bit for bit.  Each CHUNK_STEPS rows of the table are formatted at
+    once; trajectory_csv_chunks yields the same text a chunk at a time.
     """
     yield CSV_HEADER
     for lo in range(0, len(traj), CHUNK_STEPS):
-        rows = slice(lo, lo + CHUNK_STEPS)
-        yield from _csv_rows(np.column_stack((traj.t[rows], traj.q[rows], traj.p[rows],
-                                              traj.H[rows], traj.mu[rows], traj.mu_ana[rows],
-                                              traj.err[rows], traj.drift[rows])))
+        yield from _csv_rows(traj.table[lo:lo + CHUNK_STEPS])
+
+
+def trajectory_csv_chunks(traj: Trajectory):
+    """Yield the lines of trajectory_csv_lines, each ending in a newline, as the header
+    line and then one string per CHUNK_STEPS records: a file takes one write per chunk."""
+    yield CSV_HEADER + "\n"
+    for lo in range(0, len(traj), CHUNK_STEPS):
+        yield "\n".join(_csv_rows(traj.table[lo:lo + CHUNK_STEPS])) + "\n"
 
 
 # (energy, angle, C1..C8) of the theorem suite's trials, each uniform in [low, high]

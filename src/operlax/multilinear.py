@@ -50,6 +50,7 @@ class Operation:
         for name, n in (("dim", self.dim), ("arity", self.arity)):  # a bool is no int here
             if not (type(n) is int or isinstance(n, np.integer)) or n < 1:
                 raise DimensionMismatchError(f"{name} must be an int >= 1, got {n!r}")
+            object.__setattr__(self, name, int(n))  # json.dumps refuses a numpy int
         coeffs = np.asarray(self.coeffs, dtype=float).reshape(-1)
         expected = self.dim ** (self.arity + 1)
         if coeffs.size != expected:

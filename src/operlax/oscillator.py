@@ -107,13 +107,13 @@ def _libm(f, *arrays) -> np.ndarray:
     return np.reshape([f(*x) for x in zip(*(a.ravel().tolist() for a in xs))], xs[0].shape)
 
 
-def _principal_angle(y, x, atan2=math.atan2):
-    """Angle of the point (x, y) in (-pi, pi]: floats with math.atan2, arrays with np.arctan2.
+def _principal_angle(y, x):
+    """Angle of the point (x, y) in (-pi, pi] by libm's atan2; _libm maps it over arrays.
 
     No answer depends on the sign of a zero: an angle of -0.0 (y = -0.0, or a
     tiny negative y beside a large x) is reported as 0.0, and -pi as pi.
     """
-    theta = atan2(y, x) + 0.0
+    theta = math.atan2(y, x) + 0.0
     return theta + 2.0 * math.pi * (theta == -math.pi)
 
 

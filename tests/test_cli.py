@@ -42,6 +42,19 @@ def test_simulate_writes_csv(tmp_path, capsys):
     assert "max_err_mu_max=" in stdout and "max_energy_drift=" in stdout
 
 
+def test_simulate_writes_the_csv_lines_of_its_trajectory(tmp_path, capsys, monkeypatch):
+    # the CLI reads the chunk writer from the package when it runs
+    seen = []
+    writer = operlax.trajectory_csv_chunks
+    monkeypatch.setattr(operlax, "trajectory_csv_chunks", lambda traj: seen.append(traj)
+                        or writer(traj))
+    out = tmp_path / "traj.csv"
+    assert run(SIM_ARGS + ["--out", str(out)], capsys)[0] == 0
+    traj, = seen
+    assert len(traj) == 2001
+    assert out.read_bytes() == ("\n".join(operlax.trajectory_csv_lines(traj)) + "\n").encode()
+
+
 def test_simulate_missing_omega_is_usage_error(tmp_path, capsys):
     argv = ["simulate", "--q0", "0", "--p0", "1", "--out", str(tmp_path / "x.csv")]
     code, _, stderr = run(argv, capsys)

@@ -22,7 +22,6 @@ from operlax import (
     OscState,
     analytic_mu,
     evolve,
-    g_functions,
     gerstenhaber_bracket,
     hamiltonian,
     lax_matrices,
@@ -37,6 +36,7 @@ from operlax import (
     structure_constant_rhs,
     structure_rhs_matrix,
     theorem_suite,
+    trajectory_csv_chunks,
     trajectory_csv_lines,
     trial_rng,
 )
@@ -506,8 +506,13 @@ def test_evolve_matches_family():
     assert traj.t[0] == 0.0
     assert np.all(np.diff(traj.t) > 0.0)
     assert len(traj) == 20001
-    with pytest.raises(ValueError):
-        traj.q[0] = 1.0  # columns are read-only
+    assert traj.table.flags.c_contiguous
+    # the table and its column views are read-only
+    for column in (traj.t, traj.q, traj.mu, traj.table):
+        with pytest.raises(ValueError):
+            column[(0,) * column.ndim] = 1.0
+    with pytest.raises(ValueError, match=r"shape \(n, 22\)"):
+        Trajectory(cfg, traj.table[:, :21])
 
 
 def test_evolve_zero_params_stays_zero():
@@ -534,8 +539,6 @@ def test_evolve_records_match_scalar_api():
         ref = analytic_mu(cfg, t).coeffs
         assert np.max(np.abs(traj.mu_ana[n] - ref)) <= 1e-13
         s = OscState(cfg.omega, float(traj.q[n]), float(traj.p[n]))
-        g_ref = g_functions(s, s.p, -s.omega * s.omega * s.q)
-        npt.assert_allclose(traj.g[n], g_ref, atol=1e-14, rtol=0)
         assert abs(hamiltonian(s) - traj.H[n]) <= 1e-15 * (1.0 + traj.H[n])
         assert traj.err[n] == max(abs(a - b) for a, b in zip(traj.mu[n], traj.mu_ana[n]))
 
@@ -564,19 +567,6 @@ def test_evolve_columns_are_the_chunks_states(record_every):
     assert traj.q.tobytes() == ys[keep, 0].tobytes()
     assert traj.p.tobytes() == ys[keep, 1].tobytes()
     assert traj.mu.tobytes() == ys[keep, 2:].tobytes()
-
-
-def test_evolve_g_values_stay_onshell():
-    cfg = IntegratorConfig(dt=1e-3, t_end=10.0, omega=2.0, q0=0.8, p0=0.3, params=C5)
-    traj = evolve(cfg)
-    worst = np.max(np.abs(traj.g))
-    assert worst <= 1e-9
-
-
-def test_evolve_g_ignores_sign_of_zero_q():
-    g = [evolve(IntegratorConfig(dt=1e-3, t_end=0.002, omega=1.0, q0=q0, p0=-1.0)).g
-         for q0 in (-0.0, 0.0)]
-    assert g[0].tobytes() == g[1].tobytes()
 
 
 def test_evolve_l_spectrum_is_constant():
@@ -956,12 +946,17 @@ def _repr_csv(traj):
 
 
 def _table_trajectory(table):
-    # a Trajectory whose CSV rows are the rows of table (n, 22); g is not written
-    table = np.asarray(table, dtype=float)
-    cols = np.split(table, [1, 2, 3, 4, 12, 20, 21], axis=1)
-    t, q, p, h, mu, mu_ana, err, drift = (c[:, 0] if c.shape[1] == 1 else c for c in cols)
+    # a Trajectory whose CSV rows are the rows of table (n, 22)
     cfg = IntegratorConfig(dt=1e-3, t_end=1.0, omega=1.0, q0=0.0, p0=1.0)
-    return Trajectory(cfg, t, q, p, h, mu, mu_ana, err, np.zeros((len(table), 4)), drift)
+    return Trajectory(cfg, np.array(table, dtype=float))
+
+
+def _chunked_csv(traj):
+    chunks = list(trajectory_csv_chunks(traj))
+    # one string per chunk of records, never one per line
+    assert len(chunks) == 1 + math.ceil(len(traj) / CHUNK_STEPS)
+    assert "".join(chunks) == "\n".join(trajectory_csv_lines(traj)) + "\n"
+    return "".join(chunks)
 
 
 @settings(derandomize=True, database=None, max_examples=500, deadline=None)
@@ -991,9 +986,19 @@ def test_csv_writes_non_finite_values_as_repr_does():
     lines = list(trajectory_csv_lines(_table_trajectory(table)))
     assert lines == _repr_csv(_table_trajectory(table))
     assert [line.split(",")[k] for line, k in zip(lines[1:], (4, 12, 21))] == ["nan", "inf", "-inf"]
+    _chunked_csv(_table_trajectory(table))
 
 
-@pytest.mark.parametrize("records", [1, CHUNK_STEPS, CHUNK_STEPS + 1])
+def test_csv_chunks_spell_a_band_value_in_the_last_chunk_as_repr_does():
+    # only the last chunk takes the [1e-5, 1e-4) rewrite
+    table = np.tile(np.linspace(0.5, 2.0, 22), (2 * CHUNK_STEPS + 3, 1))
+    table[-1, 5] = -1.5e-5
+    lines = _chunked_csv(_table_trajectory(table)).splitlines()
+    assert lines[1:] == _repr_rows(table)
+    assert lines[-1].split(",")[5] == "-1.5e-05"
+
+
+@pytest.mark.parametrize("records", [1, CHUNK_STEPS, CHUNK_STEPS + 1, 3 * CHUNK_STEPS + 5])
 def test_trajectory_csv_matches_repr_across_chunks(records):
     # between them the rows hold all three spellings orjson writes otherwise than repr
     if records == 1:
@@ -1003,3 +1008,4 @@ def test_trajectory_csv_matches_repr_across_chunks(records):
                                        q0=1e-7, p0=3e-7, params=MuParams(np.linspace(-1, 1, 8))))
     assert len(traj) == records
     assert list(trajectory_csv_lines(traj)) == _repr_csv(traj)
+    _chunked_csv(traj)

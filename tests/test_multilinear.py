@@ -1,3 +1,4 @@
+import json
 import warnings
 
 import numpy as np
@@ -144,3 +145,13 @@ def test_json_dict_roundtrip():
     npt.assert_array_equal(back.coeffs, f.coeffs)
     with pytest.raises(ValueError):
         operation_from_dict({"dim": 2, "coeffs": [1.0]})
+
+
+def test_numpy_int_sizes_are_stored_as_ints():
+    # a numpy int64 dim once reached operation_to_dict, which json.dumps refused
+    f = make_operation(np.int64(2), np.int32(1), [1, 0, 0, 1])
+    assert type(f.dim) is int and type(f.arity) is int
+    text = json.dumps(operation_to_dict(f))
+    back = operation_from_dict(json.loads(text))
+    assert (back.dim, back.arity) == (2, 1)
+    assert back.coeffs.tobytes() == f.coeffs.tobytes()

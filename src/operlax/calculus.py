@@ -295,56 +295,44 @@ def random_operation(rng: np.random.Generator, dim: int, arity: int) -> Operatio
     return Operation(dim, arity, rng.uniform(-1.0, 1.0, size=dim ** (arity + 1)))
 
 
-# Trials per block of a trial-vectorised suite: memory follows the block, not
-# the trial count.
+# Trials per block of _worst_case_reports: memory follows the block, not the
+# trial count.
 TRIAL_BLOCK = 256
 
 
-def _blocked_rows(trials: int, block_rows):
-    """Residual rows of trials 0..trials-1 as blocks of rows, in trial order.
-
-    block_rows(first, stop) gives an array with one row per trial in
-    first..stop-1; it is called for TRIAL_BLOCK trials at a time.
-    """
-    for first in range(0, trials, TRIAL_BLOCK):
-        yield block_rows(first, min(first + TRIAL_BLOCK, trials))
-
-
-def _check_suite_args(tol, **trials):
-    """Raise ValueError unless the trial count is an int >= 0 and tol a number > 0."""
-    _check_int(0, **trials)
+def _check_suite_args(seed, tol, **trials):
+    """Raise ValueError unless the seed and trial count are ints >= 0 and tol a number > 0."""
+    _check_int(0, seed=seed, **trials)
     _check_positive(tol=tol)
 
 
-def _worst_case_reports(names, blocks, tol: float) -> list[LawReport]:
-    """One report per name from blocks of per-trial residual rows, in trial order.
+def _worst_case_reports(names, trials: int, rows, tol: float) -> list[LawReport]:
+    """One report per name over trials 0..trials-1, TRIAL_BLOCK trials at a time.
 
-    Row k holds trial k's residual for each name; a block is an array of rows,
-    and a single row counts as a block of one.  A report keeps the worst
-    residual and the trial that produced it; on a tie the last trial wins.
-    NaN ranks above every number, so a NaN residual is reported and fails.
-    No rows give residual 0.0 and seed -1.
+    rows(ks) gives an array of one row per trial of the range ks, holding the
+    trial's residual for each name.  A report keeps the worst residual and the
+    trial that produced it; on a tie the last trial wins.  NaN ranks above every
+    number, so a NaN residual is reported and fails.  No trials give residual 0.0
+    and seed -1.
     """
     worst, at = np.zeros(len(names)), np.full(len(names), -1)
-    trials = 0
-    for block in blocks:
-        block = np.reshape(block, (-1, len(names)))
+    for first in range(0, trials, TRIAL_BLOCK):
+        block = rows(range(first, min(first + TRIAL_BLOCK, trials)))
         # argmax takes the first NaN, else the first maximum: of the reversed
         # block, so the last trial's
         last = len(block) - 1 - np.argmax(block[::-1], axis=0)
         r = block[last, np.arange(len(names))]
         later = np.isnan(r) | (r >= worst)
-        worst, at = np.where(later, r, worst), np.where(later, trials + last, at)
-        trials += len(block)
+        worst, at = np.where(later, r, worst), np.where(later, first + last, at)
     return [LawReport(name, trials, float(r), bool(r <= tol), int(k))
             for name, r, k in zip(names, worst, at)]
 
 
-def _operad_rows(seed: int, first: int, stop: int) -> np.ndarray:
-    """Residual rows of trials first..stop-1, each (h, f, g) of one dim <= 3 and arities
-    <= 3 drawn from its own stream."""
+def _operad_rows(seed: int, ks: range) -> np.ndarray:
+    """Residual rows of trials ks, each (h, f, g) of one dim <= 3 and arities <= 3
+    drawn from its own stream."""
     draws = []
-    for rng in _trial_streams(seed, range(first, stop)):
+    for rng in _trial_streams(seed, ks):
         d = int(rng.integers(1, 4))
         draws.append([random_operation(rng, d, int(rng.integers(1, 4))) for _ in range(3)])
     units = _by_signature(_unit_laws, [(op,) for ops in draws for op in ops])
@@ -364,9 +352,8 @@ def operad_law_suite(trials: int, seed: int, tol: float) -> list[LawReport]:
     aggregates the worst residual over all trials and records the trial index
     that produced it.  Each law runs once per group of a block's trials that
     share the dim and arities it reads, with the one-trial checks' digits.
-    Raises ValueError unless trials >= 0 and tol > 0.
+    Raises ValueError unless seed and trials are ints >= 0 and tol > 0.
     """
-    _check_suite_args(tol, trials=trials)
+    _check_suite_args(seed, tol, trials=trials)
     names = ["antisymmetry", "composition-relations", "graded-jacobi", "unit-laws"]
-    rows = _blocked_rows(trials, lambda k0, k1: _operad_rows(seed, k0, k1))
-    return _worst_case_reports(names, rows, tol)
+    return _worst_case_reports(names, trials, lambda ks: _operad_rows(seed, ks), tol)

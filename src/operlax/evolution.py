@@ -22,7 +22,6 @@ import numpy as np
 
 from .calculus import (
     LawReport,
-    _blocked_rows,
     _check_suite_args,
     _worst_case_reports,
     gerstenhaber_bracket,
@@ -517,10 +516,10 @@ def theorem_suite(
     and half-period antiperiodicity of the analytic branch (1e-9).  dt must
     satisfy IntegratorConfig's dt <= 0.1/omega for the largest omega, whatever
     omegas the seed draws.  Raises ValueError, before any draw, unless
-    trials >= 0, tol and dt are numbers > 0 (NaN is not, nor is a bool) and
-    t_end is positive with at most 2**53 steps.
+    seed and trials are ints >= 0, tol and dt are numbers > 0 (NaN is not, nor
+    is a bool) and t_end is positive with at most 2**53 steps.
     """
-    _check_suite_args(tol, trials=trials)
+    _check_suite_args(seed, tol, trials=trials)
     _check_positive(dt=dt)
     if dt > 0.1 / max(_OMEGAS):
         raise ValueError(f"dt: theorem trials sample omega up to {max(_OMEGAS)}, "
@@ -584,30 +583,31 @@ def pde_suite(n_states: int, seed: int, tol: float) -> list[LawReport]:
     bit-exactly and the quadratic law is cleanly resolvable.  Linearity of the
     family in its parameters extends the law from the generators to every
     parameter vector.  A NaN factor counts as outside.  Raises ValueError
-    unless n_states >= 0 and tol > 0.
+    unless seed and n_states are ints >= 0 and tol > 0.
     """
-    _check_suite_args(tol, n_states=n_states)
+    _check_suite_args(seed, tol, n_states=n_states)
     h, n_params, n_probe_states = 1e-5, 20, 8
     # state k takes vector k % n_params, so only the first n_states are ever read
     params_pool = _trial_draws(seed, range(10_000, 10_000 + min(n_params, n_states)),
                                ((-1.0, 1.0),) * 8, False).T
 
-    def residuals(first, stop):
-        ks = range(first, stop)
+    def residuals(ks):
         w, log_h, theta = _trial_draws(seed, ks, _PDE_RANGES, True)
         return _pde_residuals(w, *_polar(w, np.exp(log_h), theta),
                               params_pool[np.remainder(ks, len(params_pool))], h)[:, None]
 
-    # worst residual over the eight generators of each probe state (angle 0), at h and h/2
-    w, log_h = _trial_draws(seed, range(20_000, 20_000 + n_probe_states), _PDE_RANGES[:1], True)
-    pairs = [np.repeat(x, 8) for x in (w, *_polar(w, np.exp(log_h), 0.0))]
-    generators = np.tile(np.eye(8), (n_probe_states, 1))
-    worst = [_pde_residuals(*pairs, generators, step).reshape(-1, 8).max(axis=1)
-             for step in (h, 0.5 * h)]
-    at_h, at_half = _worst_case_reports(("h", "h/2"), [np.column_stack(worst)], tol)
+    def probes(ks):  # worst over the eight generators of each probe state (angle 0), h and h/2
+        w, log_h = _trial_draws(seed, range(20_000 + ks.start, 20_000 + ks.stop),
+                                _PDE_RANGES[:1], True)
+        pairs = [np.repeat(x, 8) for x in (w, *_polar(w, np.exp(log_h), 0.0))]
+        generators = np.tile(np.eye(8), (len(ks), 1))
+        return np.column_stack([_pde_residuals(*pairs, generators, step).reshape(-1, 8).max(axis=1)
+                                for step in (h, 0.5 * h)])
+
+    at_h, at_half = _worst_case_reports(("h", "h/2"), n_probe_states, probes, tol)
     factor = at_h.max_abs_residual / at_half.max_abs_residual
     outside = 0.0 if 3.0 <= factor <= 5.0 else max(3.0 - factor, factor - 5.0)
-    return _worst_case_reports(["pde-residual"], _blocked_rows(n_states, residuals), tol) + [
+    return _worst_case_reports(["pde-residual"], n_states, residuals, tol) + [
         LawReport("pde-residual-halving", 8 * n_probe_states, outside, outside == 0.0,
                   at_h.worst_case_seed),
     ]

@@ -131,11 +131,11 @@ def operation_to_dict(f: Operation) -> dict:
 
 
 def operation_from_dict(obj: dict) -> Operation:
-    try:  # a bool, a string or 2.7 is no size
-        sizes = obj["dim"], obj["arity"]
-        if not all(isinstance(n, numbers.Real) and not isinstance(n, bool)
-                   and float(n).is_integer() for n in sizes):
-            raise TypeError(f"got dim={sizes[0]!r}, arity={sizes[1]!r}")
-        return make_operation(*map(int, sizes), obj["coeffs"])
+    try:  # a bool, a string or a list is no number, and 2.7 is no size
+        sizes, coeffs = (obj["dim"], obj["arity"]), obj["coeffs"]
+        if (any(isinstance(x, bool) or not isinstance(x, numbers.Real) for x in (*sizes, *coeffs))
+                or not all(float(n).is_integer() for n in sizes)):
+            raise TypeError(f"got dim={sizes[0]!r}, arity={sizes[1]!r}, coeffs={coeffs!r:.40}")
+        return make_operation(*map(int, sizes), coeffs)
     except (KeyError, TypeError, OverflowError) as exc:
         raise ValueError(f"operation object needs int dim/arity, numeric coeffs: {exc}") from exc

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calculus import _blocked_rows, _check_suite_args, _trial_streams, _worst_case_reports
+from .calculus import _check_suite_args, _trial_streams, _worst_case_reports
 from .errors import DegenerateStateError, EnergyOverflowError, _check_finite
 from .multilinear import Operation, make_operation
 
@@ -294,9 +294,10 @@ def proof_identity_suite(trials: int, seed: int, tol: float) -> list:
 
     Residuals are magnitude-scaled before aggregation: the defining relations
     by 1 + sqrt(2H), the determinant identities by 1 + H^(3/2), and the G and
-    Gamma checks by 1 + H.  Raises ValueError unless trials >= 0 and tol > 0.
+    Gamma checks by 1 + H.  Raises ValueError unless seed and trials are ints >= 0
+    and tol > 0.
     """
-    _check_suite_args(tol, trials=trials)
+    _check_suite_args(seed, tol, trials=trials)
     names = [
         "aux-defining-relations",
         "aux-derivative-row1",
@@ -306,8 +307,8 @@ def proof_identity_suite(trials: int, seed: int, tol: float) -> list:
         "gamma-sparsity",
     ]
 
-    def rows(first, stop):
-        w, h, theta, dq, dp = _trial_draws(seed, range(first, stop), _IDENTITY_RANGES, False)
+    def rows(ks):
+        w, h, theta, dq, dp = _trial_draws(seed, ks, _IDENTITY_RANGES, False)
         return _identity_rows(w, *_polar(w, h, theta), dq, dp)
 
-    return _worst_case_reports(names, _blocked_rows(trials, rows), tol)
+    return _worst_case_reports(names, trials, rows, tol)

@@ -1,6 +1,7 @@
 import json
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import numpy.testing as npt
@@ -23,6 +24,7 @@ from operlax import (
     pde_suite,
     proof_identity_suite,
     random_operation,
+    theorem_suite,
     total_compose,
     trial_rng,
 )
@@ -339,15 +341,15 @@ def _one_trial_rows(seed, trials, tol=1e-10):
 def test_operad_law_suite_rows_match_one_trial_checks():
     rows, signatures = _one_trial_rows(seed=3, trials=400)
     assert len(signatures) == 3 ** 4  # every (d, l, m, n) with d and arities in 1..3
-    assert _operad_rows(3, 0, 400).tolist() == rows  # bit for bit, one block of 400
+    assert _operad_rows(3, range(400)).tolist() == rows  # bit for bit, one block of 400
     names = ["antisymmetry", "composition-relations", "graded-jacobi", "unit-laws"]
-    assert operad_law_suite(400, 3, 1e-10) == _worst_case_reports(names, rows, 1e-10)
+    assert operad_law_suite(400, 3, 1e-10) == _table_reports(rows, 1e-10, names)
 
 
 def test_operad_rows_do_not_depend_on_the_block():
-    block = _operad_rows(11, 0, TRIAL_BLOCK)
+    block = _operad_rows(11, range(TRIAL_BLOCK))
     for k in range(TRIAL_BLOCK):
-        npt.assert_array_equal(_operad_rows(11, k, k + 1)[0], block[k])
+        npt.assert_array_equal(_operad_rows(11, range(k, k + 1))[0], block[k])
 
 
 def test_operad_law_suite_memory_stays_near_one_trial():
@@ -378,8 +380,14 @@ def test_operad_law_suite_raises_when_an_intermediate_overflows(monkeypatch, cap
     assert "coefficients must all be finite" in err and "Warning" not in err
 
 
+def _table_reports(rows, tol=1e-10, names=("x",)):
+    """_worst_case_reports over a table of rows, one per trial, read by range."""
+    table = np.reshape(np.array(rows, dtype=float), (-1, len(names)))
+    return _worst_case_reports(list(names), len(table), lambda ks: table[ks.start:ks.stop], tol)
+
+
 def test_worst_case_nan_outranks_later_numbers():
-    (rep,) = _worst_case_reports(["x"], [(1e-20,), (math.nan,), (1e-20,)], 1e-10)
+    (rep,) = _table_reports([(1e-20,), (math.nan,), (1e-20,)])
     assert math.isnan(rep.max_abs_residual) and rep.worst_case_seed == 1 and not rep.passed
 
 
@@ -388,32 +396,44 @@ def test_non_finite_residual_is_null_in_strict_json():
         raise ValueError(f"{token} is not strict JSON")
 
     for bad in (math.nan, math.inf):
-        (rep,) = _worst_case_reports(["x"], [(1e-20,), (bad,)], 1e-10)
+        (rep,) = _table_reports([(1e-20,), (bad,)])
         obj = json.loads(json.dumps(rep.to_dict()), parse_constant=reject)
         assert obj == {"law": "x", "trials": 2, "max_abs_residual": None, "pass": False, "seed": 1}
-    (rep,) = _worst_case_reports(["x"], [(1e-20,)], 1e-10)
+    (rep,) = _table_reports([(1e-20,)])
     assert json.dumps(rep.to_dict()) == ('{"law": "x", "trials": 1, "max_abs_residual": 1e-20, '
                                          '"pass": true, "seed": 0}')
 
 
 def test_worst_case_nan_only_rows():
-    (rep,) = _worst_case_reports(["x"], [(math.nan,)], 1e-10)
+    (rep,) = _table_reports([(math.nan,)])
     assert math.isnan(rep.max_abs_residual) and rep.worst_case_seed == 0 and not rep.passed
-    (rep,) = _worst_case_reports(["x"], [(math.nan,), (math.nan,)], 1e-10)
+    (rep,) = _table_reports([(math.nan,), (math.nan,)])
     assert rep.worst_case_seed == 1  # a tie still names the last trial
+
+
+def test_worst_case_blocks_reduce_as_rows(monkeypatch):
+    # a trial's row does not depend on its block, so neither do the suites' reports
+    suites = [lambda: operad_law_suite(7, 3, 1e-10), lambda: proof_identity_suite(9, 3, 1e-12),
+              lambda: pde_suite(5, 3, 1e-8)]
+    reports = {}
+    for block in (256, 1, 2, 3):
+        monkeypatch.setattr(calculus, "TRIAL_BLOCK", block)
+        reports[block] = [suite() for suite in suites]
+    assert reports[1] == reports[2] == reports[3] == reports[256]
+    assert [len(r) for r in reports[256]] == [4, 6, 2]
 
 
 @settings(derandomize=True, database=None, deadline=None)
 @given(st.lists(st.lists(st.sampled_from([0.0, -0.0, 1e-20, 1.0, math.nan]),
                          min_size=2, max_size=2), max_size=12),
-       st.lists(st.integers(0, 12), max_size=3))
-def test_worst_case_blocks_reduce_as_rows(rows, cuts):
-    # any split of the rows into blocks gives the reports of one row at a time
-    edges = [0, *sorted(min(c, len(rows)) for c in cuts), len(rows)]
-    blocks = [np.array(rows[a:b]).reshape(-1, 2) for a, b in zip(edges, edges[1:]) if a < b]
+       st.integers(1, 13))
+def test_worst_case_reports_do_not_depend_on_the_block(rows, block):
+    # blocks of any size give the reports of one row at a time
     names = ["x", "y"]
-    by_block = _worst_case_reports(names, blocks, 0.5)
-    by_row = _worst_case_reports(names, rows, 0.5)
+    with mock.patch.object(calculus, "TRIAL_BLOCK", 1):
+        by_row = _table_reports(rows, 0.5, names)
+    with mock.patch.object(calculus, "TRIAL_BLOCK", block):
+        by_block = _table_reports(rows, 0.5, names)
     assert [r.to_dict() for r in by_block] == [r.to_dict() for r in by_row]
     for r in by_block:
         assert type(r.max_abs_residual) is float and type(r.passed) is bool
@@ -463,18 +483,39 @@ def test_trial_streams_equal_trial_rng(seed, first, count):
         assert drawn == [pattern(trial_rng(seed, k)) for k in ks]
 
 
+_SUITES = [
+    lambda trials, seed: operad_law_suite(trials, seed, 1e-10),
+    lambda trials, seed: proof_identity_suite(trials, seed, 1e-10),
+    lambda trials, seed: pde_suite(trials, seed, 1e-6),
+    lambda trials, seed: theorem_suite(trials, seed, 1e-6, t_end=0.5),
+]
+
+
 @pytest.mark.parametrize("seed, error, message", [
     (-1, ValueError, "expected non-negative integer"),
     (np.int64(-3), ValueError, "expected non-negative integer"),
     (1.5, TypeError, "seed must be integer"),
 ])
-@pytest.mark.parametrize("suite", [
-    lambda seed: operad_law_suite(3, seed, 1e-10),
-    lambda seed: proof_identity_suite(3, seed, 1e-10),
-    lambda seed: pde_suite(3, seed, 1e-6),
-])
+@pytest.mark.parametrize("suite", _SUITES)
 def test_suites_reject_bad_seeds_as_seed_sequence_does(suite, seed, error, message):
+    # every seed that SeedSequence refuses, the suites refuse by their own seed rule
     with pytest.raises(error, match=message):
         np.random.SeedSequence([seed, 0])
-    with pytest.raises(error, match=message):
-        suite(seed)
+    with pytest.raises(ValueError, match="seed must be an int >= 0"):
+        suite(3, seed)
+
+
+@pytest.mark.parametrize("seed", [None, 1.5, True, np.bool_(True), "x", -1, np.int64(-3)])
+@pytest.mark.parametrize("trials", [0, 1])
+@pytest.mark.parametrize("suite", _SUITES)
+def test_suites_check_the_seed_before_any_draw(suite, trials, seed):
+    with pytest.raises(ValueError, match="seed must be an int >= 0"):
+        suite(trials, seed)
+
+
+@pytest.mark.parametrize("suite", _SUITES)
+def test_suites_take_seeds_past_64_bits(suite):
+    # SeedSequence takes these in more words: through trial_rng, as any seed >= 0
+    for seed in (2 ** 64, 2 ** 100, np.uint64(2 ** 64 - 1)):
+        reports = suite(2, seed)
+        assert reports and all(isinstance(r.worst_case_seed, int) for r in reports)

@@ -322,7 +322,12 @@ def test_bracket_dim_mismatch(tmp_path, capsys):
                                  {"dim": 1, "arity": 1, "coeffs": {"a": 1.0}},
                                  {"dim": 1e400, "arity": 1, "coeffs": [1.0]}, [1.0],
                                  {"dim": 2.7, "arity": 1, "coeffs": [1.0, 0.0, 0.0, 1.0]},
-                                 {"dim": True, "arity": 1, "coeffs": [1.0]}])
+                                 {"dim": True, "arity": 1, "coeffs": [1.0]},
+                                 # a bool, a string or a nested list is no coefficient
+                                 {"dim": 1, "arity": 1, "coeffs": [True]},
+                                 {"dim": 1, "arity": 1, "coeffs": ["1"]},
+                                 {"dim": 1, "arity": 1, "coeffs": "1"},
+                                 {"dim": 1, "arity": 1, "coeffs": [[1.0]]}])
 def test_bracket_malformed_operation_is_usage_error(obj, tmp_path, capsys):
     fp, gp = tmp_path / "f.json", tmp_path / "g.json"
     fp.write_text(json.dumps(obj))

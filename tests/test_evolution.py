@@ -799,15 +799,17 @@ _FUZZ_KWARGS = {
     pde_suite: ({"tol": _FUZZ_VALUES}, {}),
     _short_run: ({"record_every": _FUZZ_VALUES}, {}),
 }
-_COUNTS = {"record_every"}
+_COUNTS = {"record_every": 1, "seed": 0}  # the least int each takes
 
 
 def _refused(name, value):
-    # a value that no keyword takes: a bool or a string; for a count anything but an
-    # int >= 1, for every other keyword a number that is not > 0 (NaN included)
+    # a value that no keyword takes: a bool or a string; for a count or the seed anything
+    # but an int >= its least, for every other keyword a number that is not > 0 (NaN too)
     if isinstance(value, (bool, str)):
         return True
-    return not (isinstance(value, int) and value >= 1) if name in _COUNTS else not value > 0
+    if name in _COUNTS:
+        return not (isinstance(value, int) and value >= _COUNTS[name])
+    return not value > 0
 
 
 @st.composite
@@ -816,6 +818,8 @@ def _suite_calls(draw):
     required, optional = ({k: st.sampled_from(v) for k, v in d.items()}
                           for d in _FUZZ_KWARGS[suite])
     kwargs = draw(st.fixed_dictionaries(required, optional=optional))
+    if suite is not _short_run:  # it draws nothing
+        kwargs["seed"] = draw(st.sampled_from(_FUZZ_VALUES + [None]))
     return suite, draw(st.sampled_from([0, 1, 2])), kwargs
 
 
@@ -830,7 +834,7 @@ def test_suite_fuzz_ends_in_reports_or_a_known_error(call):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         try:
-            reports = suite(trials, 0, **kwargs)
+            reports = suite(trials, **{"seed": 0, **kwargs})
         except ValueError:  # DegenerateStateError and EnergyOverflowError among them
             return
         except (BranchCutError, DivergenceError):

@@ -155,6 +155,8 @@ def partial_compose(f: Operation, g: Operation, i: int) -> Operation:
     i-th input axis with g's output axis.
     """
     _require_same_dim(f, g)
+    if isinstance(i, bool) or not isinstance(i, (int, np.integer)):
+        raise ValueError(f"slot i must be an int, got {i!r}")
     if not 0 <= i <= f.reduced_degree:
         raise IndexError(f"slot {i} out of range for arity-{f.arity} operation")
     coeffs = _compose(f.dim, f.coeffs, f.arity, g.coeffs, g.arity, i)

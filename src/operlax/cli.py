@@ -165,7 +165,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
     # it left the benchmark's trajectory workload a peak RSS ~3 MB (5%) higher
     import orjson  # noqa: F401
     traj = getattr(operlax, _MODES[cfg.mode][1])(icfg)
-    with open(cfg.out, "w") as fh:  # one write per chunk of records, not one per line
+    with open(cfg.out, "wb") as fh:  # one write per chunk of records, not one per line
         fh.writelines(operlax.trajectory_csv_chunks(traj))
     print(
         f"simulate: records={len(traj)} "

@@ -338,15 +338,12 @@ def evolve(config: IntegratorConfig) -> Trajectory:
     constants, their worst difference, and the relative energy drift.
     """
     batch = _config_batch(config)
-    kept, steps = [], []
-    for first, block in batch.chunks():
-        j = np.arange(first, first + len(block))
-        # past n_steps every record_every keeps the same records, and fits an int64
-        keep = (j % min(config.record_every, batch.n_steps) == 0) | (j == batch.n_steps)
-        kept.append(block[keep])
-        steps.append(j[keep])
-    ys = np.concatenate(kept)
-    t = np.concatenate(steps) * config.dt
+    n, r = batch.n_steps, min(config.record_every, batch.n_steps)  # r past n keeps as n does
+    kept = []
+    for first, block in batch.chunks():  # every r-th step before n; the next chunk reuses block
+        kept.append(block[-first % r:n - first:r].copy())
+    ys = np.concatenate(kept + [block[-1:]])  # and step n, the last chunk's last row
+    t = np.append(np.arange(0, n, r), n) * config.dt
     energy, mu_ana, dev, drift = (a[0] for a in batch.compare(t[:, None], ys))
     err = reduce(np.maximum, dev.T)  # column by column: dev.max(axis=1) took ~10x longer
     return Trajectory(config, np.column_stack((t, ys[:, 0, :2], energy, ys[:, 0, 2:], mu_ana,
@@ -439,11 +436,11 @@ CSV_HEADER = (
 )
 
 
-def _band_spelling(m: re.Match) -> str:
+def _band_spelling(m: re.Match) -> bytes:
     # 0.0000ddd is 1e-05 .. 9.99e-05 unless a digit precedes it, as in 10.00001
-    if m.string[m.start() - 1].isdigit():
+    if m.string[m.start() - 1:m.start()].isdigit():
         return m[0]
-    return m[1] + ("." + m[2] if m[2] else "") + "e-05"
+    return m[1] + (b"." + m[2] if m[2] else b"") + b"e-05"
 
 
 # The three ways orjson spells a double otherwise than repr does, as (the range of |x|
@@ -452,31 +449,37 @@ def _band_spelling(m: re.Match) -> str:
 # is written as a decimal (0.0000123 for 1.23e-05).  Shortest digits lie on the same
 # side of a power of ten as the double they spell, so |x| alone tells which apply.
 _REPR_SPELLINGS = (
-    (1e16, math.inf, re.compile(r"e(\d)"), r"e+\1"),
-    (1e-9, 1e-5, re.compile(r"e-(\d)\b"), r"e-0\1"),
-    (1e-5, 1e-4, re.compile(r"0\.0000(\d)(\d*)"), _band_spelling),
+    (1e16, math.inf, re.compile(rb"e(\d)"), rb"e+\1"),
+    (1e-9, 1e-5, re.compile(rb"e-(\d)\b"), rb"e-0\1"),
+    (1e-5, 1e-4, re.compile(rb"0\.0000(\d)(\d*)"), _band_spelling),
 )
 
 
-def _csv_rows(table: np.ndarray) -> list:
-    """The CSV lines of a 2-d table of doubles, each number spelled as repr spells it.
+def _csv_bytes(table: np.ndarray) -> bytes:
+    """The CSV rows of a 2-d table of doubles as ASCII, each ending in a newline.
 
-    A table of finite values is one orjson call, which writes the same
-    shortest round-trip digits as repr, then a rewrite of each spelling in
-    _REPR_SPELLINGS that some value of the table takes.  orjson writes NaN
-    and +-inf as null, so a table holding one is formatted by repr itself.
+    A table of finite values is one orjson call on its flat list, which writes
+    the same shortest round-trip digits as repr, then a rewrite of each spelling
+    in _REPR_SPELLINGS that some value takes; every ncol-th comma and the closing
+    bracket become newlines.  orjson writes NaN and +-inf as null, so a table
+    holding one is formatted by repr itself.
     """
     import orjson  # only a CSV needs it, so importing operlax does not load it
 
     table = np.ascontiguousarray(table, dtype=float)
+    if not table.size:
+        return b"\n" * len(table)
     size = np.abs(table)
     if not np.isfinite(size).all():
-        return [",".join(map(repr, row)) for row in table.tolist()]
-    text = orjson.dumps(table, option=orjson.OPT_SERIALIZE_NUMPY).decode()
+        return "".join(",".join(map(repr, row)) + "\n" for row in table.tolist()).encode()
+    text = orjson.dumps(table.reshape(-1), option=orjson.OPT_SERIALIZE_NUMPY)
     for low, high, pattern, spelling in _REPR_SPELLINGS:
         if ((low <= size) & (size < high)).any():
             text = pattern.sub(spelling, text)
-    return text[2:-2].split("],[")
+    chars = np.frombuffer(text, np.uint8)[1:].copy()  # without the opening bracket
+    chars[np.flatnonzero(chars == ord(","))[table.shape[1] - 1::table.shape[1]]] = ord("\n")
+    chars[-1] = ord("\n")
+    return chars.tobytes()
 
 
 def trajectory_csv_lines(traj: Trajectory):
@@ -487,17 +490,16 @@ def trajectory_csv_lines(traj: Trajectory):
     doubles bit for bit.  Each CHUNK_STEPS rows of the table are formatted at
     once; trajectory_csv_chunks yields the same text a chunk at a time.
     """
-    yield CSV_HEADER
-    for lo in range(0, len(traj), CHUNK_STEPS):
-        yield from _csv_rows(traj.table[lo:lo + CHUNK_STEPS])
+    for chunk in trajectory_csv_chunks(traj):
+        yield from chunk.decode().splitlines()
 
 
 def trajectory_csv_chunks(traj: Trajectory):
-    """Yield the lines of trajectory_csv_lines, each ending in a newline, as the header
-    line and then one string per CHUNK_STEPS records: a file takes one write per chunk."""
-    yield CSV_HEADER + "\n"
+    """Yield the lines of trajectory_csv_lines as ASCII bytes, each ending in a newline, as
+    the header line and then one bytes per CHUNK_STEPS records: one binary write each."""
+    yield CSV_HEADER.encode() + b"\n"
     for lo in range(0, len(traj), CHUNK_STEPS):
-        yield "\n".join(_csv_rows(traj.table[lo:lo + CHUNK_STEPS])) + "\n"
+        yield _csv_bytes(traj.table[lo:lo + CHUNK_STEPS])
 
 
 # (energy, angle, C1..C8) of the theorem suite's trials, each uniform in [low, high]

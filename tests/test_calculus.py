@@ -82,6 +82,20 @@ def test_partial_compose_slot_range():
         partial_compose(f, identity_operation(3), 0)
 
 
+@pytest.mark.parametrize("i", [True, False, 1.0, "1", None, np.float64(0.0)])
+def test_partial_compose_slot_must_be_an_int(i):
+    # a bool is neither a number nor an int: True once composed into slot 1
+    f = make_operation(2, 2, np.arange(8.0))
+    with pytest.raises(ValueError, match="slot i must be an int"):
+        partial_compose(f, identity_operation(2), i)
+
+
+def test_partial_compose_takes_a_numpy_int_slot():
+    f, g = make_operation(2, 2, np.arange(8.0)), random_operation(np.random.default_rng(3), 2, 2)
+    npt.assert_array_equal(partial_compose(f, g, np.int64(1)).coeffs,
+                           partial_compose(f, g, 1).coeffs)
+
+
 def test_total_compose_scalar_cancellation():
     f = make_operation(1, 2, [2.0])
     g = make_operation(1, 2, [3.0])

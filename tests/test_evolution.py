@@ -49,7 +49,7 @@ from operlax.evolution import (
     Trajectory,
     _Batch,
     _config_batch,
-    _csv_rows,
+    _csv_bytes,
     _increment_matrix,
     _pde_residuals,
     _rk4_chunks,
@@ -944,6 +944,11 @@ def _repr_rows(table):
     return [",".join(map(repr, row)) for row in np.asarray(table, dtype=float).tolist()]
 
 
+def _repr_bytes(table):
+    # the rows of _repr_rows as _csv_bytes writes them: ASCII, each ending in a newline
+    return "".join(row + "\n" for row in _repr_rows(table)).encode()
+
+
 def _repr_csv(traj):
     return [CSV_HEADER] + _repr_rows(np.column_stack(
         (traj.t, traj.q, traj.p, traj.H, traj.mu, traj.mu_ana, traj.err, traj.drift)))
@@ -957,10 +962,10 @@ def _table_trajectory(table):
 
 def _chunked_csv(traj):
     chunks = list(trajectory_csv_chunks(traj))
-    # one string per chunk of records, never one per line
+    # one bytes object per chunk of records, never one per line
     assert len(chunks) == 1 + math.ceil(len(traj) / CHUNK_STEPS)
-    assert "".join(chunks) == "\n".join(trajectory_csv_lines(traj)) + "\n"
-    return "".join(chunks)
+    assert b"".join(chunks) == ("\n".join(trajectory_csv_lines(traj)) + "\n").encode()
+    return b"".join(chunks).decode()
 
 
 @settings(derandomize=True, database=None, max_examples=500, deadline=None)
@@ -968,7 +973,7 @@ def _chunked_csv(traj):
 def test_csv_rows_match_repr_for_every_float(values):
     # NaN and +-inf included: a table holding one is formatted by repr itself
     for table in (np.array([values]), np.array(values)[:, None]):
-        assert _csv_rows(table) == _repr_rows(table)
+        assert _csv_bytes(table) == _repr_bytes(table)
 
 
 # each side of every power of ten where orjson's spelling of a double leaves repr's,
@@ -980,8 +985,16 @@ _CSV_EDGES = [1e-05, 9.999999999999999e-05, 0.0001, 1e16, 9999999999999998.0, 1e
 
 @pytest.mark.parametrize("x", _CSV_EDGES)
 def test_csv_rows_match_repr_at_edge_values(x):
-    for table in ([[x]], [[-x]], [[x, 1.0, -x]], [_CSV_EDGES]):
-        assert _csv_rows(np.array(table)) == _repr_rows(table)
+    # the last two break rows at a comma: x opens a row that is not the first, and in the
+    # one-column table every comma is a row break
+    for table in ([[x]], [[-x]], [[x, 1.0, -x]], [_CSV_EDGES], [[1.0, 2.0], [x, -x]],
+                  np.array(_CSV_EDGES)[:, None]):
+        assert _csv_bytes(np.array(table)) == _repr_bytes(table)
+
+
+@pytest.mark.parametrize("shape", [(0, 22), (0, 1), (3, 0)])
+def test_csv_bytes_of_an_empty_table_is_one_newline_per_row(shape):
+    assert _csv_bytes(np.zeros(shape)) == b"\n" * shape[0]
 
 
 def test_csv_writes_non_finite_values_as_repr_does():
@@ -991,6 +1004,15 @@ def test_csv_writes_non_finite_values_as_repr_does():
     assert lines == _repr_csv(_table_trajectory(table))
     assert [line.split(",")[k] for line, k in zip(lines[1:], (4, 12, 21))] == ["nan", "inf", "-inf"]
     _chunked_csv(_table_trajectory(table))
+
+
+def test_csv_chunks_write_a_non_finite_chunk_between_finite_ones_as_repr_does():
+    # only the middle chunk takes the repr path
+    table = np.tile(np.linspace(-1.0, 1.0, 22), (3 * CHUNK_STEPS, 1))
+    table[CHUNK_STEPS + 7, 3] = math.nan
+    lines = _chunked_csv(_table_trajectory(table)).splitlines()
+    assert lines[1:] == _repr_rows(table)
+    assert lines[CHUNK_STEPS + 8].split(",")[3] == "nan"
 
 
 def test_csv_chunks_spell_a_band_value_in_the_last_chunk_as_repr_does():

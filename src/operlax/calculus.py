@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError, _check_int, _check_positive
-from .multilinear import Operation, _quiet
+from .multilinear import Operation, _finite, _quiet
 
 __all__ = [
     "LawReport",
@@ -86,36 +86,45 @@ def _bracket(d: int, f: np.ndarray, m: int, g: np.ndarray, n: int) -> np.ndarray
     return _total_compose(d, f, m, g, n) - s * _total_compose(d, g, n, f, m)
 
 
-def _antisymmetry(d: int, f: np.ndarray, m: int, g: np.ndarray, n: int) -> list:
-    return [_bracket(d, f, m, g, n) + _sign((m - 1) * (n - 1)) * _bracket(d, g, n, f, m)]
+def _residual(diffs) -> np.ndarray:
+    # each trial's largest |difference|, holding one difference at a time: at
+    # arity 7 and dim 3 each holds 6561 doubles per trial
+    return np.max([np.max(np.abs(x), axis=1) for x in diffs], axis=0)
 
 
-def _composition_relations(d, h, l, f, m, g, n):
-    # one difference at a time: at arity 7 and dim 3 each holds 6561 doubles per trial
+def _triple_laws(d, h, l, f, m, g, n) -> list:
+    """Differences of antisymmetry of (f, g), the composition relations of (h, f, g)
+    and graded Jacobi of (f, g, h); the slot lists h o_j g, f o_j g and h o_i f also
+    give the totals t(h, g), t(f, g) and t(h, f), summed in _total_compose's order."""
     sgn = _sign((m - 1) * (n - 1))
     hg = [_compose(d, h, l, g, n, j) for j in range(l)]
     fg = [_compose(d, f, m, g, n, j) for j in range(m)]
-    for i in range(l):
-        hf = _compose(d, h, l, f, m, i)
-        for j in range(l + m - 1):
-            if j < i:
-                rhs = sgn * _compose(d, hg[j], l + n - 1, f, m, i + n - 1)
-            elif j < i + m:
-                rhs = _compose(d, h, l, fg[j - i], m + n - 1, i)
-            else:
-                rhs = sgn * _compose(d, hg[j - m + 1], l + n - 1, f, m, i)
-            yield _compose(d, hf, l + m - 1, g, n, j) - rhs
+    hf = [_compose(d, h, l, f, m, i) for i in range(l)]
 
+    def relations():
+        for i in range(l):
+            for j in range(l + m - 1):
+                if i <= j < i + m:
+                    rhs = _compose(d, h, l, fg[j - i], m + n - 1, i)
+                else:  # g moves into slot k of h, before or after f
+                    k, at = (j, i + n - 1) if j < i else (j - m + 1, i)
+                    rhs = sgn * _compose(d, hg[k], l + n - 1, f, m, at)
+                yield _compose(d, hf[i], l + m - 1, g, n, j) - rhs
 
-def _graded_jacobi(d, f, m, g, n, h, l) -> list:
-    cyclic = ((f, m, g, n, h, l), (g, n, h, l, f, m), (h, l, f, m, g, n))
-    return [sum(_sign((p - 1) * (r - 1)) * _bracket(d, _bracket(d, a, p, b, q), p + q - 1, c, r)
-                for a, p, b, q, c, r in cyclic)]
+    tfg, thg, thf = (sum(c[1:], c[0]) for c in (fg, hg, hf))
+    tgf = _total_compose(d, g, n, f, m)
+    fxg, gxf = tfg - sgn * tgf, tgf - sgn * tfg  # [f, g] and [g, f]
+    inner = ((fxg, m, n, h, l),
+             (_total_compose(d, g, n, h, l) - _sign((n - 1) * (l - 1)) * thg, n, l, f, m),
+             (thf - _sign((l - 1) * (m - 1)) * _total_compose(d, f, m, h, l), l, m, g, n))
+    return [[fxg + sgn * gxf], relations(),
+            [sum(_sign((p - 1) * (r - 1)) * _bracket(d, ab, p + q - 1, c, r)
+                 for ab, p, q, c, r in inner)]]
 
 
 def _unit_laws(d: int, f: np.ndarray, n: int) -> list:
     e = np.eye(d).reshape(-1)  # the unit
-    return [_compose(d, e, 1, f, n, 0) - f] + [_compose(d, f, n, e, 1, i) - f for i in range(n)]
+    return [[_compose(d, e, 1, f, n, 0) - f] + [_compose(d, f, n, e, 1, i) - f for i in range(n)]]
 
 
 # Coefficients of a law's widest intermediate over the trials stacked together
@@ -124,25 +133,20 @@ def _unit_laws(d: int, f: np.ndarray, n: int) -> list:
 STACK_COEFFS = 8192
 
 
-def _by_signature(law, trials) -> np.ndarray:
-    """Each trial's largest |difference| under law, for trials of operations (op, ...).
-
-    law(d, coeffs, arity, ...) gives the differences that must vanish; it runs once
-    per group of trials sharing dim and arities (split to STACK_COEFFS), on their
-    coefficients stacked along a leading trial axis.  A non-finite residual means
-    an intermediate overflowed: it raises ValueError, as the Operation constructor does."""
+def _by_signature(law, width: int, trials) -> np.ndarray:
+    """Per trial, the residual of each of law's width lists of differences, for
+    trials (d, (coeffs, arity), ...): law(d, coeffs, arity, ...) runs once per group
+    of trials sharing dim and arities (split to STACK_COEFFS), stacked along axis 0."""
     groups: dict = {}
-    for k, ops in enumerate(trials):
-        groups.setdefault((ops[0].dim, *(op.arity for op in ops)), []).append(k)
-    out = np.empty(len(trials))
+    for k, (d, *ops) in enumerate(trials):
+        groups.setdefault((d, *(a for _, a in ops)), []).append(k)
+    out = np.empty((len(trials), width))
     for (d, *arities), ks in groups.items():
         per = max(1, STACK_COEFFS // d ** (sum(arities) - len(arities) + 2))
         for part in (ks[i:i + per] for i in range(0, len(ks), per)):
-            stacks = [np.stack([trials[k][c].coeffs for k in part]) for c in range(len(arities))]
-            diffs = law(d, *(x for pair in zip(stacks, arities) for x in pair))
-            out[part] = np.max([np.max(np.abs(x), axis=1) for x in diffs], axis=0)
-    if not np.all(np.isfinite(out)):
-        raise ValueError("coefficients must all be finite")
+            stacks = [np.stack([trials[k][1 + c][0] for k in part]) for c in range(len(arities))]
+            laws = law(d, *(x for pair in zip(stacks, arities) for x in pair))
+            out[part] = np.transpose([_residual(diffs) for diffs in laws])
     return out
 
 
@@ -179,6 +183,12 @@ def gerstenhaber_bracket(f: Operation, g: Operation) -> Operation:
     return Operation(f.dim, f.arity + g.arity - 1, coeffs)
 
 
+def _one_trial(law, column: int, *ops: Operation) -> float:
+    # law on one trial's operations; only the column read must be finite
+    laws = law(ops[0].dim, *(x for op in ops for x in (op.coeffs, op.arity)))
+    return float(_finite(_residual(laws[column]))[0])
+
+
 @_quiet
 def check_composition_relations(h: Operation, f: Operation, g: Operation, tol: float) -> LawReport:
     """Verify the three-case composition (associativity) relations for (h, f, g).
@@ -189,7 +199,7 @@ def check_composition_relations(h: Operation, f: Operation, g: Operation, tol: f
     """
     _require_same_dim(h, f, g)
     _check_positive(tol=tol)
-    worst = float(_by_signature(_composition_relations, [(h, f, g)])[0])
+    worst = _one_trial(_triple_laws, 1, h, f, g)
     return LawReport("composition-relations", h.arity * (h.arity + f.reduced_degree), worst,
                      worst <= tol)
 
@@ -197,12 +207,10 @@ def check_composition_relations(h: Operation, f: Operation, g: Operation, tol: f
 @_quiet
 def check_graded_jacobi(f: Operation, g: Operation, h: Operation, tol: float) -> LawReport:
     """Three-term graded Jacobi sum for the bracket; residual is its max coefficient.
-
-    Overflow in an intermediate raises ValueError.
-    """
+    Overflow in an intermediate raises ValueError."""
     _require_same_dim(f, g, h)
     _check_positive(tol=tol)
-    worst = float(_by_signature(_graded_jacobi, [(f, g, h)])[0])
+    worst = _one_trial(_triple_laws, 2, h, f, g)
     return LawReport("graded-jacobi", 1, worst, worst <= tol)
 
 
@@ -210,7 +218,7 @@ def check_graded_jacobi(f: Operation, g: Operation, h: Operation, tol: float) ->
 def check_unit_laws(f: Operation, tol: float) -> LawReport:
     """Left unit in slot 0 and right unit in every slot must reproduce f exactly."""
     _check_positive(tol=tol)
-    worst = float(_by_signature(_unit_laws, [(f,)])[0])
+    worst = _one_trial(_unit_laws, 0, f)
     return LawReport("unit-laws", f.arity + 1, worst, worst <= tol)
 
 
@@ -292,9 +300,13 @@ def _trial_streams(seed, ks: range):
         yield rng
 
 
+def _draw_coeffs(rng: np.random.Generator, dim: int, arity: int) -> np.ndarray:
+    return rng.uniform(-1.0, 1.0, size=dim ** (arity + 1))
+
+
 def random_operation(rng: np.random.Generator, dim: int, arity: int) -> Operation:
     """Operation with coefficients drawn uniformly from [-1, 1]."""
-    return Operation(dim, arity, rng.uniform(-1.0, 1.0, size=dim ** (arity + 1)))
+    return Operation(dim, arity, _draw_coeffs(rng, dim, arity))
 
 
 # Trials per block of _worst_case_reports: memory follows the block, not the
@@ -333,15 +345,14 @@ def _worst_case_reports(names, trials: int, rows, tol: float) -> list[LawReport]
 def _operad_rows(seed: int, ks: range) -> np.ndarray:
     """Residual rows of trials ks, each (h, f, g) of one dim <= 3 and arities <= 3
     drawn from its own stream."""
-    draws = []
+    draws = []  # (d, (coeffs, arity) of h, of f, of g)
     for rng in _trial_streams(seed, ks):
         d = int(rng.integers(1, 4))
-        draws.append([random_operation(rng, d, int(rng.integers(1, 4))) for _ in range(3)])
-    units = _by_signature(_unit_laws, [(op,) for ops in draws for op in ops])
-    return np.stack([_by_signature(_antisymmetry, [(f, g) for h, f, g in draws]),
-                     _by_signature(_composition_relations, draws),
-                     _by_signature(_graded_jacobi, [(f, g, h) for h, f, g in draws]),
-                     units.reshape(-1, 3).max(axis=1)], axis=1)
+        draws.append((d, *[(_draw_coeffs(rng, d, a), a)
+                           for a in (int(rng.integers(1, 4)) for _ in range(3))]))
+    units = _by_signature(_unit_laws, 1, [(d, op) for d, *ops in draws for op in ops])
+    return _finite(np.column_stack([_by_signature(_triple_laws, 3, draws),
+                                    units.reshape(-1, 3).max(axis=1)]))
 
 
 @_quiet
@@ -352,8 +363,8 @@ def operad_law_suite(trials: int, seed: int, tol: float) -> list[LawReport]:
     operations from its own seeded stream, then exercises the composition relations,
     unit laws, graded antisymmetry, and graded Jacobi identity.  Each report
     aggregates the worst residual over all trials and records the trial index
-    that produced it.  Each law runs once per group of a block's trials that
-    share the dim and arities it reads, with the one-trial checks' digits.
+    that produced it.  The three triple laws run once per (d, l, m, n) group of a
+    block's trials, the unit laws per (d, arity), with the one-trial checks' digits.
     Raises ValueError unless seed and trials are ints >= 0 and tol > 0.
     """
     _check_suite_args(seed, tol, trials=trials)

@@ -15,7 +15,7 @@ import json
 import sys
 import time
 from dataclasses import make_dataclass
-from functools import partial
+from functools import cache, partial
 
 import operlax
 
@@ -197,6 +197,7 @@ def cmd_bracket(first: str, second: str, out: str | None) -> int:
     return 0
 
 
+@cache  # parsing leaves the parser as it was, so one serves every call of main
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="operlax",

@@ -26,6 +26,13 @@ __all__ = [
 ]
 
 
+def _finite(x: np.ndarray) -> np.ndarray:
+    # a non-finite entry of a result whose inputs are finite is an overflow
+    if not np.isfinite(x).all():
+        raise ValueError("coefficients must all be finite")
+    return x
+
+
 @dataclass(frozen=True, eq=False)
 class Operation:
     """A multilinear map f: V^arity -> V with dense coefficients.
@@ -50,18 +57,16 @@ class Operation:
         for name, n in (("dim", self.dim), ("arity", self.arity)):  # a bool is no int here
             if not (type(n) is int or isinstance(n, np.integer)) or n < 1:
                 raise DimensionMismatchError(f"{name} must be an int >= 1, got {n!r}")
-            object.__setattr__(self, name, int(n))  # json.dumps refuses a numpy int
-        coeffs = np.asarray(self.coeffs, dtype=float).reshape(-1)
+            if type(n) is not int:  # json.dumps refuses a numpy int
+                object.__setattr__(self, name, int(n))
+        coeffs = np.array(self.coeffs, dtype=float).reshape(-1)  # the one copy
         expected = self.dim ** (self.arity + 1)
         if coeffs.size != expected:
             raise DimensionMismatchError(
                 f"need {expected} coefficients for dim={self.dim}, "
                 f"arity={self.arity}, got {coeffs.size}"
             )
-        if not np.all(np.isfinite(coeffs)):
-            raise ValueError("coefficients must all be finite")
-        coeffs = coeffs.copy()
-        coeffs.flags.writeable = False
+        _finite(coeffs).flags.writeable = False
         object.__setattr__(self, "coeffs", coeffs)
 
     @property
@@ -120,9 +125,7 @@ def evaluate(f: Operation, args) -> np.ndarray:
     res = f.tensor
     for a in args:
         res = np.tensordot(res, _as_vector(a, f.dim), axes=([1], [0]))
-    if not np.all(np.isfinite(res)):
-        raise ValueError("coefficients must all be finite")
-    return res
+    return _finite(res)
 
 
 def operation_to_dict(f: Operation) -> dict:

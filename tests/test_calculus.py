@@ -31,8 +31,10 @@ from operlax import (
 from operlax import calculus, cli
 from operlax.calculus import (
     TRIAL_BLOCK,
+    _bracket,
     _compose,
     _operad_rows,
+    _sign,
     _trial_streams,
     _worst_case_reports,
 )
@@ -334,20 +336,54 @@ def test_operad_law_suite_reports():
         assert set(d) == {"law", "trials", "max_abs_residual", "pass", "seed"}
 
 
+# The three triple-law kernels as they were before the suite shared their slot
+# compositions: the one-trial reference for calculus._triple_laws.
+def _antisymmetry(d, f, m, g, n):
+    return [_bracket(d, f, m, g, n) + _sign((m - 1) * (n - 1)) * _bracket(d, g, n, f, m)]
+
+
+def _composition_relations(d, h, l, f, m, g, n):
+    sgn = _sign((m - 1) * (n - 1))
+    hg = [_compose(d, h, l, g, n, j) for j in range(l)]
+    fg = [_compose(d, f, m, g, n, j) for j in range(m)]
+    for i in range(l):
+        hf = _compose(d, h, l, f, m, i)
+        for j in range(l + m - 1):
+            if j < i:
+                rhs = sgn * _compose(d, hg[j], l + n - 1, f, m, i + n - 1)
+            elif j < i + m:
+                rhs = _compose(d, h, l, fg[j - i], m + n - 1, i)
+            else:
+                rhs = sgn * _compose(d, hg[j - m + 1], l + n - 1, f, m, i)
+            yield _compose(d, hf, l + m - 1, g, n, j) - rhs
+
+
+def _graded_jacobi(d, f, m, g, n, h, l):
+    cyclic = ((f, m, g, n, h, l), (g, n, h, l, f, m), (h, l, f, m, g, n))
+    return [sum(_sign((p - 1) * (r - 1)) * _bracket(d, _bracket(d, a, p, b, q), p + q - 1, c, r)
+                for a, p, b, q, c, r in cyclic)]
+
+
+def _worst(diffs):
+    return max(float(np.max(np.abs(x))) for x in diffs)
+
+
 def _one_trial_rows(seed, trials, tol=1e-10):
-    """Oracle: each trial's four residuals through the public one-trial checks,
-    drawn from the trial's stream in the suite's order."""
+    """Oracle: each trial's four residuals through the reference kernels and the
+    public unit-law check, drawn from the trial's stream in the suite's order."""
     rows, signatures = [], set()
     for k in range(trials):
         rng = trial_rng(seed, k)
         d = int(rng.integers(1, 4))
         h, f, g = ops = [random_operation(rng, d, int(rng.integers(1, 4))) for _ in range(3)]
-        s = -1.0 if f.reduced_degree * g.reduced_degree % 2 else 1.0
-        anti = gerstenhaber_bracket(f, g).coeffs + s * gerstenhaber_bracket(g, f).coeffs
-        rows.append([float(np.max(np.abs(anti))),
-                     check_composition_relations(h, f, g, tol).max_abs_residual,
-                     check_graded_jacobi(f, g, h, tol).max_abs_residual,
+        (hc, l), (fc, m), (gc, n) = ((op.coeffs, op.arity) for op in ops)
+        rows.append([_worst(_antisymmetry(d, fc, m, gc, n)),
+                     _worst(_composition_relations(d, hc, l, fc, m, gc, n)),
+                     _worst(_graded_jacobi(d, fc, m, gc, n, hc, l)),
                      max(check_unit_laws(op, tol).max_abs_residual for op in ops)])
+        # the public checks read their columns of the shared kernel
+        assert [check_composition_relations(h, f, g, tol).max_abs_residual,
+                check_graded_jacobi(f, g, h, tol).max_abs_residual] == rows[-1][1:3]
         signatures.add((d, h.arity, f.arity, g.arity))
     return rows, signatures
 
@@ -380,12 +416,12 @@ def test_operad_law_suite_memory_stays_near_one_trial():
 
 
 def test_operad_law_suite_raises_when_an_intermediate_overflows(monkeypatch, capsys):
-    draw = calculus.random_operation
+    draw = calculus._draw_coeffs
 
     def huge(rng, dim, arity):  # finite coefficients whose triple products overflow
-        return make_operation(dim, arity, draw(rng, dim, arity).coeffs * 1e150)
+        return draw(rng, dim, arity) * 1e150
 
-    monkeypatch.setattr(calculus, "random_operation", huge)
+    monkeypatch.setattr(calculus, "_draw_coeffs", huge)
     with np.errstate(all="raise"):
         with pytest.raises(ValueError, match="coefficients must all be finite"):
             operad_law_suite(20, 0, 1e-10)

@@ -89,6 +89,32 @@ def test_unknown_flag_exits_2(capsys):
     assert exc.value.code == 2
 
 
+def test_parser_built_once_gives_what_a_first_call_gives(tmp_path, capsys):
+    # main reuses one parser per process: no call may leave a trace in it
+    fp = tmp_path / "f.json"
+    fp.write_text(json.dumps({"dim": 2, "arity": 1, "coeffs": [0.0, 1.0, 0.0, 0.0]}))
+
+    def call(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    calls = [["simulate", "--frequency", "1"], ["verify", "operad", "--trials", "-1"],
+             ["bracket", str(fp), str(fp)], ["--help"], ["--help"], ["verify", "--help"],
+             ["simulate", "--frequency", "1"], ["bracket", str(fp), str(fp)]]
+    first = []
+    for argv in calls:
+        cli._build_parser.cache_clear()
+        first.append(call(argv))
+    assert [code for code, _, _ in first] == [2, 2, 0, 0, 0, 0, 2, 0]
+    cli._build_parser.cache_clear()
+    assert [call(argv) for argv in calls] == first
+    assert cli._build_parser.cache_info().misses == 1
+
+
 def test_simulate_deterministic_output(tmp_path, capsys):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     assert run(SIM_ARGS + ["--out", str(a)], capsys)[0] == 0

@@ -144,17 +144,34 @@ def test_calculus_kernels_equal_the_integer_index_formula(d, m, n):
 
 
 def test_operad_laws_vanish_exactly_on_integer_operations():
-    # the suite's four law kernels, stacked by signature as the suite runs them
+    # the suite's two law kernels, stacked by signature as the suite runs them
     rng = random.Random(0)
     triples = []
     for _ in range(60):
         d = rng.randint(1, 3)
-        triples.append(tuple(make_operation(d, a, _integer_coeffs(rng, d, a))
-                             for a in (rng.randint(1, 3) for _ in range(3))))
-    for law, arity in ((calculus._composition_relations, 3), (calculus._graded_jacobi, 3),
-                       (calculus._antisymmetry, 2), (calculus._unit_laws, 1)):
-        residuals = calculus._by_signature(law, [ops[:arity] for ops in triples])
-        assert np.all(residuals == 0.0), law.__name__
+        triples.append((d, *[(np.array(_integer_coeffs(rng, d, a), float), a)
+                             for a in (rng.randint(1, 3) for _ in range(3))]))
+    assert np.all(calculus._by_signature(calculus._triple_laws, 3, triples) == 0.0)
+    units = [(d, op) for d, *ops in triples for op in ops]
+    assert np.all(calculus._by_signature(calculus._unit_laws, 1, units) == 0.0)
+
+
+# Each residual of the three triple laws is a polynomial of degree <= 3 in the
+# coefficients, and one that is not identically zero vanishes at a uniform point
+# of [-256, 256]^N with probability <= 3/513 (Schwartz-Zippel).  Five points per
+# signature leave a wrong law unseen with probability <= 81 * 3 * (3/513)**5,
+# about 2e-9.  The composites stay below 2**53, so doubles hold them exactly.
+SIGNATURES = list(itertools.product(range(1, 4), repeat=4))  # (dim, arities of h, f, g)
+
+
+def test_triple_laws_vanish_exactly_on_every_signature():
+    rng = np.random.default_rng(2008)
+    for d, l, m, n in SIGNATURES:
+        h, f, g = (rng.integers(-256, 257, size=(5, d ** (a + 1))).astype(float)
+                   for a in (l, m, n))
+        laws = calculus._triple_laws(d, h, l, f, m, g, n)
+        residuals = [calculus._residual(diffs).tolist() for diffs in laws]
+        assert residuals == [[0.0] * 5] * 3, (d, l, m, n)
 
 
 def _integer_draws(seed, n, rows):

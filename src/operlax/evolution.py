@@ -173,17 +173,18 @@ def _rhs_by_omega(w: np.ndarray) -> tuple:
     return omegas, group, np.stack(rhs)
 
 
-def _increment_matrix(omega: float, rhs: np.ndarray, dt: float) -> np.ndarray:
+def _increment_matrix(omega, rhs: np.ndarray, dt: float) -> np.ndarray:
     """D = z + z^2/2 + z^3/6 + z^4/24 with z = dt*B, B the generator of (q, p, mu), mu block rhs.
 
     B does not depend on the state, so one classical RK4 step is exactly
     y -> y + D y.  The step adds the increment D y rather than applying
     I + D: stored in I + D, the O(dt) terms would sit beside the 1 on the
     diagonal and lose their low bits, which the order check then measures.
+    A stack of omegas (g,) with rhs (g, 8, 8) gives each one's D, shape (g, 10, 10).
     """
-    z = np.zeros((10, 10))
-    z[0, 1], z[1, 0] = dt, -dt * omega * omega
-    z[2:, 2:] = dt * rhs
+    z = np.zeros(rhs.shape[:-2] + (10, 10))
+    z[..., 0, 1], z[..., 1, 0] = dt, -dt * omega * omega
+    z[..., 2:, 2:] = dt * rhs
     z2 = z @ z
     return z + z2 / 2.0 + z2 @ z / 6.0 + z2 @ z2 / 24.0
 
@@ -212,22 +213,20 @@ def _increment_powers(d: np.ndarray, count: int) -> np.ndarray:
     return e
 
 
-def _rk4_chunks(y0: np.ndarray, d: np.ndarray, n_steps: int, group=None):
+def _rk4_chunks(y0: np.ndarray, d: np.ndarray, n_steps: int, group):
     """Classical RK4 on a batch of runs, y -> y + D y, a chunk of steps at a time.
 
     y0 has shape (trials, n) and d shape (g, n, n); a chunk is as many steps
     as 10 x 10 x CHUNK_STEPS power coefficients hold at n dims (CHUNK_STEPS at
     10, 6400 at 2), so memory does not grow with n_steps.  Trial k steps with
-    d[group[k]], by default d[k].  Yields (first, ys) where ys[j, k] is the
-    state of trial k at step first + j, from step 0 (y0 itself) through
-    n_steps.  The steps of a chunk are one product per trial, ys[j] =
-    y + y E[j]^T with y the chunk's first state, so a trial's numbers do not
-    depend on which trials share its batch.  Every ys is a view of one
-    buffer, which the next chunk overwrites.  Raises DivergenceError naming
-    the first step with a non-finite value.
+    d[group[k]].  Yields (first, ys) where ys[j, k] is the state of trial k at
+    step first + j, from step 0 (y0 itself) through n_steps.  The steps of a
+    chunk are one product per trial, ys[j] = y + y E[j]^T with y the chunk's
+    first state, so a trial's numbers do not depend on which trials share its
+    batch.  Every ys is a view of one buffer, which the next chunk overwrites.
+    Raises DivergenceError naming the first step with a non-finite value.
     """
     y = np.array(y0, dtype=float)
-    group = range(len(y)) if group is None else group
     span = min(100 * CHUNK_STEPS // y.shape[1] ** 2, n_steps)
     e = _increment_powers(d, span)
     buf = np.empty((span + 1,) + y.shape)
@@ -263,14 +262,10 @@ class _Batch:
         family = _family_coeffs(*_principal_aux(self.theta0, self.h0), self.cs)
         self.y0 = np.column_stack((q, p, family))
 
-    def increments(self) -> np.ndarray:
-        """D of each distinct omega, shape (omegas, 10, 10): it depends only on (omega, dt)."""
-        return np.stack([_increment_matrix(w, rhs, self.dt)
-                         for w, rhs in zip(self.omegas.tolist(), self.rhs)])
-
     def chunks(self):
-        """The runs stepped together by _rk4_chunks, from step 0 through n_steps."""
-        return _rk4_chunks(self.y0, self.increments(), self.n_steps, self.group)
+        """The runs stepped by _rk4_chunks from step 0 through n_steps, one D per omega."""
+        d = _increment_matrix(self.omegas, self.rhs, self.dt)
+        return _rk4_chunks(self.y0, d, self.n_steps, self.group)
 
     def analytic_qp(self, t: np.ndarray) -> tuple:
         """Closed-form (q, p) at times t, an array that broadcasts against (trials,)."""
@@ -288,18 +283,15 @@ class _Batch:
         return _family_coeffs(*np.stack(parts, axis=-1), self.cs[:, :, None])
 
     def analytic_mu(self, t) -> np.ndarray:
-        """Reference mu at times t, which broadcast against (rows, trials), trial-major
-        (trials, rows, 8): per trial, trig values at the exact half angle omega t/2 times
-        the amplitudes.  Those of 3 omega t/2 come from the triple-angle identities, as
-        D+/- from A+/-, since rounding 3 omega t/2 itself would move the angle.
-        Times shared by all trials, of shape (rows, 1), take the trig once per
-        distinct omega."""
-        t = np.atleast_2d(t)
-        shared = t.shape[1] == 1
-        half = ((self.omegas if shared else self.w) * t / 2.0).T
+        """Reference mu at times t, which broadcast against (rows, distinct omegas),
+        trial-major (trials, rows, 8): the trig values at the exact half angle omega t/2,
+        taken once per distinct omega, times each trial's amplitudes.  Those of 3 omega t/2
+        come from the triple-angle identities, as D+/- from A+/-, since rounding
+        3 omega t/2 itself would move the angle."""
+        half = (self.omegas * np.atleast_2d(t) / 2.0).T
         c, s = np.cos(half), np.sin(half)
         b = np.stack((c, s, c * (c * c - 3.0 * s * s), s * (3.0 * c * c - s * s)), -1)
-        return np.matmul(b[self.group] if shared else b, self.amplitudes)
+        return np.matmul(b[self.group], self.amplitudes)
 
     def compare(self, t: np.ndarray, ys: np.ndarray) -> tuple:
         """Energy, mu_ana, |mu - mu_ana| and relative energy drift of the states ys[j, k]
@@ -416,8 +408,8 @@ def rk4_order_check(config: IntegratorConfig) -> float:
     def max_err(dt: float) -> float:
         batch = _config_batch(replace(config, dt=dt))
         worst = 0.0
-        for first, ys in _rk4_chunks(batch.y0[:, :2], batch.increments()[:, :2, :2],
-                                     batch.n_steps):
+        d = _increment_matrix(batch.omegas, batch.rhs, dt)[:, :2, :2]
+        for first, ys in _rk4_chunks(batch.y0[:, :2], d, batch.n_steps, batch.group):
             ref = np.stack(batch.analytic_qp((first + np.arange(len(ys))) * dt), -1)
             worst = max(worst, float(np.max(np.abs(ys[:, 0] - ref))))
         return worst
@@ -545,7 +537,7 @@ def theorem_suite(
     # the analytic branch flips sign after one (q, p) period; the closed form
     # extends past t_end, so base times can range over the whole run
     t = np.linspace(0.0, t_end, 8)[:, None]
-    anti = batch.analytic_mu(t) + batch.analytic_mu(t + 2.0 * math.pi / w)
+    anti = batch.analytic_mu(t) + batch.analytic_mu(t + 2.0 * math.pi / batch.omegas)
     anti_worst = np.abs(anti).max(axis=(1, 2))
 
     n = batch.n_steps + 1

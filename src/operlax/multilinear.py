@@ -60,12 +60,11 @@ class Operation:
             if type(n) is not int:  # json.dumps refuses a numpy int
                 object.__setattr__(self, name, int(n))
         coeffs = np.array(self.coeffs, dtype=float).reshape(-1)  # the one copy
-        expected = self.dim ** (self.arity + 1)
-        if coeffs.size != expected:
-            raise DimensionMismatchError(
-                f"need {expected} coefficients for dim={self.dim}, "
-                f"arity={self.arity}, got {coeffs.size}"
-            )
+        # past size's bit length the power of a dim >= 2 exceeds size, so capping the
+        # exponent there builds no int the count could not equal
+        if self.dim ** min(self.arity + 1, coeffs.size.bit_length() + 1) != coeffs.size:
+            raise DimensionMismatchError(f"need dim**(arity+1) coefficients for dim={self.dim}, "
+                                         f"arity={self.arity}, got {coeffs.size}")
         _finite(coeffs).flags.writeable = False
         object.__setattr__(self, "coeffs", coeffs)
 

@@ -344,6 +344,15 @@ def test_bracket_dim_mismatch(tmp_path, capsys):
     assert code == 2
 
 
+def test_bracket_operation_of_huge_arity_is_usage_error(tmp_path, capsys):
+    fp = tmp_path / "f.json"
+    fp.write_text(json.dumps({"dim": 2, "arity": 10 ** 5, "coeffs": [1.0, 2.0, 3.0, 4.0]}))
+    code, _, stderr = run(["bracket", str(fp), str(fp)], capsys)
+    assert code == 2
+    assert stderr.splitlines()[-1] == ("operlax: error: need dim**(arity+1) coefficients for "
+                                       "dim=2, arity=100000, got 4")
+
+
 @pytest.mark.parametrize("obj", [{"dim": [1], "arity": 1, "coeffs": [1.0]},
                                  {"dim": 1, "arity": 1, "coeffs": {"a": 1.0}},
                                  {"dim": 1e400, "arity": 1, "coeffs": [1.0]}, [1.0],
@@ -553,18 +562,52 @@ def test_flag_fuzz_exits_0_1_or_2(argv):
     assert code in (0, 1, 2), err.getvalue()
 
 
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _digest_script():
+    spec = importlib.util.spec_from_file_location("report_digests",
+                                                  ROOT / "scripts" / "report_digests.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    return script
+
+
 def test_config_acceptance_digest_is_the_stored_line(tmp_path):
     # what load_config makes of the digest script's grid of config files depends on
-    # config parsing alone, not on libm, so its line holds on any host (the report
-    # lines, which read libm's bits, stay outside the suite)
-    root = Path(__file__).resolve().parents[1]
-    spec = importlib.util.spec_from_file_location("report_digests",
-                                                  root / "scripts" / "report_digests.py")
-    digests = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(digests)
-    line = f"{hashlib.sha256(digests._config_outcomes(root, str(tmp_path))).hexdigest()}  " \
+    # config parsing alone, not on libm, so its line holds on any host
+    digests = _digest_script()
+    line = f"{hashlib.sha256(digests._config_outcomes(ROOT, str(tmp_path))).hexdigest()}  " \
            "config-acceptance"
-    assert line in (root / "REPORT_DIGESTS.txt").read_text().splitlines()
+    assert line in (ROOT / "REPORT_DIGESTS.txt").read_text().splitlines()
+
+
+def _in_process(argv, out):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main([*argv, "--out", str(out)]) in (0, 1)  # 1: a failed check, still written
+
+
+def test_report_and_csv_digests_are_the_stored_lines(tmp_path):
+    # the reports and CSVs read libm's, numpy's and BLAS's bits, so they are pinned only
+    # on a host whose primitives fingerprint as the stored line's do
+    script = _digest_script()
+    stored = script.read_lines(ROOT / "REPORT_DIGESTS.txt")
+    differ = script.differing_primitives(stored["host-primitives"])
+    if differ:
+        pytest.skip(f"host primitives differ from the stored fingerprint: {', '.join(differ)}")
+    found = script.output_digests(_in_process, str(tmp_path))
+    assert len(found) == 15
+    differ = [name for name in found if found[name] != stored[name]]
+    assert not differ, f"outputs whose digest differs from REPORT_DIGESTS.txt: {differ}"
+
+
+def test_fingerprint_names_a_primitive_one_ulp_off(monkeypatch):
+    script = _digest_script()
+    stored = script.read_lines(ROOT / "REPORT_DIGESTS.txt")["host-primitives"]
+    probe, sin = script._ANGLES[100], math.sin
+    monkeypatch.setattr(math, "sin", lambda x: math.nextafter(sin(x), math.inf) if x == probe
+                        else sin(x))
+    assert script.differing_primitives(stored) == ["math.sin"]
 
 
 def _print_calls(path: Path) -> list:

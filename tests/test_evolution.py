@@ -52,6 +52,7 @@ from operlax.evolution import (
     _csv_bytes,
     _increment_matrix,
     _pde_residuals,
+    _rhs_by_omega,
     _rk4_chunks,
     pde_suite,
 )
@@ -178,7 +179,8 @@ def _rk4_step(state, M, dt):
     # one step of the joint system: the single-run, single-step case of the chunk kernel
     w = state.osc.omega
     y0 = np.concatenate(([state.osc.q, state.osc.p], state.mu.coeffs))
-    _, ys = next(_rk4_chunks(y0[None], _increment_matrix(w, structure_rhs_matrix(M), dt)[None], 1))
+    d = _increment_matrix(w, structure_rhs_matrix(M), dt)[None]
+    _, ys = next(_rk4_chunks(y0[None], d, 1, range(1)))
     y1 = ys[1, 0]
     return SystemState(state.t + dt, OscState(w, float(y1[0]), float(y1[1])),
                        make_operation(2, 2, y1[2:]))
@@ -248,7 +250,7 @@ def test_propagator_divergence_names_first_step():
     d = np.eye(10)[None] * 1e300
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(DivergenceError, match="step 2$"):
-            for _ in _rk4_chunks(np.ones((1, 10)), d, 3000):
+            for _ in _rk4_chunks(np.ones((1, 10)), d, 3000, range(1)):
                 pass
 
 
@@ -273,7 +275,7 @@ def test_chunk_kernel_matches_per_step_loop(n_steps):
     rhs = [structure_rhs_matrix(lax_matrices(c.initial_state())[1]) for c in configs]
     d = np.stack([_increment_matrix(c.omega, r, c.dt) for c, r in zip(configs, rhs)])
     y0 = _batch(configs).y0
-    got = np.concatenate([ys.copy() for _, ys in _rk4_chunks(y0, d, n_steps)])
+    got = np.concatenate([ys.copy() for _, ys in _rk4_chunks(y0, d, n_steps, range(len(y0)))])
     want = [y0]
     for _ in range(n_steps):
         want.append(want[-1] + np.einsum("kij,kj->ki", d, want[-1]))
@@ -289,7 +291,7 @@ def test_propagator_divergence_of_two_dim_run():
     # a 2-dim run steps 6400 per chunk, so all 3000 steps are one chunk
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(DivergenceError, match="step 1751$"):
-            for _ in _rk4_chunks(np.ones((1, 2)), 0.5 * np.eye(2)[None], 3000):
+            for _ in _rk4_chunks(np.ones((1, 2)), 0.5 * np.eye(2)[None], 3000, range(1)):
                 pass
 
 
@@ -297,7 +299,7 @@ def test_propagator_divergence_in_later_chunk():
     # 1.5**1751 is the first power above the largest double
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(DivergenceError, match="step 1751$"):
-            for _ in _rk4_chunks(np.ones((1, 10)), 0.5 * np.eye(10)[None], 3000):
+            for _ in _rk4_chunks(np.ones((1, 10)), 0.5 * np.eye(10)[None], 3000, range(1)):
                 pass
 
 
@@ -339,9 +341,14 @@ def test_amplitudes_and_reference_equal_per_trial_forms():
     configs += [IntegratorConfig(1e-3, 20.0, 1.0, 0.0, 1.0, C5),
                 IntegratorConfig(1e-3, 20.0, 2.0, -0.0, 1.0, MuParams.zeros())]
     t = 7.0 + np.arange(300)[:, None] * 1e-3
+    base = np.linspace(0.0, 20.0, 8)[:, None]  # the antiperiodicity check's times
     for batch in (_batch(configs), _batch(configs[:1])):
         assert batch.amplitudes.tobytes() == _four_call_amplitudes(batch).tobytes()
         assert batch.analytic_mu(t).tobytes() == _per_trial_trig_mu(batch, t).tobytes()
+        # a period's shift taken per distinct omega equals the same shift taken per trial
+        per_omega = batch.analytic_mu(base + 2.0 * math.pi / batch.omegas)
+        per_trial = _per_trial_trig_mu(batch, base + 2.0 * math.pi / batch.w)
+        assert per_omega.tobytes() == per_trial.tobytes()
 
 
 def test_omega_draw_equals_choice(monkeypatch):
@@ -378,13 +385,23 @@ def test_increment_matrix_built_once_per_distinct_omega(monkeypatch):
     original = evolution._increment_matrix
 
     def counting(omega, rhs, dt):
-        built.append(omega)
+        built.append(np.asarray(omega).tolist())
         return original(omega, rhs, dt)
 
     monkeypatch.setattr(evolution, "_increment_matrix", counting)
     theorem_suite(20, seed=7, tol=1e-6, t_end=0.3)
     omegas = {c.omega for c in _theorem_configs(7, 20, 1e-3, 0.3)}
-    assert sorted(built) == sorted(omegas)
+    # one call for the batch, which receives each distinct omega once
+    assert built == [sorted(omegas)]
+
+
+@pytest.mark.parametrize("dt", [1e-3, 2e-3, 1e-4, 1.0 / 60.0])
+def test_stacked_increment_matrix_equals_per_omega_calls(dt):
+    omegas, _, rhs = _rhs_by_omega(np.array(_OMEGAS + (0.7, 3.0)))
+    stacked = _increment_matrix(omegas, rhs, dt)
+    single = np.stack([_increment_matrix(w, r, dt) for w, r in zip(omegas.tolist(), rhs)])
+    assert stacked.shape == (5, 10, 10)
+    assert stacked.tobytes() == single.tobytes()
 
 
 def test_theorem_batch_matches_single_runs():
@@ -868,7 +885,7 @@ def test_order_check_qp_block_matches_ten_dim_run(monkeypatch):
                            params=MuParams.zeros())
     runs = []
 
-    def recording(y0, d, n_steps, group=None):
+    def recording(y0, d, n_steps, group):
         chunks = []
         runs.append((d.shape, n_steps, chunks))
         for first, ys in _rk4_chunks(y0, d, n_steps, group):

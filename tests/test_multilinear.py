@@ -1,4 +1,6 @@
 import json
+import math
+import time
 import warnings
 
 import numpy as np
@@ -37,6 +39,19 @@ def test_coefficient_length_must_match():
         make_operation(2, 2, np.zeros(7))
     with pytest.raises(DimensionMismatchError):
         make_operation(3, 1, np.zeros(8))
+
+
+@pytest.mark.parametrize("arity", [10 ** 5, 10 ** 8])
+def test_coefficient_count_check_builds_no_huge_int(arity):
+    # dim ** (arity + 1) in full has arity + 1 bits, and its decimal message past 4300
+    # digits was a plain ValueError from int-to-string conversion
+    best = math.inf
+    for _ in range(3):
+        started = time.perf_counter()
+        with pytest.raises(DimensionMismatchError, match=rf"dim=2, arity={arity}, got 4$"):
+            make_operation(2, arity, [1, 2, 3, 4])
+        best = min(best, time.perf_counter() - started)
+    assert best < 0.01
 
 
 def test_dim_and_arity_must_be_ints():

@@ -83,7 +83,7 @@ def test_order_check_steps_with_the_exact_2x2_d_rounded(omega, monkeypatch):
     # the (q, p) block that rk4_order_check steps, at dt and dt/2
     seen, kernel = [], evolution._rk4_chunks
 
-    def recording(y0, d, n_steps, group=None):
+    def recording(y0, d, n_steps, group):
         seen.append(d.tolist())
         return kernel(y0, d, n_steps, group)
 

@@ -1,0 +1,65 @@
+"""Exact symbolic certificates of identities the suites check numerically.
+
+sympy evaluates the source's own formulas (`_aux_at_radius`, `_a_dots`,
+`_g_values`, `_cramer_residuals`, `_family_coeffs` and the entries of
+`structure_rhs_matrix`) on symbols: omega, R, phi and C1..C8, at the phase
+point p = R^2 cos 2phi, omega q = R^2 sin 2phi, so that 2H = R^4 and the
+principal angle is 2phi.  Their numpy calls are served by sympy's cos and
+sin, and every float constant of the source becomes the rational it holds.
+A residual is proved zero when the numerator of its rational form, written
+in c = cos phi and s = sin phi, leaves no remainder modulo c^2 + s^2 - 1.
+"""
+
+import types
+
+import numpy as np
+import pytest
+import sympy as sp
+
+from operlax import oscillator
+from operlax.evolution import structure_rhs_matrix
+from operlax.oscillator import (OscState, _a_dots, _aux_at_radius, _cramer_residuals,
+                                _family_coeffs, _g_values, lax_matrices)
+
+W, R, PHI = sp.symbols("omega R phi", positive=True)
+C = sp.symbols("C1:9", real=True)
+P, Q, H = R ** 2 * sp.cos(2 * PHI), R ** 2 * sp.sin(2 * PHI) / W, R ** 4 / 2
+
+
+def _vanishes(expr) -> bool:
+    c, s = sp.symbols("c s")
+    expr = sp.expand_trig(sp.nsimplify(expr, rational=True))
+    numerator = sp.numer(sp.together(expr.subs({sp.cos(PHI): c, sp.sin(PHI): s})))
+    return sp.rem(sp.expand(numerator), s ** 2 + c ** 2 - 1, s) == 0
+
+
+@pytest.fixture(scope="module")
+def aux():
+    # (A+, A-, D+, D-) at angle 2 phi and radius sqrt(2) (2H)^(1/4) = sqrt(2) R
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oscillator, "np", types.SimpleNamespace(cos=sp.cos, sin=sp.sin, stack=np.stack))
+        return _aux_at_radius(2 * PHI, sp.sqrt(2) * R)
+
+
+def test_g_vanishes_on_shell(aux):
+    # (dq, dp) = (p, -omega^2 q), the canonical equations; the Cramer step is _a_dots
+    g = _g_values(W, P, -W * W * Q, *aux)
+    assert [_vanishes(x) for x in g] == [True] * 4
+    # and the certificate is not vacuous: off shell G1 does not vanish
+    assert not _vanishes(_g_values(W, P + 1, -W * W * Q, *aux)[0])
+    assert not _vanishes(_a_dots(W, P, -W * W * Q, aux[0], aux[1])[0])
+
+
+def test_cramer_identities(aux):
+    assert [_vanishes(x) for x in _cramer_residuals(W, Q, P, H, *aux)] == [True] * 3
+
+
+def test_family_solves_the_lax_equation(aux):
+    # along phi' = omega/2 at constant R: d mu/dt = (omega/2) d mu/d phi = [M, mu], whose
+    # matrix is linear in M = (omega/2) J, so omega times its exact entries at omega = 1
+    mu = sp.Matrix(_family_coeffs(*aux, C).tolist())
+    rhs = structure_rhs_matrix(lax_matrices(OscState(1.0, 0.0, 0.0))[1])
+    bracket = W * sp.Matrix(8, 8, [sp.Rational(x) for x in rhs.ravel().tolist()]) * mu
+    residual = mu.diff(PHI) * W / 2 - bracket
+    assert [_vanishes(x) for x in residual] == [True] * 8
+    assert any(x != 0 for x in bracket)

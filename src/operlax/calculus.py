@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError, _check_int, _check_positive
-from .multilinear import Operation, _finite, _quiet
+from .multilinear import Operation, _coeff_count, _finite, _quiet
 
 __all__ = [
     "LawReport",
@@ -305,7 +305,9 @@ def _draw_coeffs(rng: np.random.Generator, dim: int, arity: int) -> np.ndarray:
 
 
 def random_operation(rng: np.random.Generator, dim: int, arity: int) -> Operation:
-    """Operation with coefficients drawn uniformly from [-1, 1]."""
+    """Operation with coefficients drawn uniformly from [-1, 1], its sizes checked first."""
+    if _coeff_count(dim, arity, 2 ** 60) >= 2 ** 60:  # more doubles than an array's bytes hold
+        raise DimensionMismatchError(f"dim={dim}, arity={arity}: too many coefficients")
     return Operation(dim, arity, _draw_coeffs(rng, dim, arity))
 
 

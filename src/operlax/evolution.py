@@ -14,7 +14,6 @@ PDE residuals, order measurements, and the randomized verification suites.
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass, field, replace
 from functools import cached_property, reduce
 
@@ -76,7 +75,6 @@ class Trajectory:
     (n,); mu (integrated) and mu_ana (analytic reference on the continuous branch) of
     shape (n, 8) in flat coefficient order.  A table of another shape is a ValueError."""
 
-    config: "IntegratorConfig"
     table: np.ndarray
     t, q, p, H, mu, mu_ana, err, drift = (property(lambda self, k=k: self.table[:, k]) for k in (
         0, 1, 2, 3, slice(4, 12), slice(12, 20), 20, 21))
@@ -338,8 +336,7 @@ def evolve(config: IntegratorConfig) -> Trajectory:
     t = np.append(np.arange(0, n, r), n) * config.dt
     energy, mu_ana, dev, drift = (a[0] for a in batch.compare(t[:, None], ys))
     err = reduce(np.maximum, dev.T)  # column by column: dev.max(axis=1) took ~10x longer
-    return Trajectory(config, np.column_stack((t, ys[:, 0, :2], energy, ys[:, 0, 2:], mu_ana,
-                                               err, drift)))
+    return Trajectory(np.column_stack((t, ys[:, 0, :2], energy, ys[:, 0, 2:], mu_ana, err, drift)))
 
 
 @_quiet
@@ -428,46 +425,32 @@ CSV_HEADER = (
 )
 
 
-def _band_spelling(m: re.Match) -> bytes:
-    # 0.0000ddd is 1e-05 .. 9.99e-05 unless a digit precedes it, as in 10.00001
-    if m.string[m.start() - 1:m.start()].isdigit():
-        return m[0]
-    return m[1] + (b"." + m[2] if m[2] else b"") + b"e-05"
-
-
-# The three ways orjson spells a double otherwise than repr does, as (the range of |x|
-# that orjson spells so, its pattern, repr's spelling): a positive exponent has no sign
-# (1e16 for 1e+16), a negative one a single digit (1e-7 for 1e-07), and [1e-5, 1e-4)
-# is written as a decimal (0.0000123 for 1.23e-05).  Shortest digits lie on the same
-# side of a power of ten as the double they spell, so |x| alone tells which apply.
-_REPR_SPELLINGS = (
-    (1e16, math.inf, re.compile(rb"e(\d)"), rb"e+\1"),
-    (1e-9, 1e-5, re.compile(rb"e-(\d)\b"), rb"e-0\1"),
-    (1e-5, 1e-4, re.compile(rb"0\.0000(\d)(\d*)"), _band_spelling),
-)
-
-
 def _csv_bytes(table: np.ndarray) -> bytes:
     """The CSV rows of a 2-d table of doubles as ASCII, each ending in a newline.
 
-    A table of finite values is one orjson call on its flat list, which writes
-    the same shortest round-trip digits as repr, then a rewrite of each spelling
-    in _REPR_SPELLINGS that some value takes; every ncol-th comma and the closing
-    bracket become newlines.  orjson writes NaN and +-inf as null, so a table
-    holding one is formatted by repr itself.
+    orjson writes the same shortest round-trip digits as repr, and spells them as
+    repr does where |x| < 1e-9 or 1e-4 <= |x| < 1e16.  A table holding another
+    value is one orjson call on its list with repr's string in those places, its
+    quotes then dropped; any other is one call on its flat array.  Every ncol-th
+    comma and the closing bracket become newlines.
     """
     import orjson  # only a CSV needs it, so importing operlax does not load it
 
-    table = np.ascontiguousarray(table, dtype=float)
-    if not table.size:
+    flat = np.ascontiguousarray(table, dtype=float).reshape(-1)
+    if not flat.size:
         return b"\n" * len(table)
-    size = np.abs(table)
-    if not np.isfinite(size).all():
-        return "".join(",".join(map(repr, row)) + "\n" for row in table.tolist()).encode()
-    text = orjson.dumps(table.reshape(-1), option=orjson.OPT_SERIALIZE_NUMPY)
-    for low, high, pattern, spelling in _REPR_SPELLINGS:
-        if ((low <= size) & (size < high)).any():
-            text = pattern.sub(spelling, text)
+    size = np.abs(flat)
+    # elsewhere orjson writes 1e16 for 1e+16, 1e-7 for 1e-07, 0.0000123 for 1.23e-05
+    # and null for NaN and +-inf; shortest digits lie on the same side of a power of
+    # ten as the double they spell, so |x| alone tells
+    others = np.flatnonzero(~((size < 1e-9) | ((1e-4 <= size) & (size < 1e16))))
+    if others.size:
+        values = flat.tolist()
+        for k in others.tolist():
+            values[k] = repr(values[k])
+        text = orjson.dumps(values).replace(b'"', b"")
+    else:
+        text = orjson.dumps(flat, option=orjson.OPT_SERIALIZE_NUMPY)
     chars = np.frombuffer(text, np.uint8)[1:].copy()  # without the opening bracket
     chars[np.flatnonzero(chars == ord(","))[table.shape[1] - 1::table.shape[1]]] = ord("\n")
     chars[-1] = ord("\n")

@@ -33,6 +33,15 @@ def _finite(x: np.ndarray) -> np.ndarray:
     return x
 
 
+def _coeff_count(dim, arity, size: int) -> int:
+    """dim**(arity+1) with the exponent capped at size's bit length, past which a dim >= 2
+    exceeds size; a DimensionMismatchError unless dim and arity are ints >= 1, not bools."""
+    for name, n in (("dim", dim), ("arity", arity)):
+        if not (type(n) is int or isinstance(n, np.integer)) or n < 1:
+            raise DimensionMismatchError(f"{name} must be an int >= 1, got {n!r}")
+    return int(dim) ** min(int(arity) + 1, size.bit_length() + 1)
+
+
 @dataclass(frozen=True, eq=False)
 class Operation:
     """A multilinear map f: V^arity -> V with dense coefficients.
@@ -54,19 +63,13 @@ class Operation:
     coeffs: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        for name, n in (("dim", self.dim), ("arity", self.arity)):  # a bool is no int here
-            if not (type(n) is int or isinstance(n, np.integer)) or n < 1:
-                raise DimensionMismatchError(f"{name} must be an int >= 1, got {n!r}")
-            if type(n) is not int:  # json.dumps refuses a numpy int
-                object.__setattr__(self, name, int(n))
         coeffs = np.array(self.coeffs, dtype=float).reshape(-1)  # the one copy
-        # past size's bit length the power of a dim >= 2 exceeds size, so capping the
-        # exponent there builds no int the count could not equal
-        if self.dim ** min(self.arity + 1, coeffs.size.bit_length() + 1) != coeffs.size:
+        if _coeff_count(self.dim, self.arity, coeffs.size) != coeffs.size:
             raise DimensionMismatchError(f"need dim**(arity+1) coefficients for dim={self.dim}, "
                                          f"arity={self.arity}, got {coeffs.size}")
         _finite(coeffs).flags.writeable = False
-        object.__setattr__(self, "coeffs", coeffs)
+        # past the frozen __setattr__; int() since json.dumps refuses a numpy dim or arity
+        self.__dict__.update(coeffs=coeffs, dim=int(self.dim), arity=int(self.arity))
 
     @property
     def reduced_degree(self) -> int:

@@ -492,6 +492,16 @@ def test_worst_case_reports_do_not_depend_on_the_block(rows, block):
         assert all(r.max_abs_residual == 0.0 and r.worst_case_seed == -1 for r in by_block)
 
 
+@pytest.mark.parametrize("dim, arity", [(2.5, 2), (-1, 2), (True, 2), (2, 10 ** 8)])
+def test_random_operation_checks_dim_and_arity_before_it_draws(dim, arity):
+    # by Operation's rule, and with no int of 10**8 bits for the coefficient count
+    rng = trial_rng(0, 0)
+    state = rng.bit_generator.state
+    with pytest.raises(DimensionMismatchError):
+        random_operation(rng, dim, arity)
+    assert rng.bit_generator.state == state
+
+
 def test_trial_rng_streams_are_pinned():
     # the documented streams: a numpy upgrade that moves them must fail here
     raw = trial_rng(0, 0).bit_generator.random_raw(4).tolist()

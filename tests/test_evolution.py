@@ -529,7 +529,7 @@ def test_evolve_matches_family():
         with pytest.raises(ValueError):
             column[(0,) * column.ndim] = 1.0
     with pytest.raises(ValueError, match=r"shape \(n, 22\)"):
-        Trajectory(cfg, traj.table[:, :21])
+        Trajectory(traj.table[:, :21])
 
 
 def test_evolve_zero_params_stays_zero():
@@ -973,8 +973,7 @@ def _repr_csv(traj):
 
 def _table_trajectory(table):
     # a Trajectory whose CSV rows are the rows of table (n, 22)
-    cfg = IntegratorConfig(dt=1e-3, t_end=1.0, omega=1.0, q0=0.0, p0=1.0)
-    return Trajectory(cfg, np.array(table, dtype=float))
+    return Trajectory(np.array(table, dtype=float))
 
 
 def _chunked_csv(traj):
@@ -988,7 +987,7 @@ def _chunked_csv(traj):
 @settings(derandomize=True, database=None, max_examples=500, deadline=None)
 @given(st.lists(st.floats(), min_size=1, max_size=44))
 def test_csv_rows_match_repr_for_every_float(values):
-    # NaN and +-inf included: a table holding one is formatted by repr itself
+    # NaN and +-inf included: orjson writes them as null, so repr's string takes their place
     for table in (np.array([values]), np.array(values)[:, None]):
         assert _csv_bytes(table) == _repr_bytes(table)
 
@@ -1000,12 +999,21 @@ _CSV_EDGES = [1e-05, 9.999999999999999e-05, 0.0001, 1e16, 9999999999999998.0, 1e
               1.7976931348623157e+308, 0.0, -0.0, 10.00001, 100.00001, 1e+22]
 
 
+# every power of ten a double holds, from 1e-323 to 1e308, with its two neighbours, both
+# signs: a row per power
+_POWERS = np.array([float(f"1e{k}") for k in range(-323, 309)])[:, None]
+_POWERS = np.hstack([np.nextafter(_POWERS, 0.0), _POWERS, np.nextafter(_POWERS, np.inf)])
+_POWERS = np.hstack([_POWERS, -_POWERS])
+
+
 @pytest.mark.parametrize("x", _CSV_EDGES)
 def test_csv_rows_match_repr_at_edge_values(x):
-    # the last two break rows at a comma: x opens a row that is not the first, and in the
-    # one-column table every comma is a row break
+    # the fifth and sixth break rows at a comma: x opens a row that is not the first, and
+    # in the one-column table every comma is a row break; the last ends in a row of NaN,
+    # +-inf and x, which repr spells among the numbers orjson writes
     for table in ([[x]], [[-x]], [[x, 1.0, -x]], [_CSV_EDGES], [[1.0, 2.0], [x, -x]],
-                  np.array(_CSV_EDGES)[:, None]):
+                  np.array(_CSV_EDGES)[:, None],
+                  np.vstack([_POWERS, [math.nan, x, math.inf, -x, -math.inf, 1.0]])):
         assert _csv_bytes(np.array(table)) == _repr_bytes(table)
 
 
@@ -1024,7 +1032,7 @@ def test_csv_writes_non_finite_values_as_repr_does():
 
 
 def test_csv_chunks_write_a_non_finite_chunk_between_finite_ones_as_repr_does():
-    # only the middle chunk takes the repr path
+    # only the middle chunk is dumped as a list with repr's strings
     table = np.tile(np.linspace(-1.0, 1.0, 22), (3 * CHUNK_STEPS, 1))
     table[CHUNK_STEPS + 7, 3] = math.nan
     lines = _chunked_csv(_table_trajectory(table)).splitlines()
@@ -1033,7 +1041,7 @@ def test_csv_chunks_write_a_non_finite_chunk_between_finite_ones_as_repr_does():
 
 
 def test_csv_chunks_spell_a_band_value_in_the_last_chunk_as_repr_does():
-    # only the last chunk takes the [1e-5, 1e-4) rewrite
+    # only the last chunk is dumped as a list with repr's strings
     table = np.tile(np.linspace(0.5, 2.0, 22), (2 * CHUNK_STEPS + 3, 1))
     table[-1, 5] = -1.5e-5
     lines = _chunked_csv(_table_trajectory(table)).splitlines()

@@ -1,13 +1,14 @@
 """Exact symbolic certificates of identities the suites check numerically.
 
 sympy evaluates the source's own formulas (`_aux_at_radius`, `_a_dots`,
-`_g_values`, `_cramer_residuals`, `_family_coeffs` and the entries of
-`structure_rhs_matrix`) on symbols: omega, R, phi and C1..C8, at the phase
-point p = R^2 cos 2phi, omega q = R^2 sin 2phi, so that 2H = R^4 and the
-principal angle is 2phi.  Their numpy calls are served by sympy's cos and
-sin, and every float constant of the source becomes the rational it holds.
-A residual is proved zero when the numerator of its rational form, written
-in c = cos phi and s = sin phi, leaves no remainder modulo c^2 + s^2 - 1.
+`_g_values`, `_cramer_residuals`, `_family_coeffs`, the entries of
+`structure_rhs_matrix` and the trig basis of `_Batch.analytic_mu`) on
+symbols: omega, R, phi and C1..C8, at the phase point p = R^2 cos 2phi,
+omega q = R^2 sin 2phi, so that 2H = R^4 and the principal angle is 2phi.
+Their numpy calls are served by sympy's cos and sin, and every float
+constant of the source becomes the rational it holds.  A residual is proved
+zero when the numerator of its rational form, written in c = cos phi and
+s = sin phi, leaves no remainder modulo c^2 + s^2 - 1.
 """
 
 import types
@@ -16,7 +17,7 @@ import numpy as np
 import pytest
 import sympy as sp
 
-from operlax import oscillator
+from operlax import evolution, oscillator
 from operlax.evolution import structure_rhs_matrix
 from operlax.oscillator import (OscState, _a_dots, _aux_at_radius, _cramer_residuals,
                                 _family_coeffs, _g_values, lax_matrices)
@@ -63,3 +64,24 @@ def test_family_solves_the_lax_equation(aux):
     residual = mu.diff(PHI) * W / 2 - bracket
     assert [_vanishes(x) for x in residual] == [True] * 8
     assert any(x != 0 for x in bracket)
+
+
+def test_reference_takes_the_triple_angle_from_the_half_angle(monkeypatch):
+    # (f) at omega = 2 and t = phi the half angle is phi, and with identity amplitudes
+    # the reference's columns are its basis [cos, sin](phi), [cos, sin](3 phi)
+    vec = types.SimpleNamespace(cos=np.vectorize(sp.cos), sin=np.vectorize(sp.sin),
+                                atleast_2d=np.atleast_2d, stack=np.stack, matmul=np.matmul)
+    monkeypatch.setattr(evolution, "np", vec)
+    batch = types.SimpleNamespace(omegas=np.array([2]), group=[0],
+                                  amplitudes=np.eye(4, dtype=int)[None])
+    b = evolution._Batch.analytic_mu(batch, PHI)[0, 0]
+    basis = (sp.cos(PHI), sp.sin(PHI), sp.cos(3 * PHI), sp.sin(3 * PHI))
+    assert [_vanishes(x - y) for x, y in zip(b, basis)] == [True] * 4
+
+
+def test_g_vanishes_only_on_shell(aux):
+    # (g) G1 = G2 = 0 is linear in (dq, dp) with the one solution (p, -omega^2 q)
+    dq, dp = sp.symbols("dq dp")
+    g = [sp.nsimplify(x, rational=True) for x in _g_values(W, dq, dp, *aux)[:2]]
+    (solution,) = sp.solve(g, [dq, dp], dict=True)
+    assert _vanishes(solution[dq] - P) and _vanishes(solution[dp] + W * W * Q)

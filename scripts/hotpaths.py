@@ -1,0 +1,114 @@
+"""Time the laws workload's hot paths in one operlax source tree, in-process.
+
+    python scripts/hotpaths.py [SRC] [--rounds N]
+
+SRC is a checkout's `src` directory (default: this checkout's).  Each hot path
+runs once untimed, then N times (default 50), and the script prints one JSON
+line: {"src": SRC, "rounds": N, PATH: {"p10_us": ..., "median_us": ...}, ...}.
+A sample of a path that takes well under a millisecond is the mean of 10 or
+100 calls.  The
+host's speed drifts in phases of seconds, so compare two checkouts by running
+this alternately on each, several times, rather than once each.
+
+The hot paths:
+- `_trial_draws` of the identity suite (1000 trials), the theorem suite (20)
+  and the PDE suite's states (100), seed 3;
+- the operad suite's triple-law kernel, `_by_signature(_triple_laws, 3, ...)`
+  over the draws of seed 3's first 200 trials;
+- `structure_rhs_matrix` at dims 2 and 3;
+- one pass of the benchmark's laws workload: `verify operad` (200 trials),
+  `verify identities` (1000) and `pde-check` (100) through the CLI, each
+  report written to a file, plus 200 bracket/index pairs; round k takes seed k.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import statistics
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+for _name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_name, "1")
+
+
+def _laws_pass(out: Path):
+    from operlax import calculus, cli, evolution
+
+    def run(seed: int):
+        for argv in (["verify", "operad", "--trials", "200", "--tol", "1e-10"],
+                     ["verify", "identities", "--trials", "1000", "--tol", "1e-12"],
+                     ["pde-check", "--trials", "100", "--tol", "1e-8"]):
+            assert cli.main(argv + ["--seed", str(seed), "--out", str(out)]) == 0
+        worst = 0.0  # the workload's bracket form against index form
+        for d in (2, 3):
+            for k in range(100):
+                rng = calculus.trial_rng(seed, 1000 * d + k)
+                mu, m = (calculus.random_operation(rng, d, a) for a in (2, 1))
+                diff = (evolution.operadic_lax_rhs(mu, m).coeffs
+                        - evolution.structure_constant_rhs(mu, m).coeffs)
+                worst = max(worst, float(abs(diff).max()))
+        assert worst <= 1e-13
+    return run
+
+
+def _operad_draws(calculus, seed: int, trials: int) -> list:
+    # the draws of _operad_rows: (d, (coeffs, arity) of h, f and g) per trial
+    draws = []
+    for rng in calculus._trial_streams(seed, range(trials)):
+        d = int(rng.integers(1, 4))
+        draws.append((d, *[(calculus._draw_coeffs(rng, d, a), a)
+                           for a in (int(rng.integers(1, 4)) for _ in range(3))]))
+    return draws
+
+
+def hot_paths(out: Path) -> dict:
+    """name -> (calls per sample, function of the round index)"""
+    from operlax import calculus, evolution, oscillator
+
+    draws = _operad_draws(calculus, 3, 200)
+    ms = {d: calculus.random_operation(calculus.trial_rng(0, d), d, 1) for d in (2, 3)}
+    return {
+        "trial_draws_identity_1000": (1, lambda k: oscillator._trial_draws(
+            3, range(1000), oscillator._IDENTITY_RANGES, False)),
+        "trial_draws_theorem_20": (100, lambda k: oscillator._trial_draws(
+            3, range(20), evolution._THEOREM_RANGES, True)),
+        "trial_draws_pde_100": (10, lambda k: oscillator._trial_draws(
+            3, range(100), evolution._PDE_RANGES, True)),
+        "triple_laws_seed3_200": (1, lambda k: calculus._by_signature(
+            calculus._triple_laws, 3, draws)),
+        "structure_rhs_matrix_dim2": (100, lambda k: evolution.structure_rhs_matrix(ms[2])),
+        "structure_rhs_matrix_dim3": (100, lambda k: evolution.structure_rhs_matrix(ms[3])),
+        "laws_pass": (1, _laws_pass(out)),
+    }
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("src", nargs="?", default=str(Path(__file__).resolve().parent.parent / "src"))
+    ap.add_argument("--rounds", type=int, default=50)
+    args = ap.parse_args(argv)
+    sys.path.insert(0, str(Path(args.src).resolve()))
+    result = {"src": args.src, "rounds": args.rounds}
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, (calls, fn) in hot_paths(Path(tmp) / "report.json").items():
+            fn(0)
+            samples = []
+            for k in range(args.rounds):
+                t0 = time.perf_counter_ns()
+                for _ in range(calls):
+                    fn(k)
+                samples.append((time.perf_counter_ns() - t0) / calls / 1e3)
+            samples.sort()
+            result[name] = {"p10_us": round(samples[len(samples) // 10], 2),
+                            "median_us": round(statistics.median(samples), 2)}
+    print(json.dumps(result))
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

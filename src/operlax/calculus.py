@@ -12,24 +12,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache, reduce
 
 import numpy as np
 
 from .errors import DimensionMismatchError, _check_int, _check_positive
 from .multilinear import Operation, _coeff_count, _finite, _quiet
 
-__all__ = [
-    "LawReport",
-    "partial_compose",
-    "total_compose",
-    "gerstenhaber_bracket",
-    "check_composition_relations",
-    "check_graded_jacobi",
-    "check_unit_laws",
-    "random_operation",
-    "trial_rng",
-    "operad_law_suite",
-]
+__all__ = ["LawReport", "partial_compose", "total_compose", "gerstenhaber_bracket",
+           "check_composition_relations", "check_graded_jacobi", "check_unit_laws",
+           "random_operation", "trial_rng", "operad_law_suite"]
 
 
 @dataclass(frozen=True)
@@ -64,32 +56,43 @@ def _sign(exponent: int) -> float:
     return -1.0 if exponent % 2 else 1.0
 
 
-def _compose(d: int, f: np.ndarray, m: int, g: np.ndarray, n: int, i: int) -> np.ndarray:
-    """Flat coefficients of g (arity n) inserted into slot i of f (arity m), dim d,
-    one row per trial of f and g (a flat array or a single row broadcasts).
+def _slots(d: int, f: np.ndarray, m: int, g: np.ndarray, n: int, slots):
+    """Flat coefficients of g (arity n) inserted into each slot i of slots of f (arity
+    m), dim d, one row per trial of f and g (a flat array or a single row broadcasts).
 
     f is viewed as (d^(1+i), d, d^(m-1-i)) with the contracted input in the
     middle and g as (d, d^n), so g^T @ f puts g's inputs in its place; the
-    graded sign is (-1)**(i * (n - 1)).
+    graded sign is (-1)**(i * (n - 1)).  g^T is built once for all slots, and the
+    composites are yielded one at a time, so a caller can hold one at a time.
     """
     gt = g.reshape(-1, 1, d, d ** n).transpose(0, 1, 3, 2)
-    out = gt @ f.reshape(-1, d ** (1 + i), d, d ** (m - 1 - i))
-    return (-out if i * (n - 1) % 2 else out).reshape(len(out), -1)
+    for i in slots:
+        x = gt @ f.reshape(-1, d ** (1 + i), d, d ** (m - 1 - i))
+        yield (np.negative(x, out=x) if i * (n - 1) % 2 else x).reshape(len(x), -1)
+
+
+def _compose(d: int, f: np.ndarray, m: int, g: np.ndarray, n: int, i: int) -> np.ndarray:
+    return next(_slots(d, f, m, g, n, (i,)))
 
 
 def _total_compose(d: int, f: np.ndarray, m: int, g: np.ndarray, n: int) -> np.ndarray:
-    return sum((_compose(d, f, m, g, n, i) for i in range(1, m)), _compose(d, f, m, g, n, 0))
+    return reduce(np.add, _slots(d, f, m, g, n, range(m)))
+
+
+def _sub(a, s: float, b):
+    # a - s*b for a sign s of +-1: the bits of the product form, without the product
+    return a - b if s > 0 else a + b
 
 
 def _bracket(d: int, f: np.ndarray, m: int, g: np.ndarray, n: int) -> np.ndarray:
-    s = _sign((m - 1) * (n - 1))
-    return _total_compose(d, f, m, g, n) - s * _total_compose(d, g, n, f, m)
+    return _sub(_total_compose(d, f, m, g, n), _sign((m - 1) * (n - 1)),
+                _total_compose(d, g, n, f, m))
 
 
 def _residual(diffs) -> np.ndarray:
     # each trial's largest |difference|, holding one difference at a time: at
     # arity 7 and dim 3 each holds 6561 doubles per trial
-    return np.max([np.max(np.abs(x), axis=1) for x in diffs], axis=0)
+    return reduce(np.maximum, (np.abs(x).max(axis=1) for x in diffs))
 
 
 def _triple_laws(d, h, l, f, m, g, n) -> list:
@@ -97,34 +100,34 @@ def _triple_laws(d, h, l, f, m, g, n) -> list:
     and graded Jacobi of (f, g, h); the slot lists h o_j g, f o_j g and h o_i f also
     give the totals t(h, g), t(f, g) and t(h, f), summed in _total_compose's order."""
     sgn = _sign((m - 1) * (n - 1))
-    hg = [_compose(d, h, l, g, n, j) for j in range(l)]
-    fg = [_compose(d, f, m, g, n, j) for j in range(m)]
-    hf = [_compose(d, h, l, f, m, i) for i in range(l)]
+    hg = list(_slots(d, h, l, g, n, range(l)))
+    fg = list(_slots(d, f, m, g, n, range(m)))
+    hf = list(_slots(d, h, l, f, m, range(l)))
 
     def relations():
         for i in range(l):
-            for j in range(l + m - 1):
+            for j, lhs in enumerate(_slots(d, hf[i], l + m - 1, g, n, range(l + m - 1))):
                 if i <= j < i + m:
-                    rhs = _compose(d, h, l, fg[j - i], m + n - 1, i)
+                    yield lhs - _compose(d, h, l, fg[j - i], m + n - 1, i)
                 else:  # g moves into slot k of h, before or after f
                     k, at = (j, i + n - 1) if j < i else (j - m + 1, i)
-                    rhs = sgn * _compose(d, hg[k], l + n - 1, f, m, at)
-                yield _compose(d, hf[i], l + m - 1, g, n, j) - rhs
+                    yield _sub(lhs, sgn, _compose(d, hg[k], l + n - 1, f, m, at))
 
-    tfg, thg, thf = (sum(c[1:], c[0]) for c in (fg, hg, hf))
+    tfg, thg, thf = (reduce(np.add, c) for c in (fg, hg, hf))
     tgf = _total_compose(d, g, n, f, m)
-    fxg, gxf = tfg - sgn * tgf, tgf - sgn * tfg  # [f, g] and [g, f]
+    fxg, gxf = _sub(tfg, sgn, tgf), _sub(tgf, sgn, tfg)  # [f, g] and [g, f]
     inner = ((fxg, m, n, h, l),
-             (_total_compose(d, g, n, h, l) - _sign((n - 1) * (l - 1)) * thg, n, l, f, m),
-             (thf - _sign((l - 1) * (m - 1)) * _total_compose(d, f, m, h, l), l, m, g, n))
-    return [[fxg + sgn * gxf], relations(),
-            [sum(_sign((p - 1) * (r - 1)) * _bracket(d, ab, p + q - 1, c, r)
-                 for ab, p, q, c, r in inner)]]
+             (_sub(_total_compose(d, g, n, h, l), _sign((n - 1) * (l - 1)), thg), n, l, f, m),
+             (_sub(thf, _sign((l - 1) * (m - 1)), _total_compose(d, f, m, h, l)), l, m, g, n))
+    jacobi = 0  # the three signed brackets, summed from 0
+    for ab, p, q, c, r in inner:
+        jacobi = _sub(jacobi, -_sign((p - 1) * (r - 1)), _bracket(d, ab, p + q - 1, c, r))
+    return [[_sub(fxg, -sgn, gxf)], relations(), [jacobi]]
 
 
 def _unit_laws(d: int, f: np.ndarray, n: int) -> list:
     e = np.eye(d).reshape(-1)  # the unit
-    return [[_compose(d, e, 1, f, n, 0) - f] + [_compose(d, f, n, e, 1, i) - f for i in range(n)]]
+    return [[_compose(d, e, 1, f, n, 0) - f] + [x - f for x in _slots(d, f, n, e, 1, range(n))]]
 
 
 # Coefficients of a law's widest intermediate over the trials stacked together
@@ -254,12 +257,16 @@ def _hashed(v: np.ndarray, consts: tuple) -> np.ndarray:
     return v ^ (v >> np.uint32(16))
 
 
-def _seed_words(seed: int, ks: range) -> np.ndarray:
-    """SeedSequence([seed, k]).generate_state(4, np.uint64) for every k in ks,
-    one row each, for 0 <= seed < 2**64 and 0 <= k < 2**32.
+def _seed_words(seed, ks: range):
+    """SeedSequence([seed, k]).generate_state(4, np.uint64) for every k of the increasing
+    range ks, one row each; None unless 0 <= seed < 2**64 and 0 <= k < 2**32.
 
     The entropy is the seed's one or two 32-bit words, then k's one word; the
     pool of four words takes zeros past the entropy, as SeedSequence's does."""
+    if not (isinstance(seed, (int, np.integer)) and 0 <= int(seed) < 2 ** 64
+            and (not ks or 0 <= ks[0] and ks[-1] < 2 ** 32)):
+        return None
+    seed = int(seed)
     words = [seed % 2 ** 32, seed >> 32] if seed >> 32 else [seed]
     entropy = np.zeros((4, len(ks)), np.uint32)
     entropy[:len(words)] = np.array(words, np.uint32)[:, None]
@@ -284,13 +291,12 @@ def _trial_streams(seed, ks: range):
     Seeds and indices that SeedSequence takes in more words, or rejects, go
     through trial_rng itself, with its errors.
     """
-    if not (isinstance(seed, (int, np.integer)) and 0 <= int(seed) < 2 ** 64
-            and (not ks or 0 <= ks[0] and ks[-1] < 2 ** 32)):
+    if (words := _seed_words(seed, ks)) is None:
         yield from (trial_rng(seed, k) for k in ks)
         return
     bits = np.random.PCG64()
     rng = np.random.Generator(bits)
-    for s_hi, s_lo, i_hi, i_lo in _seed_words(int(seed), ks).tolist():
+    for s_hi, s_lo, i_hi, i_lo in words.tolist():
         # pcg64_set_seed: inc = 2 initseq + 1, then two LCG steps from state 0
         # with initstate added between them
         inc = (i_hi << 65 | i_lo << 1 | 1) % 2 ** 128
@@ -298,6 +304,38 @@ def _trial_streams(seed, ks: range):
         bits.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
                       "has_uint32": 0, "uinteger": 0}
         yield rng
+
+
+@lru_cache
+def _jumps(count: int) -> np.ndarray:
+    # output c of a PCG64 seeded with (initstate s, inc) is that of its state
+    # a^(c+2) s + (1 + a + ... + a^(c+2)) inc mod 2**128, a the multiplier: these two
+    # factors for c < count, as uint64 (high, low) words of shape (2, 1, count) each
+    a = [pow(_PCG64_MULT, e, 2 ** 128) for e in range(count + 3)]
+    k = [divmod(x, 2 ** 64) for c in range(count) for x in (a[c + 2], sum(a[:c + 3]) % 2 ** 128)]
+    return np.array(k, np.uint64).reshape(count, 2, 2).T[:, :, None]
+
+
+def _trial_raws(seed, ks: range, count: int):
+    """trial_rng(seed, k).bit_generator.random_raw(count) for each k of the increasing
+    range ks, one row each, in one array pass; None where _trial_streams calls trial_rng."""
+    if (words := _seed_words(seed, ks)) is None:
+        return None
+    s_hi, s_lo, i_hi, i_lo = words.T
+    # initstate and inc = 2 initseq + 1 as (high, low) words, each times its factor
+    x_hi = np.stack((s_hi, i_hi << 1 | i_lo >> 63))[..., None]
+    x_lo = np.stack((s_lo, i_lo << 1 | 1))[..., None]
+    k_hi, k_lo = _jumps(count)
+    # the high word of x_lo k_lo from 32-bit limbs
+    x0, x1, k0, k1 = x_lo & 0xFFFFFFFF, x_lo >> 32, k_lo & 0xFFFFFFFF, k_lo >> 32
+    mid = x1 * k0 + (x0 * k0 >> 32)
+    hi = (x1 * k1 + (mid >> 32) + ((x0 * k1 + (mid & 0xFFFFFFFF)) >> 32)
+          + x_hi * k_lo + x_lo * k_hi)
+    lo = x_lo * k_lo
+    state_lo = lo[0] + lo[1]  # the two terms' sum, with the low word's carry
+    state_hi = hi[0] + hi[1] + (state_lo < lo[0])
+    x, rot = state_hi ^ state_lo, state_hi >> 58  # XSL-RR: rotated by the top six bits
+    return x >> rot | x << ((64 - rot) & 63)
 
 
 def _draw_coeffs(rng: np.random.Generator, dim: int, arity: int) -> np.ndarray:

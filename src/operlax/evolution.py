@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import cached_property, reduce
+from functools import cached_property, lru_cache, reduce
 
 import numpy as np
 
@@ -155,12 +155,19 @@ def structure_rhs_matrix(M: Operation) -> np.ndarray:
     """
     if M.arity != 1:
         raise DimensionMismatchError("expected an arity-1 operation")
-    m, eye, n = M.tensor, np.eye(M.dim), M.dim ** 3
-    # each product as a broadcast outer product on axes (i, j, k, l, m, n), which keeps
-    # np.kron's signed zeros where einsum would add them to +0
-    i, j, k = eye[:, None, None, :, None, None], eye[:, None, None, :, None], eye[:, None, None, :]
-    return (m[:, None, None, :, None, None] * j * k - i * m.T[:, None, None, :, None] * k
-            - i * j * m.T[:, None, None, :]).reshape(n, n)
+    at, factors = _rhs_plan(M.dim)
+    a, b, c = M.coeffs[at] * factors
+    return (a - b - c).reshape(M.dim ** 3, -1)
+
+
+@lru_cache(maxsize=4)
+def _rhs_plan(d: int) -> tuple:
+    """structure_rhs_matrix's terms on flat axes (i, j, k, l, m, n) as m[a] x - m[b] y
+    - m[c] z: the indices of M[i, l], M[m, j] and M[n, k] and the 0/1 factors d_jm d_kn,
+    d_il d_kn and d_il d_jm.  A zero factor keeps its entry's sign, as np.kron does."""
+    i, j, k, l, m, n = np.indices((d,) * 6).reshape(6, -1)
+    return (np.array([i * d + l, m * d + j, n * d + k]),
+            np.array([(j == m) & (k == n), (i == l) & (k == n), (i == l) & (j == m)], float))
 
 
 def _rhs_by_omega(w: np.ndarray) -> tuple:

@@ -35,6 +35,7 @@ from operlax.calculus import (
     _compose,
     _operad_rows,
     _sign,
+    _trial_raws,
     _trial_streams,
     _worst_case_reports,
 )
@@ -541,6 +542,24 @@ def test_trial_streams_equal_trial_rng(seed, first, count):
         # each draw ends before the next stream is drawn: the generator is reused
         drawn = [pattern(rng) for rng in _trial_streams(seed, ks)]
         assert drawn == [pattern(trial_rng(seed, k)) for k in ks]
+
+
+@pytest.mark.parametrize("seed", [0, 2 ** 32 + 5, 2 ** 64 - 1])
+@pytest.mark.parametrize("first", [0, 300, 2 ** 32 - 4])  # the last index is 2**32 - 1
+@pytest.mark.parametrize("count", [0, 1, 12])
+def test_trial_raws_equal_random_raw(seed, first, count):
+    ks = range(first, first + 4)
+    raws = _trial_raws(seed, ks, count)
+    assert raws.dtype == np.uint64 and raws.shape == (4, count)
+    assert raws.tolist() == [trial_rng(seed, k).bit_generator.random_raw(count).tolist()
+                             for k in ks]
+
+
+def test_trial_raws_take_the_seeds_and_indices_trial_streams_takes():
+    assert _trial_raws(2 ** 64, range(3), 2) is None
+    assert _trial_raws(0, range(2 ** 32 - 1, 2 ** 32 + 1), 2) is None
+    assert _trial_raws(0, range(2 ** 32, 2 ** 32 + 2), 2) is None
+    assert _trial_raws(0, range(5, 5), 3).shape == (0, 3)
 
 
 _SUITES = [

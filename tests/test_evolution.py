@@ -361,14 +361,19 @@ def test_omega_draw_equals_choice(monkeypatch):
             after.append(rng.bit_generator.state)
 
     monkeypatch.setattr(oscillator, "_trial_streams", recording)
-    draws = _trial_draws(17, range(300), _THEOREM_RANGES, True)
-    for k in range(300):
-        ref = trial_rng(17, k)
-        expected = [float(ref.choice(_OMEGAS)), ref.uniform(0.1, 10.0),
-                    ref.uniform(-math.pi, math.pi), *ref.uniform(-1.0, 1.0, size=8)]
-        assert draws[:, k].tolist() == expected
-        # and the streams stand at the same place afterwards, 32-bit buffer included
-        assert after[k] == ref.bit_generator.state
+    # seed 17 reads raw words and draws from no stream; a seed past 64 bits draws
+    # from each trial's stream in turn
+    for seed, streamed in ((17, 0), (2 ** 64 + 17, 300)):
+        after.clear()
+        draws = _trial_draws(seed, range(300), _THEOREM_RANGES, True)
+        assert len(after) == streamed
+        for k in range(300):
+            ref = trial_rng(seed, k)
+            expected = [float(ref.choice(_OMEGAS)), ref.uniform(0.1, 10.0),
+                        ref.uniform(-math.pi, math.pi), *ref.uniform(-1.0, 1.0, size=8)]
+            assert draws[:, k].tolist() == expected
+            if streamed:  # and the streams stand at the same place, 32-bit buffer included
+                assert after[k] == ref.bit_generator.state
 
 
 def test_mixed_omega_batch_matches_single_runs():
@@ -765,13 +770,13 @@ def test_suites_at_zero_trials():
 
 
 def test_pde_suite_draws_only_the_parameter_vectors_its_states_read(monkeypatch):
-    drawn, streams = [], oscillator._trial_streams
+    drawn, raws = [], oscillator._trial_raws
 
-    def recording(seed, ks):
+    def recording(seed, ks, count):
         drawn.append(len(ks))
-        return streams(seed, ks)
+        return raws(seed, ks, count)
 
-    monkeypatch.setattr(oscillator, "_trial_streams", recording)
+    monkeypatch.setattr(oscillator, "_trial_raws", recording)
     reports = pde_suite(2, 0, 1e-8)
     # two states, two parameter vectors and eight probe states
     assert sorted(drawn) == [2, 2, 8]

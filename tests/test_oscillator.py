@@ -20,6 +20,7 @@ from operlax import (
     proof_identity_suite,
     trial_rng,
 )
+from operlax import oscillator
 from operlax.calculus import TRIAL_BLOCK
 from operlax.evolution import _PDE_RANGES, _THEOREM_RANGES
 from operlax.oscillator import (
@@ -467,6 +468,23 @@ def test_trial_draws_equal_each_trial_stream(use, seed, first, count):
         q, p = _polar(*state(draws))
         assert [q.tolist(), p.tolist()] == [[_polar_state(*state(row)).q for row in expected],
                                             [_polar_state(*state(row)).p for row in expected]]
+
+
+def test_trial_draws_follow_the_stream_on_a_lemire_rejection(monkeypatch):
+    # a low word of 0 makes Lemire's draw take another 32-bit word, which the raw words'
+    # reading does not: every trial is then drawn from its stream
+    raws = oscillator._trial_raws
+
+    def rejecting(seed, ks, count):
+        out = raws(seed, ks, count)
+        out[1, 0] &= np.uint64(0xFFFFFFFF00000000)
+        return out
+
+    ranges, pick_omega, reference, _ = _SAMPLER_USES["theorem"]
+    expected = [[float(x) for x in reference(trial_rng(3, k))] for k in range(4)]
+    assert expected[1][0] != _OMEGAS[0]  # which the zeroed word would pick
+    monkeypatch.setattr(oscillator, "_trial_raws", rejecting)
+    assert _trial_draws(3, range(4), ranges, pick_omega).T.tolist() == expected
 
 
 def test_identity_row_does_not_depend_on_its_block():

@@ -14,7 +14,7 @@ The hot paths:
 - `_trial_draws` of the identity suite (1000 trials), the theorem suite (20)
   and the PDE suite's states (100), seed 3;
 - the operad suite's triple-law kernel, `_by_signature(_triple_laws, 3, ...)`
-  over the draws of seed 3's first 200 trials;
+  over the draws of seed 3's first 200 trials, `_operad_draws(3, range(200))`;
 - `structure_rhs_matrix` at dims 2 and 3;
 - one pass of the benchmark's laws workload: `verify operad` (200 trials),
   `verify identities` (1000) and `pde-check` (100) through the CLI, each
@@ -56,21 +56,11 @@ def _laws_pass(out: Path):
     return run
 
 
-def _operad_draws(calculus, seed: int, trials: int) -> list:
-    # the draws of _operad_rows: (d, (coeffs, arity) of h, f and g) per trial
-    draws = []
-    for rng in calculus._trial_streams(seed, range(trials)):
-        d = int(rng.integers(1, 4))
-        draws.append((d, *[(calculus._draw_coeffs(rng, d, a), a)
-                           for a in (int(rng.integers(1, 4)) for _ in range(3))]))
-    return draws
-
-
 def hot_paths(out: Path) -> dict:
     """name -> (calls per sample, function of the round index)"""
     from operlax import calculus, evolution, oscillator
 
-    draws = _operad_draws(calculus, 3, 200)
+    draws = calculus._operad_draws(3, range(200))
     ms = {d: calculus.random_operation(calculus.trial_rng(0, d), d, 1) for d in (2, 3)}
     return {
         "trial_draws_identity_1000": (1, lambda k: oscillator._trial_draws(

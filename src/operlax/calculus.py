@@ -229,8 +229,8 @@ def trial_rng(seed: int, trial: int) -> np.random.Generator:
     """PCG64 stream for one trial: Generator(PCG64(SeedSequence([seed, trial]))).
 
     All randomness in the package is drawn from these streams (the suites take
-    them in bulk through _trial_streams), so any reported worst-case trial can
-    be regenerated from (seed, trial) alone.
+    them in bulk, bit for bit), so any reported worst-case trial can be
+    regenerated from (seed, trial) alone.
     """
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, trial])))
 
@@ -257,15 +257,17 @@ def _hashed(v: np.ndarray, consts: tuple) -> np.ndarray:
     return v ^ (v >> np.uint32(16))
 
 
-def _seed_words(seed, ks: range):
+def _seed_words(seed, ks: range) -> np.ndarray:
     """SeedSequence([seed, k]).generate_state(4, np.uint64) for every k of the increasing
-    range ks, one row each; None unless 0 <= seed < 2**64 and 0 <= k < 2**32.
+    range ks, one row each; from SeedSequence itself, with its errors, unless
+    0 <= seed < 2**64 and 0 <= k < 2**32, where all rows are hashed at once.
 
     The entropy is the seed's one or two 32-bit words, then k's one word; the
     pool of four words takes zeros past the entropy, as SeedSequence's does."""
     if not (isinstance(seed, (int, np.integer)) and 0 <= int(seed) < 2 ** 64
             and (not ks or 0 <= ks[0] and ks[-1] < 2 ** 32)):
-        return None
+        return np.array([np.random.SeedSequence([seed, k]).generate_state(4, np.uint64)
+                         for k in ks], np.uint64).reshape(-1, 4)
     seed = int(seed)
     words = [seed % 2 ** 32, seed >> 32] if seed >> 32 else [seed]
     entropy = np.zeros((4, len(ks)), np.uint32)
@@ -282,30 +284,6 @@ def _seed_words(seed, ks: range):
     return (out[0::2] | out[1::2] << np.uint64(32)).T
 
 
-def _trial_streams(seed, ks: range):
-    """trial_rng(seed, k) for each k of the increasing range ks, bit for bit.
-
-    The seed words of all ks are hashed at once, and each trial's PCG64 state
-    is set as PCG64 seeds itself, on one reused generator: a yielded generator
-    is valid only until the next one is drawn, and no caller may keep it.
-    Seeds and indices that SeedSequence takes in more words, or rejects, go
-    through trial_rng itself, with its errors.
-    """
-    if (words := _seed_words(seed, ks)) is None:
-        yield from (trial_rng(seed, k) for k in ks)
-        return
-    bits = np.random.PCG64()
-    rng = np.random.Generator(bits)
-    for s_hi, s_lo, i_hi, i_lo in words.tolist():
-        # pcg64_set_seed: inc = 2 initseq + 1, then two LCG steps from state 0
-        # with initstate added between them
-        inc = (i_hi << 65 | i_lo << 1 | 1) % 2 ** 128
-        state = (((s_hi << 64 | s_lo) + inc) * _PCG64_MULT + inc) % 2 ** 128
-        bits.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                      "has_uint32": 0, "uinteger": 0}
-        yield rng
-
-
 @lru_cache
 def _jumps(count: int) -> np.ndarray:
     # output c of a PCG64 seeded with (initstate s, inc) is that of its state
@@ -318,10 +296,8 @@ def _jumps(count: int) -> np.ndarray:
 
 def _trial_raws(seed, ks: range, count: int):
     """trial_rng(seed, k).bit_generator.random_raw(count) for each k of the increasing
-    range ks, one row each, in one array pass; None where _trial_streams calls trial_rng."""
-    if (words := _seed_words(seed, ks)) is None:
-        return None
-    s_hi, s_lo, i_hi, i_lo = words.T
+    range ks, one row each, in one array pass."""
+    s_hi, s_lo, i_hi, i_lo = _seed_words(seed, ks).T
     # initstate and inc = 2 initseq + 1 as (high, low) words, each times its factor
     x_hi = np.stack((s_hi, i_hi << 1 | i_lo >> 63))[..., None]
     x_lo = np.stack((s_lo, i_lo << 1 | 1))[..., None]
@@ -382,14 +358,30 @@ def _worst_case_reports(names, trials: int, rows, tol: float) -> list[LawReport]
             for name, r, k in zip(names, worst, at)]
 
 
-def _operad_rows(seed: int, ks: range) -> np.ndarray:
-    """Residual rows of trials ks, each (h, f, g) of one dim <= 3 and arities <= 3
-    drawn from its own stream."""
-    draws = []  # (d, (coeffs, arity) of h, of f, of g)
-    for rng in _trial_streams(seed, ks):
+def _operad_draws(seed, ks: range) -> list:
+    """(d, (coeffs, arity) of h, of f, of g) of trials ks: a dim and three arities
+    in 1..3, each arity before its coefficients, from trial_rng(seed, k) bit for bit.
+
+    Each trial's PCG64 state is set as PCG64 seeds itself, on one local generator."""
+    rng = np.random.Generator(np.random.PCG64())
+    draws = []
+    for s_hi, s_lo, i_hi, i_lo in _seed_words(seed, ks).tolist():
+        # pcg64_set_seed: inc = 2 initseq + 1, then two LCG steps from state 0
+        # with initstate added between them
+        inc = (i_hi << 65 | i_lo << 1 | 1) % 2 ** 128
+        state = (((s_hi << 64 | s_lo) + inc) * _PCG64_MULT + inc) % 2 ** 128
+        rng.bit_generator.state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
+                                   "state": {"state": state, "inc": inc}}
         d = int(rng.integers(1, 4))
         draws.append((d, *[(_draw_coeffs(rng, d, a), a)
                            for a in (int(rng.integers(1, 4)) for _ in range(3))]))
+    return draws
+
+
+def _operad_rows(seed: int, ks: range) -> np.ndarray:
+    """Residual rows of trials ks, each (h, f, g) of one dim <= 3 and arities <= 3
+    drawn from its own stream."""
+    draws = _operad_draws(seed, ks)
     units = _by_signature(_unit_laws, 1, [(d, op) for d, *ops in draws for op in ops])
     return _finite(np.column_stack([_by_signature(_triple_laws, 3, draws),
                                     units.reshape(-1, 3).max(axis=1)]))

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calculus import _check_suite_args, _trial_raws, _trial_streams, _worst_case_reports
+from .calculus import _check_suite_args, _trial_raws, _worst_case_reports, trial_rng
 from .errors import DegenerateStateError, EnergyOverflowError, _check_finite
 from .multilinear import Operation, make_operation
 
@@ -238,17 +238,16 @@ def _trial_draws(seed, ks: range, ranges, pick_omega: bool) -> np.ndarray:
     first omega, as rng.choice(_OMEGAS) draws it, then one double u per (lo, hi) row of
     ranges, mapped to lo + (hi - lo) u as Generator.uniform does.  They come from all
     streams' raw words at once (_trial_raws): omega by Lemire's draw (low * 3) >> 32 on
-    the first word's low 32 bits, u = (raw >> 11) 2**-53.  Seeds or indices that
-    _trial_raws does not take, and a low word of 0 (Lemire's one rejection for three
-    values), draw from each stream in turn."""
+    the first word's low 32 bits, u = (raw >> 11) 2**-53.  A low word of 0 (Lemire's
+    one rejection for three values) draws from each trial_rng(seed, k) in turn."""
     k = int(pick_omega)
     raws = _trial_raws(seed, ks, len(ranges) + k)
-    if raws is not None and (raws[:, :k] & 0xFFFFFFFF).all():
+    if (raws[:, :k] & 0xFFFFFFFF).all():
         w = np.take(_OMEGAS, (raws[:, 0] & 0xFFFFFFFF) * 3 >> 32) if k else []
         u = (raws[:, k:] >> 11) * 2.0 ** -53
     else:
         w, u = [], []
-        for rng in _trial_streams(seed, ks):
+        for rng in (trial_rng(seed, j) for j in ks):
             if pick_omega:
                 w.append(_OMEGAS[rng.integers(0, 3)])
             u.append(rng.random(len(ranges)))

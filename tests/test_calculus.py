@@ -33,10 +33,11 @@ from operlax.calculus import (
     TRIAL_BLOCK,
     _bracket,
     _compose,
+    _operad_draws,
     _operad_rows,
+    _seed_words,
     _sign,
     _trial_raws,
-    _trial_streams,
     _worst_case_reports,
 )
 
@@ -513,20 +514,16 @@ def test_trial_rng_streams_are_pinned():
                    6945900605597639409, 18423593296267932764]
 
 
-def _operad_pattern(rng):
+def _operad_reference(rng):
     # integers reads PCG64's buffered upper 32 bits between uniform calls
-    drawn = [int(rng.integers(1, 4))]
+    d = int(rng.integers(1, 4))
+    ops = []
     for _ in range(3):
-        drawn += [int(rng.integers(1, 4)), *rng.uniform(-1.0, 1.0, size=3).tolist()]
-    return drawn
+        a = int(rng.integers(1, 4))
+        ops.append((rng.uniform(-1.0, 1.0, d ** (a + 1)).tolist(), a))
+    return (d, *ops)
 
 
-_DRAW_PATTERNS = [
-    # a full-range 32-bit draw returns the buffered word if one is left over
-    lambda rng: [int(rng.integers(0, 2 ** 32)), *rng.bit_generator.random_raw(8).tolist()],
-    _operad_pattern,
-    lambda rng: [float(rng.choice((0.5, 1.0, 2.0))), *rng.uniform(-1.0, 1.0, size=2).tolist()],
-]
 _SEEDS = (st.sampled_from([0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 63, 2 ** 64 - 1, 2 ** 64])
           | st.integers(0, 2 ** 64 - 1))
 _FIRSTS = st.sampled_from([0, 1, 255, 256, 300, 2 ** 32 - 3, 2 ** 32]) | st.integers(0, 2 ** 32)
@@ -536,12 +533,21 @@ _FIRSTS = st.sampled_from([0, 1, 255, 256, 300, 2 ** 32 - 3, 2 ** 32]) | st.inte
 @given(_SEEDS, _FIRSTS, st.integers(0, 6))
 @example(seed=0, first=0, count=1)
 @example(seed=2 ** 64 - 1, first=TRIAL_BLOCK - 2, count=4)
-def test_trial_streams_equal_trial_rng(seed, first, count):
+def test_operad_draws_equal_trial_rng(seed, first, count):
     ks = range(first, first + count)
-    for pattern in _DRAW_PATTERNS:
-        # each draw ends before the next stream is drawn: the generator is reused
-        drawn = [pattern(rng) for rng in _trial_streams(seed, ks)]
-        assert drawn == [pattern(trial_rng(seed, k)) for k in ks]
+    drawn = [(d, *[(c.tolist(), a) for c, a in ops]) for d, *ops in _operad_draws(seed, ks)]
+    assert drawn == [_operad_reference(trial_rng(seed, k)) for k in ks]
+
+
+@pytest.mark.parametrize("seed", [0, 2 ** 32 + 5, 2 ** 64 - 1, 2 ** 64, 2 ** 70 + 3])
+@pytest.mark.parametrize("ks", [range(0, 3), range(2 ** 32 - 3, 2 ** 32),
+                                range(2 ** 32 - 1, 2 ** 32 + 1), range(2 ** 32, 2 ** 32 + 2)])
+def test_seed_words_equal_seed_sequence(seed, ks):
+    # the one-array hash where the seed and the indices fit it, SeedSequence elsewhere
+    words = _seed_words(seed, ks)
+    assert words.dtype == np.uint64 and words.shape == (len(ks), 4)
+    assert words.tolist() == [np.random.SeedSequence([seed, k]).generate_state(4, np.uint64)
+                              .tolist() for k in ks]
 
 
 @pytest.mark.parametrize("seed", [0, 2 ** 32 + 5, 2 ** 64 - 1])
@@ -555,10 +561,13 @@ def test_trial_raws_equal_random_raw(seed, first, count):
                              for k in ks]
 
 
-def test_trial_raws_take_the_seeds_and_indices_trial_streams_takes():
-    assert _trial_raws(2 ** 64, range(3), 2) is None
-    assert _trial_raws(0, range(2 ** 32 - 1, 2 ** 32 + 1), 2) is None
-    assert _trial_raws(0, range(2 ** 32, 2 ** 32 + 2), 2) is None
+def test_trial_raws_take_any_seed_and_index():
+    # SeedSequence's own words past the one-array hash: a seed past 64 bits, and
+    # indices on both sides of 2**32
+    for seed, ks in ((2 ** 64, range(3)), (0, range(2 ** 32 - 2, 2 ** 32 + 2)),
+                     (2 ** 70 + 3, range(2 ** 32 - 1, 2 ** 32 + 1))):
+        assert _trial_raws(seed, ks, 2).tolist() == [
+            trial_rng(seed, k).bit_generator.random_raw(2).tolist() for k in ks]
     assert _trial_raws(0, range(5, 5), 3).shape == (0, 3)
 
 

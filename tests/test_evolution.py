@@ -353,27 +353,32 @@ def test_amplitudes_and_reference_equal_per_trial_forms():
 
 def test_omega_draw_equals_choice(monkeypatch):
     # each trial's stream state once the theorem draws are taken from it
-    streams, after = oscillator._trial_streams, []
+    made, raws = [], oscillator._trial_raws
 
-    def recording(seed, ks):
-        for rng in streams(seed, ks):
-            yield rng
-            after.append(rng.bit_generator.state)
+    def spying(seed, k):
+        made.append(trial_rng(seed, k))
+        return made[-1]
 
-    monkeypatch.setattr(oscillator, "_trial_streams", recording)
-    # seed 17 reads raw words and draws from no stream; a seed past 64 bits draws
-    # from each trial's stream in turn
-    for seed, streamed in ((17, 0), (2 ** 64 + 17, 300)):
-        after.clear()
+    def rejecting(seed, ks, count):
+        out = raws(seed, ks, count)
+        out[7, 0] &= np.uint64(0xFFFFFFFF00000000)
+        return out
+
+    monkeypatch.setattr(oscillator, "trial_rng", spying)
+    # seeds within and past 64 bits read raw words and draw from no stream; a zero
+    # low word (Lemire's rejection) draws from each trial's stream in turn
+    for seed, streamed in ((17, 0), (2 ** 64 + 17, 0), (17, 300), (2 ** 64 + 17, 300)):
+        made.clear()
+        monkeypatch.setattr(oscillator, "_trial_raws", rejecting if streamed else raws)
         draws = _trial_draws(seed, range(300), _THEOREM_RANGES, True)
-        assert len(after) == streamed
+        assert len(made) == streamed
         for k in range(300):
             ref = trial_rng(seed, k)
             expected = [float(ref.choice(_OMEGAS)), ref.uniform(0.1, 10.0),
                         ref.uniform(-math.pi, math.pi), *ref.uniform(-1.0, 1.0, size=8)]
             assert draws[:, k].tolist() == expected
             if streamed:  # and the streams stand at the same place, 32-bit buffer included
-                assert after[k] == ref.bit_generator.state
+                assert made[k].bit_generator.state == ref.bit_generator.state
 
 
 def test_mixed_omega_batch_matches_single_runs():

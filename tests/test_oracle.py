@@ -8,21 +8,31 @@ every composite is an integer far below 2**53, so the calculus kernels must
 equal an index formula in Python ints exactly, and every law's residual is 0.
 The family and its constraint matrix on small integers are exact in the same
 way, so their identities hold bit for bit.
+
+The generator is constant and block-diagonal: (q, p) rotates at omega and mu is
+[cos, sin](omega t/2), [cos, sin](3 omega t/2) @ K.  One RK4 step multiplies each
+e^(i nu t) by R(i nu dt), R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24, so the integration
+error is known in closed form before the run: a log-amplitude and a phase defect
+per step, taken in mpmath and carried by expm1 and half-angle sines.
 """
 
 import itertools
 import math
 import random
 from fractions import Fraction
+from functools import lru_cache
 
+import mpmath
 import numpy as np
 import pytest
 
 from operlax import (IntegratorConfig, MuParams, gerstenhaber_bracket, make_operation,
-                     partial_compose, rk4_order_check, total_compose)
+                     partial_compose, rk4_order_check, theorem_suite, total_compose)
 from operlax import calculus, evolution
-from operlax.evolution import _increment_matrix, _increment_powers, structure_rhs_matrix
-from operlax.oscillator import OscState, _family_coeffs, _gamma_from_g, lax_matrices
+from operlax.evolution import (_THEOREM_RANGES, _increment_matrix, _increment_powers,
+                               structure_rhs_matrix)
+from operlax.oscillator import (OscState, _family_coeffs, _gamma_from_g, _polar, _trial_draws,
+                                lax_matrices)
 
 DT = 2.0 ** -10
 POWERS = 16
@@ -95,6 +105,70 @@ def test_order_check_steps_with_the_exact_2x2_d_rounded(omega, monkeypatch):
         d = _exact_rk4_increment([[Fraction(0), dt], [-dt * Fraction(omega) ** 2, Fraction(0)]])
         exact.append([[[float(x) for x in row] for row in d]])
     assert seen == exact
+
+
+@lru_cache
+def _rk4_defects(nu: float, dt: float) -> tuple:
+    # (log|R|, arg R - x) at x = nu dt, at 50 digits: a double R**n would round to
+    # more than the truncation (~45x at omega 0.5, dt 1e-3)
+    with mpmath.workdps(50):
+        x = mpmath.mpf(nu) * mpmath.mpf(dt)
+        re, im = 1 - x ** 2 / 2 + x ** 4 / 24, x - x ** 3 / 6
+        return float(mpmath.log(re * re + im * im) / 2), float(mpmath.atan2(im, re) - x)
+
+
+def _rk4_defect(nu: float, dt: float, n: np.ndarray) -> np.ndarray:
+    """R(i nu dt)^n - e^(i nu n dt) for step counts n, as e^(i nu n dt) times
+    e^(n log|R| + i n (arg R - nu dt)) - 1, that from expm1 and a half-angle sine."""
+    ell, delta = _rk4_defects(nu, dt)
+    phase = n * delta
+    g = np.expm1(n * ell) * np.exp(1j * phase) + 2j * np.sin(phase / 2) * np.exp(0.5j * phase)
+    return np.exp(1j * nu * n * dt) * g
+
+
+@pytest.mark.parametrize("seed", [0, 7, 101])
+def test_theorem_suite_error_is_the_rk4_closed_form(seed):
+    # per trial, numeric mu minus the reference is Re and Im of each nu's defect times
+    # K's cos and sin rows, to within the run's rounding sqrt(n) eps |K| (|K| the
+    # largest column sum of |K|); measured at most 0.28 of it
+    trials, dt, t_end = 20, 1e-3, 20.0
+    w, h, theta, *cs = _trial_draws(seed, range(trials), _THEOREM_RANGES, True)
+    batch = evolution._Batch(dt, t_end, w, *_polar(w, h, theta), np.transpose(cs))
+    bound = math.sqrt(batch.n_steps) * np.finfo(float).eps * np.abs(batch.amplitudes).sum(
+        axis=1).max(axis=1)
+    residue, predicted = np.zeros(trials), np.zeros(trials)
+    for first, ys in batch.chunks():
+        n = np.arange(first, first + len(ys))
+        dev = np.swapaxes(ys[..., 2:], 0, 1) - batch.analytic_mu(n[:, None] * dt)
+        basis = [np.stack([f(_rk4_defect(nu, dt, n)) for nu in (x / 2, 1.5 * x)
+                           for f in (np.real, np.imag)], -1) for x in batch.omegas.tolist()]
+        closed = np.matmul(np.array(basis)[batch.group], batch.amplitudes)
+        residue = np.maximum(residue, np.abs(dev - closed).max(axis=(1, 2)))
+        predicted = np.maximum(predicted, np.abs(closed).max(axis=(1, 2)))
+    assert (residue <= bound).all()
+    # so the suite's trajectory-mu is the predicted truncation to within the bound: where
+    # the prediction exceeds 100 bounds their ratio lies within 1 +- 1%
+    reports = theorem_suite(trials, seed, 1e-6, dt=dt, t_end=t_end)
+    mu = np.array([r.max_abs_residual for r in reports if r.law_name.startswith("trajectory-mu")])
+    assert (np.abs(mu - predicted) <= bound).all()
+    assert (predicted > 100 * bound).any()
+
+
+@pytest.mark.parametrize("omega, dt", [(0.5, 0.05), (0.5, 0.2), (1.0, 0.05), (1.0, 0.1),
+                                       (2.0, 0.02), (2.0, 0.05)])
+def test_order_check_is_the_closed_form_ratio(omega, dt):
+    # where truncation rules, omega dt >= 0.025 (measured within 5.3e-7).  Below it the
+    # fine run's rounding shows: at dt 2e-2 the ratio is 1.7e-6 off at omega 1 and 5.3e-5
+    # at omega 0.5, and at dt 2e-3 up to 6.7e-2
+    config = IntegratorConfig(dt, 10.0, omega, 0.3, 0.7, MuParams.zeros())
+
+    def worst(step: float) -> float:
+        # (q, p) as z = p + i omega q, which RK4 takes to z0 R(i omega step)^n
+        n = np.arange(round(config.t_end / step) + 1)
+        z = (config.p0 + 1j * omega * config.q0) * _rk4_defect(omega, step, n)
+        return max(np.abs(z.real).max(), np.abs(z.imag).max() / omega)
+
+    assert rk4_order_check(config) == pytest.approx(worst(dt) / worst(dt / 2), rel=1e-6)
 
 
 def _flat(d: int, index) -> int:

@@ -453,7 +453,7 @@ _SAMPLER_USES = {
 @pytest.mark.parametrize("seed, first, count", [
     (104, 40, 300),           # a first trial past 0
     (2 ** 32 + 5, 250, 12),   # a seed of two 32-bit words
-    (2 ** 64 + 1, 3, 12),     # a seed past 64 bits: trial_rng itself
+    (2 ** 64 + 1, 3, 12),     # a seed past 64 bits: SeedSequence's own words
     (7, 9, 0),                # no trials
 ])
 def test_trial_draws_equal_each_trial_stream(use, seed, first, count):

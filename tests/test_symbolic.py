@@ -2,13 +2,14 @@
 
 sympy evaluates the source's own formulas (`_aux_at_radius`, `_a_dots`,
 `_g_values`, `_cramer_residuals`, `_family_coeffs`, the entries of
-`structure_rhs_matrix` and the trig basis of `_Batch.analytic_mu`) on
-symbols: omega, R, phi and C1..C8, at the phase point p = R^2 cos 2phi,
-omega q = R^2 sin 2phi, so that 2H = R^4 and the principal angle is 2phi.
-Their numpy calls are served by sympy's cos and sin, and every float
-constant of the source becomes the rational it holds.  A residual is proved
-zero when the numerator of its rational form, written in c = cos phi and
-s = sin phi, leaves no remainder modulo c^2 + s^2 - 1.
+`structure_rhs_matrix`, the trig basis of `_Batch.analytic_mu` and the
+amplitudes of `_Batch.amplitudes`) on symbols: omega, R, phi and C1..C8, at
+the phase point p = R^2 cos 2phi, omega q = R^2 sin 2phi, so that 2H = R^4
+and the principal angle is 2phi.  Their numpy calls are served by sympy's cos
+and sin, and every float constant of the source becomes the rational it
+holds.  A residual is proved zero when the numerator of its rational form,
+written in c = cos a and s = sin a for each angle a (phi, and the half angle
+x where one is taken), leaves no remainder modulo c^2 + s^2 - 1.
 """
 
 import types
@@ -27,11 +28,15 @@ C = sp.symbols("C1:9", real=True)
 P, Q, H = R ** 2 * sp.cos(2 * PHI), R ** 2 * sp.sin(2 * PHI) / W, R ** 4 / 2
 
 
-def _vanishes(expr) -> bool:
-    c, s = sp.symbols("c s")
+def _vanishes(expr, angles=(PHI,)) -> bool:
+    pairs = [sp.symbols(f"c{i} s{i}") for i in range(len(angles))]
     expr = sp.expand_trig(sp.nsimplify(expr, rational=True))
-    numerator = sp.numer(sp.together(expr.subs({sp.cos(PHI): c, sp.sin(PHI): s})))
-    return sp.rem(sp.expand(numerator), s ** 2 + c ** 2 - 1, s) == 0
+    expr = expr.subs({f(a): v for a, pair in zip(angles, pairs)
+                      for f, v in zip((sp.cos, sp.sin), pair)})
+    numerator = sp.expand(sp.numer(sp.together(expr)))
+    for c, s in pairs:
+        numerator = sp.rem(numerator, s ** 2 + c ** 2 - 1, s)
+    return numerator == 0
 
 
 @pytest.fixture(scope="module")
@@ -85,3 +90,22 @@ def test_g_vanishes_only_on_shell(aux):
     g = [sp.nsimplify(x, rational=True) for x in _g_values(W, dq, dp, *aux)[:2]]
     (solution,) = sp.solve(g, [dq, dp], dict=True)
     assert _vanishes(solution[dq] - P) and _vanishes(solution[dp] + W * W * Q)
+
+
+def test_reference_amplitudes_rotate_the_family_by_the_half_angle(monkeypatch):
+    # (h) at t = 2x/omega the half angle omega t/2 is x, and [cos, sin](x),
+    # [cos, sin](3x) times the amplitudes K taken at angle 2 phi is the family at
+    # angle 2 (phi + x): the reference rotates A+/- by x and D+/- by 3x at constant H
+    x = sp.Symbol("x", real=True)
+    vec = types.SimpleNamespace(cos=np.vectorize(sp.cos), sin=np.vectorize(sp.sin), stack=np.stack)
+    monkeypatch.setattr(oscillator, "np", vec)
+    batch = types.SimpleNamespace(theta0=np.array([2 * PHI]), h0=np.array([H]),
+                                  cs=np.array(C).reshape(8, 1))
+    k = evolution._Batch.amplitudes.func(batch)[0]
+    assert k.shape == (4, 8)
+    mu = np.array([sp.cos(x), sp.sin(x), sp.cos(3 * x), sp.sin(3 * x)]) @ k
+    family = _family_coeffs(*oscillator._aux_values(2 * (PHI + x), H), C)
+    assert [_vanishes(a - b, (PHI, x)) for a, b in zip(mu, family)] == [True] * 8
+    # and the certificate is not vacuous: the family at 2 (phi - x) differs
+    back = _family_coeffs(*oscillator._aux_values(2 * (PHI - x), H), C)
+    assert not _vanishes(mu[0] - back[0], (PHI, x))

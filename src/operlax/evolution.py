@@ -235,7 +235,7 @@ def _rk4_chunks(y0: np.ndarray, d: np.ndarray, n_steps: int, group):
     span = min(100 * CHUNK_STEPS // y.shape[1] ** 2, n_steps)
     e = _increment_powers(d, span)
     buf = np.empty((span + 1,) + y.shape)
-    for first in range(0, n_steps + 1, span):
+    for first in range(0, n_steps, span):
         rows = min(span, n_steps - first) + 1  # through the next chunk's first state
         ys = buf[:rows]
         for k, g in enumerate(group):
@@ -244,11 +244,8 @@ def _rk4_chunks(y0: np.ndarray, d: np.ndarray, n_steps: int, group):
         finite = np.isfinite(ys).all(axis=(1, 2))
         if not finite.all():
             raise DivergenceError(f"non-finite state at step {first + int(np.argmin(finite))}")
-        if first + rows - 1 == n_steps:
-            yield first, ys
-            return
-        y = ys[span].copy()
-        yield first, ys[:span]
+        y = ys[-1].copy()
+        yield first, ys if first + span >= n_steps else ys[:-1]  # the last chunk through n_steps
 
 
 class _Batch:
@@ -267,10 +264,17 @@ class _Batch:
         family = _family_coeffs(*_principal_aux(self.theta0, self.h0), self.cs)
         self.y0 = np.column_stack((q, p, family))
 
-    def chunks(self):
-        """The runs stepped by _rk4_chunks from step 0 through n_steps, one D per omega."""
-        d = _increment_matrix(self.omegas, self.rhs, self.dt)
-        return _rk4_chunks(self.y0, d, self.n_steps, self.group)
+    def records(self, every: int = 1, dims: int = 10):
+        """(t, ys) per chunk of the runs' first dims coordinates stepped by _rk4_chunks,
+        one D per omega: ys[j, k] is run k's state at time t[j] (t of shape (m, 1)), for
+        every every-th step before n_steps, then step n_steps as a block of its own.  ys
+        is a view of a buffer that the next chunk overwrites."""
+        d = _increment_matrix(self.omegas, self.rhs, self.dt)[:, :dims, :dims]
+        n, r = self.n_steps, min(every, self.n_steps)  # r past n keeps as n does
+        for first, ys in _rk4_chunks(self.y0[:, :dims], d, n, self.group):
+            pick = slice(-first % r, n - first, r)  # sliced, so a view
+            yield (first + np.arange(len(ys))[pick])[:, None] * self.dt, ys[pick]
+        yield np.array([[n * self.dt]]), ys[-1:]  # step n, the last chunk's last row
 
     def analytic_qp(self, t: np.ndarray) -> tuple:
         """Closed-form (q, p) at times t, an array that broadcasts against (trials,)."""
@@ -296,7 +300,9 @@ class _Batch:
         half = (self.omegas * np.atleast_2d(t) / 2.0).T
         c, s = np.cos(half), np.sin(half)
         b = np.stack((c, s, c * (c * c - 3.0 * s * s), s * (3.0 * c * c - s * s)), -1)
-        return np.matmul(b[self.group], self.amplitudes)
+        # numpy's one-row product (its vector path) rounds otherwise: a lone row goes in twice
+        rows = b.shape[1]
+        return np.matmul((b[:, [0, 0]] if rows == 1 else b)[self.group], self.amplitudes)[:, :rows]
 
     def compare(self, t: np.ndarray, ys: np.ndarray) -> tuple:
         """Energy, mu_ana, |mu - mu_ana| and relative energy drift of the states ys[j, k]
@@ -335,15 +341,12 @@ def evolve(config: IntegratorConfig) -> Trajectory:
     constants, their worst difference, and the relative energy drift.
     """
     batch = _config_batch(config)
-    n, r = batch.n_steps, min(config.record_every, batch.n_steps)  # r past n keeps as n does
-    kept = []
-    for first, block in batch.chunks():  # every r-th step before n; the next chunk reuses block
-        kept.append(block[-first % r:n - first:r].copy())
-    ys = np.concatenate(kept + [block[-1:]])  # and step n, the last chunk's last row
-    t = np.append(np.arange(0, n, r), n) * config.dt
-    energy, mu_ana, dev, drift = (a[0] for a in batch.compare(t[:, None], ys))
-    err = reduce(np.maximum, dev.T)  # column by column: dev.max(axis=1) took ~10x longer
-    return Trajectory(np.column_stack((t, ys[:, 0, :2], energy, ys[:, 0, 2:], mu_ana, err, drift)))
+    blocks = []
+    for t, ys in batch.records(config.record_every):
+        energy, mu_ana, dev, drift = (a[0] for a in batch.compare(t, ys))
+        err = reduce(np.maximum, dev.T)  # column by column: dev.max(axis=1) took ~10x longer
+        blocks.append(np.column_stack((t, ys[:, 0, :2], energy, ys[:, 0, 2:], mu_ana, err, drift)))
+    return Trajectory(np.concatenate(blocks))
 
 
 @_quiet
@@ -411,12 +414,8 @@ def rk4_order_check(config: IntegratorConfig) -> float:
 
     def max_err(dt: float) -> float:
         batch = _config_batch(replace(config, dt=dt))
-        worst = 0.0
-        d = _increment_matrix(batch.omegas, batch.rhs, dt)[:, :2, :2]
-        for first, ys in _rk4_chunks(batch.y0[:, :2], d, batch.n_steps, batch.group):
-            ref = np.stack(batch.analytic_qp((first + np.arange(len(ys))) * dt), -1)
-            worst = max(worst, float(np.max(np.abs(ys[:, 0] - ref))))
-        return worst
+        return max(float(np.max(np.abs(ys - np.stack(batch.analytic_qp(t), -1))))
+                   for t, ys in batch.records(dims=2))
 
     coarse, fine = max_err(config.dt), max_err(config.dt / 2.0)
     if fine == 0.0:
@@ -514,8 +513,8 @@ def theorem_suite(
     w, h, theta, *cs = _trial_draws(seed, range(trials), _THEOREM_RANGES, True)
     batch = _Batch(dt, t_end, w, *_polar(w, h, theta), np.transpose(cs))
     err, drift, det_worst, trace_worst = (np.zeros(trials) for _ in range(4))
-    for first, ys in batch.chunks():
-        _, _, dev, dr = batch.compare(np.arange(first, first + len(ys))[:, None] * dt, ys)
+    for t, ys in batch.records():
+        _, _, dev, dr = batch.compare(t, ys)
         err = np.maximum(err, dev.max(axis=(1, 2)))
         drift = np.maximum(drift, dr.max(axis=1))
         # L = [[p, wq], [wq, -p]]: det = -(p^2 + (wq)^2), trace = p + (-p)

@@ -603,7 +603,8 @@ def test_suites_check_the_seed_before_any_draw(suite, trials, seed):
 
 @pytest.mark.parametrize("suite", _SUITES)
 def test_suites_take_seeds_past_64_bits(suite):
-    # SeedSequence takes these in more words: through trial_rng, as any seed >= 0
+    # SeedSequence takes these in more words: 2**64 and 2**100 through _seed_words'
+    # call of SeedSequence itself, 2**64 - 1 as two words through its one-array hash
     for seed in (2 ** 64, 2 ** 100, np.uint64(2 ** 64 - 1)):
         reports = suite(2, seed)
         assert reports and all(isinstance(r.worst_case_seed, int) for r in reports)

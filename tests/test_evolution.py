@@ -384,9 +384,9 @@ def test_omega_draw_equals_choice(monkeypatch):
 def test_mixed_omega_batch_matches_single_runs():
     configs = _theorem_configs(12, 12, 1e-3, 0.6)
     assert {c.omega for c in configs} == {0.5, 1.0, 2.0}
-    batch = np.concatenate([ys.copy() for _, ys in _batch(configs).chunks()])
+    batch = np.concatenate([ys.copy() for _, ys in _batch(configs).records()])
     for k, c in enumerate(configs):
-        single = np.concatenate([ys.copy() for _, ys in _batch([c]).chunks()])
+        single = np.concatenate([ys.copy() for _, ys in _batch([c]).records()])
         assert np.max(np.abs(batch[:, k] - single[:, 0])) <= 1e-15
 
 
@@ -563,8 +563,8 @@ def test_evolve_records_match_scalar_api():
                            params=params, record_every=250)
     traj = evolve(cfg)
     for n, t in enumerate(traj.t.tolist()):
-        ref = analytic_mu(cfg, t).coeffs
-        assert np.max(np.abs(traj.mu_ana[n] - ref)) <= 1e-13
+        # bit for bit: a single time takes the matrix path of a block of times
+        assert analytic_mu(cfg, t).coeffs.tobytes() == traj.mu_ana[n].tobytes()
         s = OscState(cfg.omega, float(traj.q[n]), float(traj.p[n]))
         assert abs(hamiltonian(s) - traj.H[n]) <= 1e-15 * (1.0 + traj.H[n])
         assert traj.err[n] == max(abs(a - b) for a, b in zip(traj.mu[n], traj.mu_ana[n]))
@@ -581,13 +581,28 @@ def test_evolve_record_every_keeps_final_step():
     assert [round(t / cfg.dt) for t in traj.t.tolist()] == [0, 1000]
 
 
+def test_evolve_rows_do_not_depend_on_record_every():
+    # evolve compares each block of records on its own, so a row's bits must not depend
+    # on how many rows share its block, one included (numpy's one-row product rounds
+    # otherwise); record_every 256 and up makes one-row blocks
+    configs = _theorem_configs(5, 3, 1e-3, 6.0) + _theorem_configs(11, 3, 1e-3, 2.5)
+    for cfg in configs:
+        full = evolve(cfg).table
+        n = len(full) - 1
+        for every in (2, 3, 255, 256, 257, 300, 1000, 2 ** 64):
+            steps = [*range(0, n, min(every, n)), n]
+            assert evolve(replace(cfg, record_every=every)).table.tobytes() == \
+                full[steps].tobytes()
+
+
 @pytest.mark.parametrize("record_every", [1, 3])
 def test_evolve_columns_are_the_chunks_states(record_every):
-    # four chunks, each copied before the next one overwrites the buffer it views
+    # four chunks and then the last step alone, each copied before the next one
+    # overwrites the buffer it views
     cfg = IntegratorConfig(dt=1e-3, t_end=(3 * CHUNK_STEPS + 5) * 1e-3, omega=2.0, q0=0.5,
                            p0=-0.4, params=C5, record_every=record_every)
-    chunks = [ys[:, 0].copy() for _, ys in _config_batch(cfg).chunks()]
-    assert len(chunks) == 4
+    chunks = [ys[:, 0].copy() for _, ys in _config_batch(cfg).records()]
+    assert [len(ys) for ys in chunks] == [CHUNK_STEPS] * 3 + [5, 1]
     ys = np.concatenate(chunks)
     keep = sorted({*range(0, len(ys), record_every), len(ys) - 1})
     traj = evolve(cfg)
@@ -910,7 +925,7 @@ def test_order_check_qp_block_matches_ten_dim_run(monkeypatch):
         ((1, 2, 2), 5000, 1), ((1, 2, 2), 10000, 2)]
     for dt, (_, _, chunks) in zip((2e-3, 1e-3), runs):
         full = np.concatenate([ys[:, 0, :2].copy() for _, ys in
-                               _batch([replace(cfg, dt=dt)]).chunks()])
+                               _batch([replace(cfg, dt=dt)]).records()])
         qp = np.concatenate(chunks)
         assert qp.shape == full.shape
         assert np.max(np.abs(qp - full)) <= 1e-13 * np.max(np.abs(full))

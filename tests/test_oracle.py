@@ -137,9 +137,9 @@ def test_theorem_suite_error_is_the_rk4_closed_form(seed):
     bound = math.sqrt(batch.n_steps) * np.finfo(float).eps * np.abs(batch.amplitudes).sum(
         axis=1).max(axis=1)
     residue, predicted = np.zeros(trials), np.zeros(trials)
-    for first, ys in batch.chunks():
-        n = np.arange(first, first + len(ys))
-        dev = np.swapaxes(ys[..., 2:], 0, 1) - batch.analytic_mu(n[:, None] * dt)
+    for t, ys in batch.records():
+        n = np.rint(t[:, 0] / dt)
+        dev = np.swapaxes(ys[..., 2:], 0, 1) - batch.analytic_mu(t)
         basis = [np.stack([f(_rk4_defect(nu, dt, n)) for nu in (x / 2, 1.5 * x)
                            for f in (np.real, np.imag)], -1) for x in batch.omegas.tolist()]
         closed = np.matmul(np.array(basis)[batch.group], batch.amplitudes)

@@ -22,7 +22,13 @@ The hot paths:
   check, `rk4_order_check` at dt 2e-3, t_end 10 and omega 1;
 - one pass of the benchmark's laws workload: `verify operad` (200 trials),
   `verify identities` (1000) and `pde-check` (100) through the CLI, each
-  report written to a file, plus 200 bracket/index pairs; round k takes seed k.
+  report written to a file, plus 200 bracket/index pairs; round k takes seed k;
+- one pass of the benchmark's theorem workload: `verify theorem` (20 trials,
+  dt 1e-3, t_end 2, tol 1e-6) through the CLI, its report written to a file,
+  plus the order check above; round k takes seed k.  `theorem_pass` reuses the
+  RK4 power tables that earlier calls built, as every pass after a process's
+  first does; `theorem_pass_cold` clears that cache before each sample, so its
+  excess over `theorem_pass` is the cost of building the tables.
 """
 
 from __future__ import annotations
@@ -62,6 +68,18 @@ def _laws_pass(out: Path):
     return run
 
 
+def _theorem_pass(out: Path, order, cold: bool):
+    from operlax import cli, evolution
+
+    def run(seed: int):
+        if cold:
+            evolution._power_table.cache_clear()
+        assert cli.main(["verify", "theorem", "--trials", "20", "--seed", str(seed), "--dt", "0.001",
+                         "--t-end", "2.0", "--tol", "1e-6", "--out", str(out)]) == 0
+        assert 12.0 <= evolution.rk4_order_check(order) <= 20.0
+    return run
+
+
 def hot_paths(out: Path) -> dict:
     """name -> (calls per sample, function of the round index)"""
     from operlax import IntegratorConfig, MuParams, calculus, evolution, oscillator
@@ -86,6 +104,8 @@ def hot_paths(out: Path) -> dict:
         "evolve_20k": (1, lambda k: evolution.evolve(trajectory)),
         "theorem_suite_20": (1, lambda k: evolution.theorem_suite(20, k, 1e-6, t_end=2.0)),
         "rk4_order_check": (10, lambda k: evolution.rk4_order_check(order)),
+        "theorem_pass": (1, _theorem_pass(out, order, cold=False)),
+        "theorem_pass_cold": (1, _theorem_pass(out, order, cold=True)),
     }
 
 

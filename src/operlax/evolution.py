@@ -195,57 +195,67 @@ def _increment_matrix(omega, rhs: np.ndarray, dt: float) -> np.ndarray:
 
 
 def _increment_powers(d: np.ndarray, count: int) -> np.ndarray:
-    """E[j] = (I + D)^j - I for j = 0..count, for each D of a stack d (g, 10, 10).
+    """E[j] = (I + D)^j - I for j = 0..count, of an n x n D.
 
-    The powers come transposed and side by side, shape (g, 10, 10 * (count + 1))
-    with E[j]^T in columns 10j..10j+9, so one product y @ e[:, :10 * r] gives
+    The powers come transposed and side by side, shape (n, n * (count + 1))
+    with E[j]^T in columns nj..nj+n-1, so one product y @ e[:, :n * r] gives
     y E[j]^T for r steps at once.  They are built by doubling in increment
-    form, (I + E[m])(I + E[i]) - I = E[m] + E[i] + E[i] E[m]: the stack never
+    form, (I + E[m])(I + E[i]) - I = E[m] + E[i] + E[i] E[m]: the table never
     holds I + E, so the O(dt) terms keep the low bits that I + D would lose.
     """
-    g, n = d.shape[:2]
-    e = np.zeros((g, n, n * (count + 1)))
-    e[:, :, n:2 * n] = np.swapaxes(d, 1, 2)
+    n = len(d)
+    e = np.zeros((n, n * (count + 1)))
+    e[:, n:2 * n] = d.T
     m = 1
     while m < count:
         k = min(m, count - m)
-        low, top = e[:, :, n:n * (k + 1)], e[:, :, n * m:n * (m + 1)]
+        low, top = e[:, n:n * (k + 1)], e[:, n * m:n * (m + 1)]
         # E[m+i]^T = E[m]^T + E[i]^T + E[m]^T E[i]^T for i = 1..k
-        new = e[:, :, n * (m + 1):n * (m + k + 1)].reshape(g, n, k, n)
-        np.add(top[:, :, None, :], low.reshape(g, n, k, n), out=new)
-        new += (top @ low).reshape(g, n, k, n)
+        new = e[:, n * (m + 1):n * (m + k + 1)].reshape(n, k, n)
+        np.add(top[:, None, :], low.reshape(n, k, n), out=new)
+        new += (top @ low).reshape(n, k, n)
         m += k
     return e
 
 
-def _rk4_chunks(y0: np.ndarray, d: np.ndarray, n_steps: int, group):
+@lru_cache(maxsize=8)
+def _power_table(omega: float, dt: float, dims: int) -> np.ndarray:
+    """_increment_powers of omega's D at step dt on its first dims coordinates, read-only, as
+    far as 10 x 10 x CHUNK_STEPS coefficients go (~206 kB); fewer steps read a prefix."""
+    rhs = structure_rhs_matrix(lax_matrices(OscState(omega, 0.0, 0.0))[1])
+    e = _increment_powers(_increment_matrix(omega, rhs, dt)[:dims, :dims],
+                          100 * CHUNK_STEPS // dims ** 2)  # CHUNK_STEPS at 10 dims, 6400 at 2
+    e.flags.writeable = False
+    return e
+
+
+def _rk4_chunks(y0: np.ndarray, tables, n_steps: int, group):
     """Classical RK4 on a batch of runs, y -> y + D y, a chunk of steps at a time.
 
-    y0 has shape (trials, n) and d shape (g, n, n); a chunk is as many steps
-    as 10 x 10 x CHUNK_STEPS power coefficients hold at n dims (CHUNK_STEPS at
-    10, 6400 at 2), so memory does not grow with n_steps.  Trial k steps with
-    d[group[k]].  Yields (first, ys) where ys[j, k] is the state of trial k at
-    step first + j, from step 0 (y0 itself) through n_steps.  The steps of a
-    chunk are one product per trial, ys[j] = y + y E[j]^T with y the chunk's
-    first state, so a trial's numbers do not depend on which trials share its
-    batch.  Every ys is a view of one buffer, which the next chunk overwrites.
-    Raises DivergenceError naming the first step with a non-finite value.
+    y0 has shape (trials, n), and trial k steps with tables[group[k]], the powers
+    of its D as _increment_powers gives them; a chunk is as many steps as they
+    hold, so memory does not grow with n_steps.  Yields (first, ys) where ys[k, j]
+    is the state of trial k at step first + j, from step 0 (y0 itself) through
+    n_steps.  The steps of a chunk are one product per trial, written in place,
+    ys[k, j] = y + y E[j]^T with y the chunk's first state, so a trial's numbers
+    do not depend on which trials share its batch.  Every ys is a view of one
+    buffer, which the next chunk overwrites.  Raises DivergenceError naming the
+    first step with a non-finite value.
     """
     y = np.array(y0, dtype=float)
-    span = min(100 * CHUNK_STEPS // y.shape[1] ** 2, n_steps)
-    e = _increment_powers(d, span)
-    buf = np.empty((span + 1,) + y.shape)
+    span = min(tables[0].shape[1] // y.shape[1] - 1, n_steps)
+    buf = np.empty((len(y), span + 1, y.shape[1]))
     for first in range(0, n_steps, span):
         rows = min(span, n_steps - first) + 1  # through the next chunk's first state
-        ys = buf[:rows]
+        ys = buf[:, :rows]
         for k, g in enumerate(group):
-            ys[:, k] = (y[k] @ e[g, :, :y.shape[1] * rows]).reshape(rows, -1)
-        ys += y
-        finite = np.isfinite(ys).all(axis=(1, 2))
-        if not finite.all():
-            raise DivergenceError(f"non-finite state at step {first + int(np.argmin(finite))}")
-        y = ys[-1].copy()
-        yield first, ys if first + span >= n_steps else ys[:-1]  # the last chunk through n_steps
+            np.matmul(y[k], tables[g][:, :ys[k].size], out=ys[k].reshape(-1))  # a view
+        ys += y[:, None]
+        if not np.isfinite(ys).all():
+            step = first + int(np.argmin(np.isfinite(ys).all(axis=(0, 2))))
+            raise DivergenceError(f"non-finite state at step {step}")
+        y = ys[:, -1].copy()
+        yield first, ys if first + span >= n_steps else ys[:, :-1]  # the last chunk through n_steps
 
 
 class _Batch:
@@ -258,7 +268,7 @@ class _Batch:
         if np.any(self.h0 <= 0.0):
             raise DegenerateStateError("initial state has zero energy")
         self.n_steps = max(1, round(t_end / dt))
-        self.omegas, self.group, self.rhs = _rhs_by_omega(w)
+        self.omegas, self.group = np.unique(w, return_inverse=True)
         self.theta0 = _libm(_principal_angle, w * q, p)
         self.cs = np.transpose(cs)  # (8, trials)
         family = _family_coeffs(*_principal_aux(self.theta0, self.h0), self.cs)
@@ -266,15 +276,15 @@ class _Batch:
 
     def records(self, every: int = 1, dims: int = 10):
         """(t, ys) per chunk of the runs' first dims coordinates stepped by _rk4_chunks,
-        one D per omega: ys[j, k] is run k's state at time t[j] (t of shape (m, 1)), for
-        every every-th step before n_steps, then step n_steps as a block of its own.  ys
-        is a view of a buffer that the next chunk overwrites."""
-        d = _increment_matrix(self.omegas, self.rhs, self.dt)[:, :dims, :dims]
+        one power table per omega: ys[k, j] is run k's state at time t[j] (t of shape
+        (m, 1)), for every every-th step before n_steps, then step n_steps as a block of
+        its own.  ys is a view of a buffer that the next chunk overwrites."""
+        tables = [_power_table(x, self.dt, dims) for x in self.omegas.tolist()]
         n, r = self.n_steps, min(every, self.n_steps)  # r past n keeps as n does
-        for first, ys in _rk4_chunks(self.y0[:, :dims], d, n, self.group):
+        for first, ys in _rk4_chunks(self.y0[:, :dims], tables, n, self.group):
             pick = slice(-first % r, n - first, r)  # sliced, so a view
-            yield (first + np.arange(len(ys))[pick])[:, None] * self.dt, ys[pick]
-        yield np.array([[n * self.dt]]), ys[-1:]  # step n, the last chunk's last row
+            yield (first + np.arange(ys.shape[1])[pick])[:, None] * self.dt, ys[:, pick]
+        yield np.array([[n * self.dt]]), ys[:, -1:]  # step n, the last chunk's last row
 
     def analytic_qp(self, t: np.ndarray) -> tuple:
         """Closed-form (q, p) at times t, an array that broadcasts against (trials,)."""
@@ -305,13 +315,13 @@ class _Batch:
         return np.matmul((b[:, [0, 0]] if rows == 1 else b)[self.group], self.amplitudes)[:, :rows]
 
     def compare(self, t: np.ndarray, ys: np.ndarray) -> tuple:
-        """Energy, mu_ana, |mu - mu_ana| and relative energy drift of the states ys[j, k]
+        """Energy, mu_ana, |mu - mu_ana| and relative energy drift of the states ys[k, j]
         of run k at times t[j] (t of shape (m, 1)), trial-major: shape (trials, m, ...)."""
-        q, p = ys[..., 0], ys[..., 1]
-        energy = 0.5 * (p * p + self.w * self.w * q * q)
+        q, p, w, h0 = ys[..., 0], ys[..., 1], self.w[:, None], self.h0[:, None]
+        energy = 0.5 * (p * p + w * w * q * q)
         mu_ana = self.analytic_mu(t)
-        dev = np.swapaxes(ys[..., 2:], 0, 1) - mu_ana
-        return energy.T, mu_ana, np.abs(dev, out=dev), (np.abs(energy - self.h0) / self.h0).T
+        dev = ys[..., 2:] - mu_ana
+        return energy, mu_ana, np.abs(dev, out=dev), np.abs(energy - h0) / h0
 
 
 def _config_batch(config: IntegratorConfig) -> _Batch:
@@ -345,7 +355,7 @@ def evolve(config: IntegratorConfig) -> Trajectory:
     for t, ys in batch.records(config.record_every):
         energy, mu_ana, dev, drift = (a[0] for a in batch.compare(t, ys))
         err = reduce(np.maximum, dev.T)  # column by column: dev.max(axis=1) took ~10x longer
-        blocks.append(np.column_stack((t, ys[:, 0, :2], energy, ys[:, 0, 2:], mu_ana, err, drift)))
+        blocks.append(np.column_stack((t, ys[0, :, :2], energy, ys[0, :, 2:], mu_ana, err, drift)))
     return Trajectory(np.concatenate(blocks))
 
 
@@ -414,7 +424,7 @@ def rk4_order_check(config: IntegratorConfig) -> float:
 
     def max_err(dt: float) -> float:
         batch = _config_batch(replace(config, dt=dt))
-        return max(float(np.max(np.abs(ys - np.stack(batch.analytic_qp(t), -1))))
+        return max(float(np.max(np.abs(ys[0] - np.stack(batch.analytic_qp(t[:, 0]), -1))))
                    for t, ys in batch.records(dims=2))
 
     coarse, fine = max_err(config.dt), max_err(config.dt / 2.0)
@@ -518,10 +528,10 @@ def theorem_suite(
         err = np.maximum(err, dev.max(axis=(1, 2)))
         drift = np.maximum(drift, dr.max(axis=1))
         # L = [[p, wq], [wq, -p]]: det = -(p^2 + (wq)^2), trace = p + (-p)
-        q, p = ys[..., 0], ys[..., 1]
-        det = p * (-p) - (w * q) * (w * q)
-        det_worst = np.maximum(det_worst, np.abs(det + 2.0 * batch.h0).max(axis=0))
-        trace_worst = np.maximum(trace_worst, np.abs(p + (-p)).max(axis=0))
+        q, p, wk = ys[..., 0], ys[..., 1], w[:, None]
+        det = p * (-p) - (wk * q) * (wk * q)
+        det_worst = np.maximum(det_worst, np.abs(det + 2.0 * batch.h0[:, None]).max(axis=1))
+        trace_worst = np.maximum(trace_worst, np.abs(p + (-p)).max(axis=1))
 
     # the analytic branch flips sign after one (q, p) period; the closed form
     # extends past t_end, so base times can range over the whole run

@@ -51,7 +51,9 @@ from operlax.evolution import (
     _config_batch,
     _csv_bytes,
     _increment_matrix,
+    _increment_powers,
     _pde_residuals,
+    _power_table,
     _rhs_by_omega,
     _rk4_chunks,
     pde_suite,
@@ -179,9 +181,9 @@ def _rk4_step(state, M, dt):
     # one step of the joint system: the single-run, single-step case of the chunk kernel
     w = state.osc.omega
     y0 = np.concatenate(([state.osc.q, state.osc.p], state.mu.coeffs))
-    d = _increment_matrix(w, structure_rhs_matrix(M), dt)[None]
-    _, ys = next(_rk4_chunks(y0[None], d, 1, range(1)))
-    y1 = ys[1, 0]
+    d = _increment_matrix(w, structure_rhs_matrix(M), dt)
+    _, ys = next(_rk4_chunks(y0[None], [_increment_powers(d, 1)], 1, range(1)))
+    y1 = ys[0, 1]
     return SystemState(state.t + dt, OscState(w, float(y1[0]), float(y1[1])),
                        make_operation(2, 2, y1[2:]))
 
@@ -247,10 +249,10 @@ def test_propagator_matches_staged_rk4():
 
 
 def test_propagator_divergence_names_first_step():
-    d = np.eye(10)[None] * 1e300
     with np.errstate(over="ignore", invalid="ignore"):
+        tables = [_increment_powers(np.eye(10) * 1e300, CHUNK_STEPS)]
         with pytest.raises(DivergenceError, match="step 2$"):
-            for _ in _rk4_chunks(np.ones((1, 10)), d, 3000, range(1)):
+            for _ in _rk4_chunks(np.ones((1, 10)), tables, 3000, range(1)):
                 pass
 
 
@@ -274,14 +276,16 @@ def test_chunk_kernel_matches_per_step_loop(n_steps):
     configs = _theorem_configs(5, 3, 1e-3, 1.0)
     rhs = [structure_rhs_matrix(lax_matrices(c.initial_state())[1]) for c in configs]
     d = np.stack([_increment_matrix(c.omega, r, c.dt) for c, r in zip(configs, rhs)])
+    tables = [_increment_powers(x, CHUNK_STEPS) for x in d]
     y0 = _batch(configs).y0
-    got = np.concatenate([ys.copy() for _, ys in _rk4_chunks(y0, d, n_steps, range(len(y0)))])
+    got = np.concatenate([ys.copy() for _, ys in _rk4_chunks(y0, tables, n_steps,
+                                                             range(len(y0)))], axis=1)
     want = [y0]
     for _ in range(n_steps):
         want.append(want[-1] + np.einsum("kij,kj->ki", d, want[-1]))
-    want = np.array(want)
-    assert got.shape == (n_steps + 1, 3, 10)
-    assert np.array_equal(got[0], y0)
+    want = np.swapaxes(want, 0, 1)  # trial-major, as the chunks come
+    assert got.shape == (3, n_steps + 1, 10)
+    assert np.array_equal(got[:, 0], y0)
     # both round at ~eps*|y| per step: 5e-15 to 1e-14 of the largest state
     # value after 20k steps, over nine sampled configs
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
@@ -291,7 +295,8 @@ def test_propagator_divergence_of_two_dim_run():
     # a 2-dim run steps 6400 per chunk, so all 3000 steps are one chunk
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(DivergenceError, match="step 1751$"):
-            for _ in _rk4_chunks(np.ones((1, 2)), 0.5 * np.eye(2)[None], 3000, range(1)):
+            for _ in _rk4_chunks(np.ones((1, 2)), [_increment_powers(0.5 * np.eye(2), 6400)],
+                                 3000, range(1)):
                 pass
 
 
@@ -299,7 +304,8 @@ def test_propagator_divergence_in_later_chunk():
     # 1.5**1751 is the first power above the largest double
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(DivergenceError, match="step 1751$"):
-            for _ in _rk4_chunks(np.ones((1, 10)), 0.5 * np.eye(10)[None], 3000, range(1)):
+            for _ in _rk4_chunks(np.ones((1, 10)), [_increment_powers(0.5 * np.eye(10), 256)],
+                                 3000, range(1)):
                 pass
 
 
@@ -384,10 +390,10 @@ def test_omega_draw_equals_choice(monkeypatch):
 def test_mixed_omega_batch_matches_single_runs():
     configs = _theorem_configs(12, 12, 1e-3, 0.6)
     assert {c.omega for c in configs} == {0.5, 1.0, 2.0}
-    batch = np.concatenate([ys.copy() for _, ys in _batch(configs).records()])
+    batch = np.concatenate([ys.copy() for _, ys in _batch(configs).records()], axis=1)
     for k, c in enumerate(configs):
-        single = np.concatenate([ys.copy() for _, ys in _batch([c]).records()])
-        assert np.max(np.abs(batch[:, k] - single[:, 0])) <= 1e-15
+        single = np.concatenate([ys.copy() for _, ys in _batch([c]).records()], axis=1)
+        assert np.max(np.abs(batch[k] - single[0])) <= 1e-15
 
 
 def test_increment_matrix_built_once_per_distinct_omega(monkeypatch):
@@ -399,10 +405,12 @@ def test_increment_matrix_built_once_per_distinct_omega(monkeypatch):
         return original(omega, rhs, dt)
 
     monkeypatch.setattr(evolution, "_increment_matrix", counting)
+    _power_table.cache_clear()
+    theorem_suite(20, seed=7, tol=1e-6, t_end=0.3)
     theorem_suite(20, seed=7, tol=1e-6, t_end=0.3)
     omegas = {c.omega for c in _theorem_configs(7, 20, 1e-3, 0.3)}
-    # one call for the batch, which receives each distinct omega once
-    assert built == [sorted(omegas)]
+    # one call per distinct omega, each with that omega alone, and none on the second run
+    assert built == sorted(omegas)
 
 
 @pytest.mark.parametrize("dt", [1e-3, 2e-3, 1e-4, 1.0 / 60.0])
@@ -412,6 +420,61 @@ def test_stacked_increment_matrix_equals_per_omega_calls(dt):
     single = np.stack([_increment_matrix(w, r, dt) for w, r in zip(omegas.tolist(), rhs)])
     assert stacked.shape == (5, 10, 10)
     assert stacked.tobytes() == single.tobytes()
+
+
+def test_power_table_is_read_only():
+    table = _power_table(1.0, 1e-3, 10)
+    assert not table.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        table[0, 0] = 1.0
+
+
+def _d_alone(omega, dt, dims):
+    # omega's D built on its own, cut to its first dims coordinates
+    rhs = structure_rhs_matrix(lax_matrices(OscState(omega, 0.0, 0.0))[1])
+    return _increment_matrix(omega, rhs, dt)[:dims, :dims]
+
+
+@pytest.mark.parametrize("dims, steps", [(10, CHUNK_STEPS), (2, 6400)])
+@pytest.mark.parametrize("dt", [1e-3, 2e-3, 1e-4])
+def test_power_table_is_the_powers_of_d_built_alone(dims, steps, dt):
+    for omega in _OMEGAS:
+        table = _power_table(omega, dt, dims)
+        assert table.shape == (dims, dims * (steps + 1))
+        assert table.tobytes() == _increment_powers(_d_alone(omega, dt, dims), steps).tobytes()
+
+
+@pytest.mark.parametrize("dims, counts", [(10, (1, 2, 3, 100, 255, 256)),
+                                          (2, (1, 3, 1000, 5000, 6399, 6400))])
+@pytest.mark.parametrize("dt", [1e-3, 2e-3, 1e-4])
+def test_shorter_power_table_is_a_prefix_of_the_full_one(dims, counts, dt):
+    # so a run of fewer steps than the table holds reads its first columns
+    for omega in _OMEGAS:
+        table = _power_table(omega, dt, dims)
+        for count in counts:
+            short = _increment_powers(_d_alone(omega, dt, dims), count)
+            assert short.tobytes() == table[:, :dims * (count + 1)].tobytes(), (omega, count)
+
+
+def test_results_do_not_depend_on_the_table_cache():
+    cfg = IntegratorConfig(dt=2e-3, t_end=10.0, omega=1.0, q0=0.3, p0=-1.2, params=C5)
+    calls = (lambda: repr(theorem_suite(20, 7, 1e-6, t_end=2.0)),
+             lambda: evolve(replace(cfg, t_end=1.0, record_every=3)).table.tobytes(),
+             lambda: repr(rk4_order_check(cfg)))
+    for call in calls:
+        _power_table.cache_clear()
+        cold = call()
+        built = _power_table.cache_info()
+        assert built.misses > 0 and built.hits == 0
+        assert call() == cold
+        assert _power_table.cache_info().hits == built.misses  # each table read again
+
+
+def test_power_table_cache_is_bounded():
+    for k in range(20):
+        evolve(IntegratorConfig(dt=1e-3, t_end=1e-2, omega=0.5 + 0.05 * k, q0=0.3, p0=-1.2))
+    info = _power_table.cache_info()
+    assert info.currsize == info.maxsize  # 20 distinct omegas, the oldest evicted
 
 
 def test_theorem_batch_matches_single_runs():
@@ -601,7 +664,7 @@ def test_evolve_columns_are_the_chunks_states(record_every):
     # overwrites the buffer it views
     cfg = IntegratorConfig(dt=1e-3, t_end=(3 * CHUNK_STEPS + 5) * 1e-3, omega=2.0, q0=0.5,
                            p0=-0.4, params=C5, record_every=record_every)
-    chunks = [ys[:, 0].copy() for _, ys in _config_batch(cfg).records()]
+    chunks = [ys[0].copy() for _, ys in _config_batch(cfg).records()]
     assert [len(ys) for ys in chunks] == [CHUNK_STEPS] * 3 + [5, 1]
     ys = np.concatenate(chunks)
     keep = sorted({*range(0, len(ys), record_every), len(ys) - 1})
@@ -910,21 +973,21 @@ def test_order_check_qp_block_matches_ten_dim_run(monkeypatch):
                            params=MuParams.zeros())
     runs = []
 
-    def recording(y0, d, n_steps, group):
+    def recording(y0, tables, n_steps, group):
         chunks = []
-        runs.append((d.shape, n_steps, chunks))
-        for first, ys in _rk4_chunks(y0, d, n_steps, group):
-            chunks.append(ys[:, 0].copy())
+        runs.append(([x.shape for x in tables], n_steps, chunks))
+        for first, ys in _rk4_chunks(y0, tables, n_steps, group):
+            chunks.append(ys[0].copy())
             yield first, ys
 
     monkeypatch.setattr(evolution, "_rk4_chunks", recording)
     rk4_order_check(cfg)
     monkeypatch.undo()
-    # (q, p) alone, 6400 steps per chunk
-    assert [(shape, n, len(chunks)) for shape, n, chunks in runs] == [
-        ((1, 2, 2), 5000, 1), ((1, 2, 2), 10000, 2)]
+    # (q, p) alone, one table of 6400 2x2 powers, so 6400 steps per chunk
+    assert [(shapes, n, len(chunks)) for shapes, n, chunks in runs] == [
+        ([(2, 2 * 6401)], 5000, 1), ([(2, 2 * 6401)], 10000, 2)]
     for dt, (_, _, chunks) in zip((2e-3, 1e-3), runs):
-        full = np.concatenate([ys[:, 0, :2].copy() for _, ys in
+        full = np.concatenate([ys[0, :, :2].copy() for _, ys in
                                _batch([replace(cfg, dt=dt)]).records()])
         qp = np.concatenate(chunks)
         assert qp.shape == full.shape

@@ -71,7 +71,7 @@ def test_increment_matrix_is_the_exact_d_rounded_and_its_powers_are_near_it(omeg
     assert [[float(x) for x in row] for row in exact_d] == d.tolist()
 
     # (I + D)^j - I of the stored D, in the increment form P + D + P D
-    e, df = _increment_powers(d[None], POWERS)[0], _exact(d)
+    e, df = _increment_powers(d, POWERS), _exact(d)
     power = [[Fraction(0)] * 10 for _ in range(10)]
     for j in range(1, POWERS + 1):
         pd = _matmul(power, df)
@@ -93,9 +93,9 @@ def test_order_check_steps_with_the_exact_2x2_d_rounded(omega, monkeypatch):
     # the (q, p) block that rk4_order_check steps, at dt and dt/2
     seen, kernel = [], evolution._rk4_chunks
 
-    def recording(y0, d, n_steps, group):
-        seen.append(d.tolist())
-        return kernel(y0, d, n_steps, group)
+    def recording(y0, tables, n_steps, group):
+        seen.append([x[:, 2:4].T.tolist() for x in tables])  # E[1] = D, stored transposed
+        return kernel(y0, tables, n_steps, group)
 
     monkeypatch.setattr(evolution, "_rk4_chunks", recording)
     rk4_order_check(IntegratorConfig(dt=DT, t_end=0.5, omega=omega, q0=0.0, p0=1.0,
@@ -139,7 +139,7 @@ def test_theorem_suite_error_is_the_rk4_closed_form(seed):
     residue, predicted = np.zeros(trials), np.zeros(trials)
     for t, ys in batch.records():
         n = np.rint(t[:, 0] / dt)
-        dev = np.swapaxes(ys[..., 2:], 0, 1) - batch.analytic_mu(t)
+        dev = ys[..., 2:] - batch.analytic_mu(t)
         basis = [np.stack([f(_rk4_defect(nu, dt, n)) for nu in (x / 2, 1.5 * x)
                            for f in (np.real, np.imag)], -1) for x in batch.omegas.tolist()]
         closed = np.matmul(np.array(basis)[batch.group], batch.amplitudes)

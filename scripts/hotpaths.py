@@ -19,7 +19,9 @@ The hot paths:
 - `structure_rhs_matrix` at dims 2 and 3;
 - the stepping loops, through public names: `evolve` at 20k records, the
   theorem workload's `theorem_suite(20, k, 1e-6, t_end=2.0)` and its order
-  check, `rk4_order_check` at dt 2e-3, t_end 10 and omega 1;
+  check, `rk4_order_check` at dt 2e-3, t_end 10 and omega 1, and
+  `theorem_suite(600, k, 1e-6, t_end=0.5)`, whose 600 trials take three
+  blocks of `calculus.TRIAL_BLOCK`;
 - one pass of the benchmark's laws workload: `verify operad` (200 trials),
   `verify identities` (1000) and `pde-check` (100) through the CLI, each
   report written to a file, plus 200 bracket/index pairs; round k takes seed k;
@@ -103,6 +105,7 @@ def hot_paths(out: Path) -> dict:
         "laws_pass": (1, _laws_pass(out)),
         "evolve_20k": (1, lambda k: evolution.evolve(trajectory)),
         "theorem_suite_20": (1, lambda k: evolution.theorem_suite(20, k, 1e-6, t_end=2.0)),
+        "theorem_suite_600": (1, lambda k: evolution.theorem_suite(600, k, 1e-6, t_end=0.5)),
         "rk4_order_check": (10, lambda k: evolution.rk4_order_check(order)),
         "theorem_pass": (1, _theorem_pass(out, order, cold=False)),
         "theorem_pass_cold": (1, _theorem_pass(out, order, cold=True)),

@@ -325,8 +325,7 @@ def random_operation(rng: np.random.Generator, dim: int, arity: int) -> Operatio
     return Operation(dim, arity, _draw_coeffs(rng, dim, arity))
 
 
-# Trials per block of _worst_case_reports: memory follows the block, not the
-# trial count.
+# Trials per block of _blocks: memory follows the block, not the trial count.
 TRIAL_BLOCK = 256
 
 
@@ -336,8 +335,13 @@ def _check_suite_args(seed, tol, **trials):
     _check_positive(tol=tol)
 
 
+def _blocks(trials: int):
+    """The ranges of trials 0..trials-1, TRIAL_BLOCK trials each, in order."""
+    return (range(k, min(k + TRIAL_BLOCK, trials)) for k in range(0, trials, TRIAL_BLOCK))
+
+
 def _worst_case_reports(names, trials: int, rows, tol: float) -> list[LawReport]:
-    """One report per name over trials 0..trials-1, TRIAL_BLOCK trials at a time.
+    """One report per name over trials 0..trials-1, one of _blocks at a time.
 
     rows(ks) gives an array of one row per trial of the range ks, holding the
     trial's residual for each name.  A report keeps the worst residual and the
@@ -346,14 +350,14 @@ def _worst_case_reports(names, trials: int, rows, tol: float) -> list[LawReport]
     and seed -1.
     """
     worst, at = np.zeros(len(names)), np.full(len(names), -1)
-    for first in range(0, trials, TRIAL_BLOCK):
-        block = rows(range(first, min(first + TRIAL_BLOCK, trials)))
+    for ks in _blocks(trials):
+        block = rows(ks)
         # argmax takes the first NaN, else the first maximum: of the reversed
         # block, so the last trial's
         last = len(block) - 1 - np.argmax(block[::-1], axis=0)
         r = block[last, np.arange(len(names))]
         later = np.isnan(r) | (r >= worst)
-        worst, at = np.where(later, r, worst), np.where(later, first + last, at)
+        worst, at = np.where(later, r, worst), np.where(later, ks.start + last, at)
     return [LawReport(name, trials, float(r), bool(r <= tol), int(k))
             for name, r, k in zip(names, worst, at)]
 

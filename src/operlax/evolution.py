@@ -21,6 +21,7 @@ import numpy as np
 
 from .calculus import (
     LawReport,
+    _blocks,
     _check_suite_args,
     _worst_case_reports,
     gerstenhaber_bracket,
@@ -170,26 +171,22 @@ def _rhs_plan(d: int) -> tuple:
             np.array([(j == m) & (k == n), (i == l) & (k == n), (i == l) & (j == m)], float))
 
 
-def _rhs_by_omega(w: np.ndarray) -> tuple:
-    """The distinct omegas of w (sorted), each trial's index among them, and for each
-    one structure_rhs_matrix(M) of its generator M, which depends on omega alone."""
-    omegas, group = np.unique(w, return_inverse=True)
-    rhs = [structure_rhs_matrix(lax_matrices(OscState(x, 0.0, 0.0))[1]) for x in omegas.tolist()]
-    return omegas, group, np.stack(rhs)
+def _rhs(omega: float) -> np.ndarray:
+    """structure_rhs_matrix(M) of omega's generator M, which depends on omega alone."""
+    return structure_rhs_matrix(lax_matrices(OscState(omega, 0.0, 0.0))[1])
 
 
-def _increment_matrix(omega, rhs: np.ndarray, dt: float) -> np.ndarray:
-    """D = z + z^2/2 + z^3/6 + z^4/24 with z = dt*B, B the generator of (q, p, mu), mu block rhs.
+def _increment_matrix(omega: float, dt: float) -> np.ndarray:
+    """D = z + z^2/2 + z^3/6 + z^4/24 with z = dt*B, B the 10 x 10 generator of (q, p, mu).
 
     B does not depend on the state, so one classical RK4 step is exactly
     y -> y + D y.  The step adds the increment D y rather than applying
     I + D: stored in I + D, the O(dt) terms would sit beside the 1 on the
     diagonal and lose their low bits, which the order check then measures.
-    A stack of omegas (g,) with rhs (g, 8, 8) gives each one's D, shape (g, 10, 10).
     """
-    z = np.zeros(rhs.shape[:-2] + (10, 10))
-    z[..., 0, 1], z[..., 1, 0] = dt, -dt * omega * omega
-    z[..., 2:, 2:] = dt * rhs
+    z = np.zeros((10, 10))
+    z[0, 1], z[1, 0] = dt, -dt * omega * omega
+    z[2:, 2:] = dt * _rhs(omega)
     z2 = z @ z
     return z + z2 / 2.0 + z2 @ z / 6.0 + z2 @ z2 / 24.0
 
@@ -222,8 +219,7 @@ def _increment_powers(d: np.ndarray, count: int) -> np.ndarray:
 def _power_table(omega: float, dt: float, dims: int) -> np.ndarray:
     """_increment_powers of omega's D at step dt on its first dims coordinates, read-only, as
     far as 10 x 10 x CHUNK_STEPS coefficients go (~206 kB); fewer steps read a prefix."""
-    rhs = structure_rhs_matrix(lax_matrices(OscState(omega, 0.0, 0.0))[1])
-    e = _increment_powers(_increment_matrix(omega, rhs, dt)[:dims, :dims],
+    e = _increment_powers(_increment_matrix(omega, dt)[:dims, :dims],
                           100 * CHUNK_STEPS // dims ** 2)  # CHUNK_STEPS at 10 dims, 6400 at 2
     e.flags.writeable = False
     return e
@@ -394,7 +390,8 @@ def _pde_residuals(w, q, p, cs, h: float) -> np.ndarray:
                              f"{margin[k, 0]:.2e} of the cut")
     aux = _principal_aux(theta, hs)
     mu = _family_coeffs(*aux, np.asarray(cs, dtype=float).T[:, :, None])
-    _, group, rhs = _rhs_by_omega(w[:, 0])
+    omegas, group = np.unique(w[:, 0], return_inverse=True)
+    rhs = np.stack([_rhs(x) for x in omegas.tolist()])
     # a sum of exact products, added pairwise by numpy: each coefficient rounds as
     # a - (b0 + b1), the order gerstenhaber_bracket adds the same products in
     bracket = (rhs[group] * mu[:, 0, None, :]).sum(axis=-1)
@@ -506,9 +503,10 @@ def theorem_suite(
     in [0.1, 10], parameters in [-1, 1]^8), then check four things at every
     record: worst |mu_numeric - mu_analytic| (tol), relative energy drift
     (1e-9), the spectral invariant |det L + 2 H0| with trace L = 0 (1e-8),
-    and half-period antiperiodicity of the analytic branch (1e-9).  dt must
-    satisfy IntegratorConfig's dt <= 0.1/omega for the largest omega, whatever
-    omegas the seed draws.  Raises ValueError, before any draw, unless
+    and half-period antiperiodicity of the analytic branch (1e-9).  Each block
+    of _blocks is drawn and stepped as one _Batch, so memory follows the block.
+    dt must satisfy IntegratorConfig's dt <= 0.1/omega for the largest omega,
+    whatever omegas the seed draws.  Raises ValueError, before any draw, unless
     seed and trials are ints >= 0, tol and dt are numbers > 0 (NaN is not, nor
     is a bool) and t_end is positive with at most 2**53 steps.
     """
@@ -518,37 +516,33 @@ def theorem_suite(
         raise ValueError(f"dt: theorem trials sample omega up to {max(_OMEGAS)}, "
                          f"so dt must be in (0, {0.1 / max(_OMEGAS)}], got {dt}")
     _check_steps(t_end, dt)
-    if not trials:
-        return []
-    w, h, theta, *cs = _trial_draws(seed, range(trials), _THEOREM_RANGES, True)
-    batch = _Batch(dt, t_end, w, *_polar(w, h, theta), np.transpose(cs))
-    err, drift, det_worst, trace_worst = (np.zeros(trials) for _ in range(4))
-    for t, ys in batch.records():
-        _, _, dev, dr = batch.compare(t, ys)
-        err = np.maximum(err, dev.max(axis=(1, 2)))
-        drift = np.maximum(drift, dr.max(axis=1))
-        # L = [[p, wq], [wq, -p]]: det = -(p^2 + (wq)^2), trace = p + (-p)
-        q, p, wk = ys[..., 0], ys[..., 1], w[:, None]
-        det = p * (-p) - (wk * q) * (wk * q)
-        det_worst = np.maximum(det_worst, np.abs(det + 2.0 * batch.h0[:, None]).max(axis=1))
-        trace_worst = np.maximum(trace_worst, np.abs(p + (-p)).max(axis=1))
-
-    # the analytic branch flips sign after one (q, p) period; the closed form
-    # extends past t_end, so base times can range over the whole run
-    t = np.linspace(0.0, t_end, 8)[:, None]
-    anti = batch.analytic_mu(t) + batch.analytic_mu(t + 2.0 * math.pi / batch.omegas)
-    anti_worst = np.abs(anti).max(axis=(1, 2))
-
-    n = batch.n_steps + 1
     reports = []
-    for k in range(trials):
-        e, dr, det, trace, anti = (float(x[k]) for x in (err, drift, det_worst, trace_worst,
-                                                          anti_worst))
-        checks = (("antiperiodicity", 8, anti, anti <= 1e-9),
-                  ("energy-drift", n, dr, dr <= 1e-9),
-                  ("isospectral", n, max(det, trace), det <= 1e-8 and trace == 0.0),
-                  ("trajectory-mu", n, e, e <= tol))
-        reports += [LawReport(f"{law}-{k:02d}", m, r, ok, k) for law, m, r, ok in checks]
+    for ks in _blocks(trials):
+        w, h, theta, *cs = _trial_draws(seed, ks, _THEOREM_RANGES, True)
+        batch = _Batch(dt, t_end, w, *_polar(w, h, theta), np.transpose(cs))
+        err, drift, det_worst, trace_worst = (np.zeros(len(ks)) for _ in range(4))
+        for t, ys in batch.records():
+            _, _, dev, dr = batch.compare(t, ys)
+            err = np.maximum(err, dev.max(axis=(1, 2)))
+            drift = np.maximum(drift, dr.max(axis=1))
+            # L = [[p, wq], [wq, -p]]: det = -(p^2 + (wq)^2), trace = p + (-p)
+            q, p, wk = ys[..., 0], ys[..., 1], w[:, None]
+            det = p * (-p) - (wk * q) * (wk * q)
+            det_worst = np.maximum(det_worst, np.abs(det + 2.0 * batch.h0[:, None]).max(axis=1))
+            trace_worst = np.maximum(trace_worst, np.abs(p + (-p)).max(axis=1))
+
+        # the analytic branch flips sign after one (q, p) period; the closed form
+        # extends past t_end, so base times can range over the whole run
+        t = np.linspace(0.0, t_end, 8)[:, None]
+        anti = batch.analytic_mu(t) + batch.analytic_mu(t + 2.0 * math.pi / batch.omegas)
+        columns = (err, drift, det_worst, trace_worst, np.abs(anti).max(axis=(1, 2)))
+        n = batch.n_steps + 1
+        for k, e, dr, det, trace, anti in zip(ks, *(x.tolist() for x in columns)):
+            checks = (("antiperiodicity", 8, anti, anti <= 1e-9),
+                      ("energy-drift", n, dr, dr <= 1e-9),
+                      ("isospectral", n, max(det, trace), det <= 1e-8 and trace == 0.0),
+                      ("trajectory-mu", n, e, e <= tol))
+            reports += [LawReport(f"{law}-{k:02d}", m, r, ok, k) for law, m, r, ok in checks]
     return reports
 
 

@@ -466,13 +466,13 @@ def test_worst_case_nan_only_rows():
 def test_worst_case_blocks_reduce_as_rows(monkeypatch):
     # a trial's row does not depend on its block, so neither do the suites' reports
     suites = [lambda: operad_law_suite(7, 3, 1e-10), lambda: proof_identity_suite(9, 3, 1e-12),
-              lambda: pde_suite(5, 3, 1e-8)]
+              lambda: pde_suite(5, 3, 1e-8), lambda: theorem_suite(7, 3, 1e-6, t_end=0.5)]
     reports = {}
     for block in (256, 1, 2, 3):
         monkeypatch.setattr(calculus, "TRIAL_BLOCK", block)
         reports[block] = [suite() for suite in suites]
     assert reports[1] == reports[2] == reports[3] == reports[256]
-    assert [len(r) for r in reports[256]] == [4, 6, 2]
+    assert [len(r) for r in reports[256]] == [4, 6, 2, 28]
 
 
 @settings(derandomize=True, database=None, deadline=None)

@@ -54,7 +54,6 @@ from operlax.evolution import (
     _increment_powers,
     _pde_residuals,
     _power_table,
-    _rhs_by_omega,
     _rk4_chunks,
     pde_suite,
 )
@@ -177,11 +176,11 @@ def _system_state(omega, q, p, mu):
     return SystemState(0.0, OscState(omega, q, p), mu)
 
 
-def _rk4_step(state, M, dt):
+def _rk4_step(state, dt):
     # one step of the joint system: the single-run, single-step case of the chunk kernel
     w = state.osc.omega
     y0 = np.concatenate(([state.osc.q, state.osc.p], state.mu.coeffs))
-    d = _increment_matrix(w, structure_rhs_matrix(M), dt)
+    d = _increment_matrix(w, dt)
     _, ys = next(_rk4_chunks(y0[None], [_increment_powers(d, 1)], 1, range(1)))
     y1 = ys[0, 1]
     return SystemState(state.t + dt, OscState(w, float(y1[0]), float(y1[1])),
@@ -189,9 +188,8 @@ def _rk4_step(state, M, dt):
 
 
 def test_rk4_step_against_closed_form():
-    _, M = lax_matrices(OscState(1.0, 0.0, 1.0))
     st = _system_state(1.0, 0.0, 1.0, make_operation(2, 2, np.zeros(8)))
-    st1 = _rk4_step(st, M, 0.1)
+    st1 = _rk4_step(st, 0.1)
     # one classical step carries local truncation dt^5/120 on the sine component
     q_err = abs(st1.osc.q - math.sin(0.1))
     assert q_err <= 1e-7
@@ -201,20 +199,18 @@ def test_rk4_step_against_closed_form():
 
 
 def test_rk4_step_zero_mu_is_fixed():
-    _, M = lax_matrices(OscState(1.0, 0.0, 1.0))
     st = _system_state(1.0, 0.0, 1.0, make_operation(2, 2, np.zeros(8)))
     for _ in range(5):
-        st = _rk4_step(st, M, 0.05)
+        st = _rk4_step(st, 0.05)
         npt.assert_array_equal(st.mu.coeffs, np.zeros(8))
 
 
 def test_rk4_step_origin_mu_rotates():
     rng = trial_rng(4, 3)
     mu0 = random_operation(rng, 2, 2)
-    _, M = lax_matrices(OscState(1.0, 0.0, 1.0))
     st = _system_state(1.0, 0.0, 0.0, mu0)
     for _ in range(20):
-        st = _rk4_step(st, M, 0.05)
+        st = _rk4_step(st, 0.05)
     assert st.osc.q == 0.0 and st.osc.p == 0.0
     assert np.max(np.abs(st.mu.coeffs - mu0.coeffs)) > 1e-3
     # the constant-M flow is a rotation in coefficient space; RK4 preserves
@@ -274,8 +270,7 @@ def _batch(configs):
 @pytest.mark.parametrize("n_steps", [1, CHUNK_STEPS - 1, CHUNK_STEPS, CHUNK_STEPS + 1, 20000])
 def test_chunk_kernel_matches_per_step_loop(n_steps):
     configs = _theorem_configs(5, 3, 1e-3, 1.0)
-    rhs = [structure_rhs_matrix(lax_matrices(c.initial_state())[1]) for c in configs]
-    d = np.stack([_increment_matrix(c.omega, r, c.dt) for c, r in zip(configs, rhs)])
+    d = np.stack([_increment_matrix(c.omega, c.dt) for c in configs])
     tables = [_increment_powers(x, CHUNK_STEPS) for x in d]
     y0 = _batch(configs).y0
     got = np.concatenate([ys.copy() for _, ys in _rk4_chunks(y0, tables, n_steps,
@@ -400,9 +395,9 @@ def test_increment_matrix_built_once_per_distinct_omega(monkeypatch):
     built = []
     original = evolution._increment_matrix
 
-    def counting(omega, rhs, dt):
-        built.append(np.asarray(omega).tolist())
-        return original(omega, rhs, dt)
+    def counting(omega, dt):
+        built.append(omega)
+        return original(omega, dt)
 
     monkeypatch.setattr(evolution, "_increment_matrix", counting)
     _power_table.cache_clear()
@@ -411,15 +406,6 @@ def test_increment_matrix_built_once_per_distinct_omega(monkeypatch):
     omegas = {c.omega for c in _theorem_configs(7, 20, 1e-3, 0.3)}
     # one call per distinct omega, each with that omega alone, and none on the second run
     assert built == sorted(omegas)
-
-
-@pytest.mark.parametrize("dt", [1e-3, 2e-3, 1e-4, 1.0 / 60.0])
-def test_stacked_increment_matrix_equals_per_omega_calls(dt):
-    omegas, _, rhs = _rhs_by_omega(np.array(_OMEGAS + (0.7, 3.0)))
-    stacked = _increment_matrix(omegas, rhs, dt)
-    single = np.stack([_increment_matrix(w, r, dt) for w, r in zip(omegas.tolist(), rhs)])
-    assert stacked.shape == (5, 10, 10)
-    assert stacked.tobytes() == single.tobytes()
 
 
 def test_power_table_is_read_only():
@@ -431,8 +417,7 @@ def test_power_table_is_read_only():
 
 def _d_alone(omega, dt, dims):
     # omega's D built on its own, cut to its first dims coordinates
-    rhs = structure_rhs_matrix(lax_matrices(OscState(omega, 0.0, 0.0))[1])
-    return _increment_matrix(omega, rhs, dt)[:dims, :dims]
+    return _increment_matrix(omega, dt)[:dims, :dims]
 
 
 @pytest.mark.parametrize("dims, steps", [(10, CHUNK_STEPS), (2, 6400)])
@@ -1014,6 +999,20 @@ def test_rk4_order_check_rejects_zero_fine_error():
 def test_rk4_order_check_memory_is_flat_in_t_end():
     # the closed-form reference is taken per chunk, not for every step at once
     assert _order_check_peak(1000.0) - _order_check_peak(10.0) <= 2 ** 20
+
+
+def _theorem_suite_peak(trials):
+    tracemalloc.start()
+    try:
+        theorem_suite(trials, 0, 1e-6, t_end=0.5)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_theorem_suite_memory_is_flat_in_trials():
+    # trials are drawn and stepped a block at a time, as in the other suites
+    assert _theorem_suite_peak(2000) <= 1.2 * _theorem_suite_peak(256)
 
 
 def test_rk4_order_two_doublings():

@@ -67,7 +67,7 @@ def test_increment_matrix_is_the_exact_d_rounded_and_its_powers_are_near_it(omeg
     exact_d = [[z[i][j] + z2[i][j] / 2 + z3[i][j] / 6 + z4[i][j] / 24 for j in range(10)]
                for i in range(10)]
 
-    d = _increment_matrix(omega, rhs, DT)
+    d = _increment_matrix(omega, DT)
     assert [[float(x) for x in row] for row in exact_d] == d.tolist()
 
     # (I + D)^j - I of the stored D, in the increment form P + D + P D

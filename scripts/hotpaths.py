@@ -1,15 +1,24 @@
-"""Time the benchmark workloads' hot paths in one operlax source tree, in-process.
+"""Time the benchmark workloads' hot paths in one or two operlax source trees.
 
     python scripts/hotpaths.py [SRC] [--rounds N]
+    python scripts/hotpaths.py SRC_A SRC_B [--rounds N]
 
 SRC is a checkout's `src` directory (default: this checkout's).  Each hot path
-runs once untimed, then N times (default 50), and the script prints one JSON
+runs once untimed, then N times (default 50).  A sample of a path that takes
+well under a millisecond is the mean of 10 or 100 calls.  A path that reads a
+private name a tree lacks prints null in place of its times.
+
+With one tree the paths run in this process, and the script prints one JSON
 line: {"src": SRC, "rounds": N, PATH: {"p10_us": ..., "median_us": ...}, ...}.
-A path that reads a private name the tree lacks prints null in place of its
-times.  A sample of a path that takes well under a millisecond is the mean of
-10 or 100 calls.  The
-host's speed drifts in phases of seconds, so compare two checkouts by running
-this alternately on each, several times, rather than once each.
+
+With two trees each runs in a worker process of its own, and the script takes
+every path's samples from the two in turn, round k from A then B for even k and
+from B then A for odd k (A/B/B/A), so that both sides see the same phases of the
+host's speed, which drifts over seconds.  It prints one JSON line: {"src":
+[SRC_A, SRC_B], "rounds": N, PATH: {"a_median_us": ..., "b_median_us": ...,
+"a_over_b": ..., "a_wins": ..., "b_wins": ...}, ...}, where a_over_b > 1 means
+B is faster and a side wins a round with the smaller sample (a tie counts for
+neither).
 
 The hot paths:
 - `_trial_draws` of the identity suite (1000 trials), the theorem suite (20)
@@ -40,6 +49,7 @@ import functools
 import json
 import os
 import statistics
+import subprocess
 import sys
 import tempfile
 import time
@@ -112,32 +122,117 @@ def hot_paths(out: Path) -> dict:
     }
 
 
-def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("src", nargs="?", default=str(Path(__file__).resolve().parent.parent / "src"))
-    ap.add_argument("--rounds", type=int, default=50)
-    args = ap.parse_args(argv)
-    sys.path.insert(0, str(Path(args.src).resolve()))
-    result = {"src": args.src, "rounds": args.rounds}
+class _Tree:
+    """The hot paths of one source tree, imported into this process."""
+
+    def __init__(self, src: str, out: Path):
+        sys.path.insert(0, str(Path(src).resolve()))
+        self.paths = hot_paths(out)
+
+    def warm(self, name: str) -> bool:
+        """Run the path once untimed; False when it reads a private name the tree lacks."""
+        try:
+            self.paths[name][1](0)
+        except AttributeError as exc:  # a private name of an older or newer tree
+            if not (isinstance(exc.obj, types.ModuleType) and exc.name.startswith("_")):
+                raise
+            return False
+        return True
+
+    def sample(self, name: str, k: int) -> float:
+        """One sample of round k in microseconds: the mean of the path's calls."""
+        calls, fn = self.paths[name]
+        t0 = time.perf_counter_ns()
+        for _ in range(calls):
+            fn(k)
+        return (time.perf_counter_ns() - t0) / calls / 1e3
+
+
+def _serve(src: str) -> int:
+    """Answer one JSON request per stdin line, [method, *args] of a _Tree, on stdout."""
+    replies, sys.stdout = sys.stdout, sys.stderr  # what a path prints does not mix with them
     with tempfile.TemporaryDirectory() as tmp:
-        for name, (calls, fn) in hot_paths(Path(tmp) / "report.json").items():
-            try:
-                fn(0)
-            except AttributeError as exc:  # a private name of an older or newer tree
-                if not (isinstance(exc.obj, types.ModuleType) and exc.name.startswith("_")):
-                    raise
+        tree = _Tree(src, Path(tmp) / "report.json")
+        print(json.dumps(list(tree.paths)), file=replies, flush=True)
+        for line in sys.stdin:
+            method, *args = json.loads(line)
+            print(json.dumps(getattr(tree, method)(*args)), file=replies, flush=True)
+    return 0
+
+
+class _Worker:
+    """A _Tree in a process of its own, reached through _serve."""
+
+    def __init__(self, src: str):
+        argv = [sys.executable, str(Path(__file__).resolve()), "--worker", src]
+        self.proc = subprocess.Popen(argv, stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
+        self.names = self._reply()
+
+    def _reply(self):
+        line = self.proc.stdout.readline()
+        if not line:
+            raise RuntimeError(f"hot-path worker exited with {self.proc.wait()}")
+        return json.loads(line)
+
+    def call(self, method: str, *args):
+        self.proc.stdin.write(json.dumps([method, *args]) + "\n")
+        self.proc.stdin.flush()
+        return self._reply()
+
+    def close(self):
+        self.proc.stdin.close()
+        self.proc.wait(timeout=60)
+
+
+def _one_tree(src: str, rounds: int) -> dict:
+    result = {"src": src, "rounds": rounds}
+    with tempfile.TemporaryDirectory() as tmp:
+        tree = _Tree(src, Path(tmp) / "report.json")
+        for name in tree.paths:
+            if not tree.warm(name):
                 result[name] = None
                 continue
-            samples = []
-            for k in range(args.rounds):
-                t0 = time.perf_counter_ns()
-                for _ in range(calls):
-                    fn(k)
-                samples.append((time.perf_counter_ns() - t0) / calls / 1e3)
-            samples.sort()
+            samples = sorted(tree.sample(name, k) for k in range(rounds))
             result[name] = {"p10_us": round(samples[len(samples) // 10], 2),
                             "median_us": round(statistics.median(samples), 2)}
-    print(json.dumps(result))
+    return result
+
+
+def _two_trees(src_a: str, src_b: str, rounds: int) -> dict:
+    result = {"src": [src_a, src_b], "rounds": rounds}
+    workers = [_Worker(src_a), _Worker(src_b)]
+    try:
+        for name in workers[0].names:
+            if not all(name in w.names and w.call("warm", name) for w in workers):
+                result[name] = None
+                continue
+            a, b = [], []
+            for k in range(rounds):
+                for w in workers if k % 2 == 0 else workers[::-1]:  # A/B, then B/A
+                    (a if w is workers[0] else b).append(w.call("sample", name, k))
+            ma, mb = statistics.median(a), statistics.median(b)
+            result[name] = {"a_median_us": round(ma, 2), "b_median_us": round(mb, 2),
+                            "a_over_b": round(ma / mb, 4),
+                            "a_wins": sum(x < y for x, y in zip(a, b)),
+                            "b_wins": sum(y < x for x, y in zip(a, b))}
+    finally:
+        for w in workers:
+            w.close()
+    return result
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("src", nargs="*", default=[str(Path(__file__).resolve().parent.parent / "src")])
+    ap.add_argument("--rounds", type=int, default=50)
+    ap.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
+    args = ap.parse_args(argv)
+    if len(args.src) > 2 or (args.worker and len(args.src) != 1):
+        ap.error("give one or two source trees")
+    if args.worker:
+        return _serve(args.src[0])
+    print(json.dumps(_one_tree(args.src[0], args.rounds) if len(args.src) == 1
+                     else _two_trees(*args.src, args.rounds)))
     return 0
 
 

@@ -234,18 +234,21 @@ def _rk4_chunks(y0: np.ndarray, tables, n_steps: int, group):
     is the state of trial k at step first + j, from step 0 (y0 itself) through
     n_steps.  The steps of a chunk are one product per trial, written in place,
     ys[k, j] = y + y E[j]^T with y the chunk's first state, so a trial's numbers
-    do not depend on which trials share its batch.  Every ys is a view of one
-    buffer, which the next chunk overwrites.  Raises DivergenceError naming the
+    do not depend on which trials share its batch; a run of trials with equal group
+    is one matmul call, which numpy makes one GEMV per trial.  Every ys is a view of
+    one buffer, which the next chunk overwrites.  Raises DivergenceError naming the
     first step with a non-finite value.
     """
     y = np.array(y0, dtype=float)
     span = min(tables[0].shape[1] // y.shape[1] - 1, n_steps)
     buf = np.empty((len(y), span + 1, y.shape[1]))
+    flat = buf.reshape(len(y), 1, -1)  # a view: trial k's chunk as one row
+    edges = [0, *(np.flatnonzero(np.diff(group)) + 1).tolist(), len(y)]  # runs of one group
     for first in range(0, n_steps, span):
         rows = min(span, n_steps - first) + 1  # through the next chunk's first state
-        ys = buf[:, :rows]
-        for k, g in enumerate(group):
-            np.matmul(y[k], tables[g][:, :ys[k].size], out=ys[k].reshape(-1))  # a view
+        ys, size = buf[:, :rows], rows * y.shape[1]
+        for lo, hi in zip(edges, edges[1:]):
+            np.matmul(y[lo:hi, None], tables[group[lo]][:, :size], out=flat[lo:hi, :, :size])
         ys += y[:, None]
         if not np.isfinite(ys).all():
             step = first + int(np.argmin(np.isfinite(ys).all(axis=(0, 2))))
@@ -268,6 +271,8 @@ class _Batch:
         self.theta0 = _libm(_principal_angle, w * q, p)
         self.cs = np.transpose(cs)  # (8, trials)
         family = _family_coeffs(*_principal_aux(self.theta0, self.h0), self.cs)
+        if not np.isfinite(family).all():  # before any step, which it would be blamed on
+            raise ValueError("params C1..C8 overflow the family at the initial state")
         self.y0 = np.column_stack((q, p, family))
 
     def records(self, every: int = 1, dims: int = 10):
@@ -308,7 +313,8 @@ class _Batch:
         b = np.stack((c, s, c * (c * c - 3.0 * s * s), s * (3.0 * c * c - s * s)), -1)
         # numpy's one-row product (its vector path) rounds otherwise: a lone row goes in twice
         rows = b.shape[1]
-        return np.matmul((b[:, [0, 0]] if rows == 1 else b)[self.group], self.amplitudes)[:, :rows]
+        b = np.take(b[:, [0, 0]] if rows == 1 else b, self.group, axis=0)  # one row set per trial
+        return np.matmul(b, self.amplitudes)[:, :rows]
 
     def compare(self, t: np.ndarray, ys: np.ndarray) -> tuple:
         """Energy, mu_ana, |mu - mu_ana| and relative energy drift of the states ys[k, j]
@@ -339,12 +345,14 @@ def analytic_mu(config: IntegratorConfig, t: float) -> Operation:
     return Operation(2, 2, _config_batch(config).analytic_mu(t)[0, 0])
 
 
+@_quiet
 def evolve(config: IntegratorConfig) -> Trajectory:
     """Integrate from t = 0 to t_end, comparing against the analytic family.
 
     The initial mu is the family evaluated on the principal branch at the
     initial state.  Each record carries the numeric and analytic structure
-    constants, their worst difference, and the relative energy drift.
+    constants, their worst difference, and the relative energy drift, all finite:
+    EnergyOverflowError for H past the doubles, ValueError for mu_ana or err past them.
     """
     batch = _config_batch(config)
     blocks = []
@@ -352,7 +360,12 @@ def evolve(config: IntegratorConfig) -> Trajectory:
         energy, mu_ana, dev, drift = (a[0] for a in batch.compare(t, ys))
         err = reduce(np.maximum, dev.T)  # column by column: dev.max(axis=1) took ~10x longer
         blocks.append(np.column_stack((t, ys[0, :, :2], energy, ys[0, :, 2:], mu_ana, err, drift)))
-    return Trajectory(np.concatenate(blocks))
+    table = np.concatenate(blocks)
+    if not np.isfinite(table).all():  # the steps are finite, so H, mu_ana or err is not
+        if not np.isfinite(table[:, 3]).all():  # 2H a few ulps short of the largest double
+            raise EnergyOverflowError(f"energy of (q, p) = ({config.q0}, {config.p0}) overflows")
+        raise ValueError("params C1..C8 overflow the family's reference along the run")
+    return Trajectory(table)
 
 
 @_quiet
@@ -518,24 +531,29 @@ def theorem_suite(
     _check_steps(t_end, dt)
     reports = []
     for ks in _blocks(trials):
-        w, h, theta, *cs = _trial_draws(seed, ks, _THEOREM_RANGES, True)
+        draws = _trial_draws(seed, ks, _THEOREM_RANGES, True)
+        order = np.argsort(draws[0], kind="stable")  # runs of one omega: one product per run
+        w, h, theta, *cs = draws[:, order]
         batch = _Batch(dt, t_end, w, *_polar(w, h, theta), np.transpose(cs))
-        err, drift, det_worst, trace_worst = (np.zeros(len(ks)) for _ in range(4))
+        wk, h0 = w[:, None], batch.h0[:, None]
+        err, dh, det_worst, trace_worst = (np.zeros(len(ks)) for _ in range(4))
         for t, ys in batch.records():
-            _, _, dev, dr = batch.compare(t, ys)
+            q, p = np.moveaxis(ys[..., :2], -1, 0).copy()  # contiguous: no op below strides ys
+            dev = batch.analytic_mu(t)  # |mu - mu_ana|, in the reference's own buffer
+            np.abs(np.subtract(ys[..., 2:], dev, out=dev), out=dev)
             err = np.maximum(err, dev.max(axis=(1, 2)))
-            drift = np.maximum(drift, dr.max(axis=1))
+            dh = np.maximum(dh, np.abs(0.5 * (p * p + wk * wk * q * q) - h0).max(axis=1))
             # L = [[p, wq], [wq, -p]]: det = -(p^2 + (wq)^2), trace = p + (-p)
-            q, p, wk = ys[..., 0], ys[..., 1], w[:, None]
             det = p * (-p) - (wk * q) * (wk * q)
-            det_worst = np.maximum(det_worst, np.abs(det + 2.0 * batch.h0[:, None]).max(axis=1))
+            det_worst = np.maximum(det_worst, np.abs(det + 2.0 * h0).max(axis=1))
             trace_worst = np.maximum(trace_worst, np.abs(p + (-p)).max(axis=1))
 
         # the analytic branch flips sign after one (q, p) period; the closed form
         # extends past t_end, so base times can range over the whole run
         t = np.linspace(0.0, t_end, 8)[:, None]
         anti = batch.analytic_mu(t) + batch.analytic_mu(t + 2.0 * math.pi / batch.omegas)
-        columns = (err, drift, det_worst, trace_worst, np.abs(anti).max(axis=(1, 2)))
+        columns = np.array([err, dh / batch.h0, det_worst, trace_worst,  # H0 > 0: max |E-H0|/H0
+                            np.abs(anti).max(axis=(1, 2))])[:, np.argsort(order)]  # trial order
         n = batch.n_steps + 1
         for k, e, dr, det, trace, anti in zip(ks, *(x.tolist() for x in columns)):
             checks = (("antiperiodicity", 8, anti, anti <= 1e-9),

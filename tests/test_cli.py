@@ -419,6 +419,21 @@ def test_simulate_energy_overflow_is_usage_error(tmp_path, capsys):
     assert "overflows" in stderr
 
 
+@pytest.mark.parametrize("flags, error", [
+    (["--q0", "1.3407807929942596e154", "--p0", "0", "--t-end", "7"],
+     "energy of (q, p) = (1.3407807929942596e+154, 0.0) overflows"),
+    (["--q0", "1", "--p0", "1", "--t-end", "1", "--c", ",".join(["1e308"] * 8)],
+     "params C1..C8 overflow the family at the initial state"),
+], ids=["energy-turns-past-the-doubles", "family-overflows-at-t0"])
+def test_simulate_overflow_is_one_quiet_usage_error(flags, error, tmp_path):
+    # the run's own overflow names its input, and numpy writes nothing to stderr
+    code, stderr = run_subprocess(["simulate", "--omega", "1", *flags, "--out", "x.csv"], tmp_path)
+    assert code == 2
+    usage, line = stderr.splitlines()
+    assert usage.startswith("usage: operlax") and line == f"operlax: error: {error}"
+    assert not (tmp_path / "x.csv").exists()
+
+
 @pytest.mark.parametrize("argv, config", [
     (["verify", "theorem", "--trials", "1", "--t-end", "1e308"], None),
     (["verify", "operad", "--trials", "1"], b'{"out": ["a"]}'),

@@ -40,7 +40,7 @@ from operlax import (
     trajectory_csv_lines,
     trial_rng,
 )
-from operlax import evolution, oscillator
+from operlax import calculus, evolution, oscillator
 from operlax.evolution import (
     _PDE_RANGES,
     _THEOREM_RANGES,
@@ -382,13 +382,25 @@ def test_omega_draw_equals_choice(monkeypatch):
                 assert made[k].bit_generator.state == ref.bit_generator.state
 
 
+def _chunk_states(y0, tables, n_steps, group):
+    return np.concatenate([ys.copy() for _, ys in _rk4_chunks(y0, tables, n_steps, group)], axis=1)
+
+
 def test_mixed_omega_batch_matches_single_runs():
     configs = _theorem_configs(12, 12, 1e-3, 0.6)
     assert {c.omega for c in configs} == {0.5, 1.0, 2.0}
     batch = np.concatenate([ys.copy() for _, ys in _batch(configs).records()], axis=1)
     for k, c in enumerate(configs):
         single = np.concatenate([ys.copy() for _, ys in _batch([c]).records()], axis=1)
-        assert np.max(np.abs(batch[k] - single[0])) <= 1e-15
+        assert batch[k].tobytes() == single[0].tobytes()
+    # the kernel itself, for a group in no order: one matmul per run of equal group
+    # (here five runs), each trial's states those of its run alone, bit for bit
+    group = [2, 0, 0, 1, 2, 2]
+    tables = [_power_table(w, 1e-3, 10) for w in (0.5, 1.0, 2.0)]
+    y0 = _batch(configs[:6]).y0
+    got = _chunk_states(y0, tables, 600, group)
+    for k, g in enumerate(group):
+        assert got[k].tobytes() == _chunk_states(y0[k:k + 1], [tables[g]], 600, [0])[0].tobytes()
 
 
 def test_increment_matrix_built_once_per_distinct_omega(monkeypatch):
@@ -471,6 +483,54 @@ def test_theorem_batch_matches_single_runs():
         assert abs(reports[f"energy-drift-{tag}"].max_abs_residual
                    - traj.max_energy_drift()) <= 1e-15
         assert reports[f"trajectory-mu-{tag}"].trials == len(traj)
+
+
+def _compare_theorem_reports(trials, seed, tol, dt, t_end):
+    # the theorem suite as its per-chunk body read each chunk through _Batch.compare,
+    # trials in draw order: the reference for the suite's own reduction
+    reports = []
+    for ks in calculus._blocks(trials):
+        w, h, theta, *cs = evolution._trial_draws(seed, ks, _THEOREM_RANGES, True)
+        batch = _Batch(dt, t_end, w, *_polar(w, h, theta), np.transpose(cs))
+        err, drift, det_worst, trace_worst = (np.zeros(len(ks)) for _ in range(4))
+        for t, ys in batch.records():
+            _, _, dev, dr = batch.compare(t, ys)
+            err = np.maximum(err, dev.max(axis=(1, 2)))
+            drift = np.maximum(drift, dr.max(axis=1))
+            q, p, wk = ys[..., 0], ys[..., 1], w[:, None]
+            det = p * (-p) - (wk * q) * (wk * q)
+            det_worst = np.maximum(det_worst, np.abs(det + 2.0 * batch.h0[:, None]).max(axis=1))
+            trace_worst = np.maximum(trace_worst, np.abs(p + (-p)).max(axis=1))
+        t = np.linspace(0.0, t_end, 8)[:, None]
+        anti = batch.analytic_mu(t) + batch.analytic_mu(t + 2.0 * math.pi / batch.omegas)
+        columns = (err, drift, det_worst, trace_worst, np.abs(anti).max(axis=(1, 2)))
+        n = batch.n_steps + 1
+        for k, e, dr, det, trace, anti in zip(ks, *(x.tolist() for x in columns)):
+            checks = (("antiperiodicity", 8, anti, anti <= 1e-9),
+                      ("energy-drift", n, dr, dr <= 1e-9),
+                      ("isospectral", n, max(det, trace), det <= 1e-8 and trace == 0.0),
+                      ("trajectory-mu", n, e, e <= tol))
+            reports += [LawReport(f"{law}-{k:02d}", m, r, ok, k) for law, m, r, ok in checks]
+    return reports
+
+
+def _report_bits(reports):
+    return [(r.law_name, r.trials, r.max_abs_residual.hex(), r.passed, r.worst_case_seed)
+            for r in reports]
+
+
+@pytest.mark.parametrize("one_omega", [False, True])
+@pytest.mark.parametrize("t_end", [1e-3, 0.5, 2.0])
+@pytest.mark.parametrize("seed", [0, 7, 101])
+def test_theorem_suite_equals_the_compare_reduction(seed, t_end, one_omega, monkeypatch):
+    if one_omega:  # every trial of the block at omega 1: one run, one product per chunk
+        draws = evolution._trial_draws
+        monkeypatch.setattr(evolution, "_trial_draws",
+                            lambda *args: np.vstack((np.ones(len(args[1])), draws(*args)[1:])))
+    got = theorem_suite(20, seed, 1e-6, t_end=t_end)
+    assert _report_bits(got) == _report_bits(_compare_theorem_reports(20, seed, 1e-6, 1e-3, t_end))
+    # no worst case is -0.0, which a max taken as -min would give where every value is 0
+    assert all(math.copysign(1.0, r.max_abs_residual) == 1.0 for r in got)
 
 
 def test_theorem_suite_dt_guard_is_seed_independent():
@@ -596,6 +656,47 @@ def test_evolve_zero_params_stays_zero():
     traj = evolve(cfg)
     assert traj.max_err_mu() == 0.0
     assert np.max(np.abs(traj.mu)) == 0.0
+
+
+_SQRT_MAX = 1.3407807929942596e154  # the largest double is 2H at q0 = this, omega = 1, p0 = 0
+
+
+@st.composite
+def _edge_configs(draw):
+    # (omega, q0, p0, C) on and near both overflow edges: 2H at the largest double, and
+    # parameters that overflow the family, at t = 0 or as it turns
+    omega = draw(st.floats(0.5, 100.0))
+    phi = draw(st.floats(-math.pi, math.pi))
+    r = draw(st.sampled_from([_SQRT_MAX, _SQRT_MAX * (1.0 - 2.0 ** -52), 1e150, 1.0]))
+    c = draw(st.lists(st.one_of(st.floats(-1.0, 1.0), st.floats(allow_nan=False,
+                                                                allow_infinity=False)),
+                      min_size=8, max_size=8))
+    return omega, r * math.cos(phi) / omega, r * math.sin(phi), c
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(_edge_configs())
+@example((1.0, _SQRT_MAX, 0.0, [0.0] * 8))  # H turns past the doubles near t = pi/4
+@example((1.0, 1.0, 1.0, [1e308] * 8))  # the family overflows at t = 0
+def test_evolve_ends_finite_or_in_a_typed_error(config):
+    omega, q0, p0, c = config
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy's RuntimeWarning among them: evolve is quiet
+        try:
+            traj = evolve(IntegratorConfig(1e-3, 7.0, omega, q0, p0, MuParams(c)))
+        except ValueError:  # EnergyOverflowError and DegenerateStateError among them
+            return
+        except DivergenceError:  # the parameters' own solution leaves the doubles
+            return
+    assert np.isfinite(traj.table).all()
+
+
+def test_evolve_overflow_errors_name_the_input():
+    energy = r"^energy of \(q, p\) = \(1\.3407807929942596e\+154, 0\.0\) overflows$"
+    with pytest.raises(EnergyOverflowError, match=energy):
+        evolve(IntegratorConfig(1e-3, 7.0, 1.0, _SQRT_MAX, 0.0))
+    with pytest.raises(ValueError, match=r"^params C1\.\.C8 overflow the family at the initial"):
+        evolve(IntegratorConfig(1e-3, 1.0, 1.0, 1.0, 1.0, MuParams([1e308] * 8)))
 
 
 def test_evolve_rejects_zero_energy():

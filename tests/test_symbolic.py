@@ -75,7 +75,8 @@ def test_reference_takes_the_triple_angle_from_the_half_angle(monkeypatch):
     # (f) at omega = 2 and t = phi the half angle is phi, and with identity amplitudes
     # the reference's columns are its basis [cos, sin](phi), [cos, sin](3 phi)
     vec = types.SimpleNamespace(cos=np.vectorize(sp.cos), sin=np.vectorize(sp.sin),
-                                atleast_2d=np.atleast_2d, stack=np.stack, matmul=np.matmul)
+                                atleast_2d=np.atleast_2d, stack=np.stack, matmul=np.matmul,
+                                take=np.take)
     monkeypatch.setattr(evolution, "np", vec)
     batch = types.SimpleNamespace(omegas=np.array([2]), group=[0],
                                   amplitudes=np.eye(4, dtype=int)[None])

@@ -61,10 +61,10 @@ __all__ = [
     "CSV_HEADER",
 ]
 
-# Steps per chunk of the 10-dim propagator: a chunk's increment powers take 10 x 10
-# x CHUNK_STEPS doubles per distinct omega, and an n-dim state steps as many as that
-# holds (6400 at 2 dims).  theorem_suite peaks near 2.4 MB at 20 trials, and runs
-# fastest here: shorter chunks take more products, longer ones more powers.
+# Steps per chunk of the 10-dim propagator, whose powers take 10 x 10 x CHUNK_STEPS doubles
+# per omega; an n-dim state steps as many as that holds (6400 at 2 dims).  A chunk steps from
+# its first state, so the chunk edges set where states are rounded and the digests pin the
+# value; the buffer and the power tables set the peak (~2.0 MB at 20 theorem trials).
 CHUNK_STEPS = 256
 
 

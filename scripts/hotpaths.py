@@ -34,7 +34,11 @@ The other paths run kernels, some of them private, at the workloads' sizes
 - `structure_rhs_matrix` at dims 2 and 3;
 - `evolve` at 20k records, the theorem workload's `theorem_suite` and order
   check, and `theorem_suite(600, k, 1e-6, t_end=0.5)`, whose 600 trials take
-  three blocks of `calculus.TRIAL_BLOCK`.
+  three blocks of `calculus.TRIAL_BLOCK`;
+- `verify_theorem_cli`: `operlax.cli.main` on the theorem workload's `verify
+  theorem` arguments at seed k, its report to a temp file.  It reads public
+  names only, so an A/B run shows what the CLI adds to the suite, its report
+  writer included.
 """
 
 from __future__ import annotations
@@ -89,7 +93,7 @@ def _benchmark_pass(workload: str, tmp: Path, cold: bool = False):
 def hot_paths(tmp: Path) -> dict:
     """name -> function of the round index that returns one sample in ns"""
     import worker
-    from operlax import IntegratorConfig, MuParams, calculus, evolution, oscillator
+    from operlax import IntegratorConfig, MuParams, calculus, cli, evolution, oscillator
 
     draws = functools.cache(lambda: calculus._operad_draws(3, range(200)))
     ms = {d: calculus.random_operation(calculus.trial_rng(0, d), d, 1) for d in (2, 3)}
@@ -97,6 +101,14 @@ def hot_paths(tmp: Path) -> dict:
     trajectory = IntegratorConfig(dt=worker.DT, t_end=worker.T_END, omega=1.0, q0=0.3, p0=-1.2,
                                   params=c)
     trials, t_end = worker.THEOREM_TRIALS, worker.THEOREM_T_END
+    theorem_argv = ["verify", "theorem", "--trials", str(trials), "--dt", repr(worker.DT),
+                    "--t-end", repr(t_end), "--tol", "1e-6",
+                    "--out", str(tmp / "verify_theorem_cli.json")]
+
+    def verify_theorem(k: int):
+        if cli.main([*theorem_argv, "--seed", str(k)]) != 0:
+            raise RuntimeError(f"verify theorem exited nonzero at seed {k}")
+
     return {
         "trial_draws_identity_1000": _timed(1, lambda k: oscillator._trial_draws(
             3, range(1000), oscillator._IDENTITY_RANGES, False)),
@@ -115,6 +127,7 @@ def hot_paths(tmp: Path) -> dict:
                                                                          t_end=t_end)),
         "theorem_suite_600": _timed(1, lambda k: evolution.theorem_suite(600, k, 1e-6, t_end=0.5)),
         "rk4_order_check": _timed(10, lambda k: evolution.rk4_order_check(worker.ORDER_CONFIG)),
+        "verify_theorem_cli": _timed(1, verify_theorem),
         "theorem_pass": _benchmark_pass("theorem", tmp),
         "theorem_pass_cold": _benchmark_pass("theorem", tmp, cold=True),
     }

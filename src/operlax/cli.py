@@ -185,7 +185,14 @@ def cmd_verify(cfg: RunConfig) -> int:
     overall = all(c.passed for c in checks)
     obj = {"suite": cfg.mode, "seed": int(cfg.seed), "checks": [c.to_dict() for c in checks],
            "overall_pass": overall, "wall_time_seconds": time.monotonic() - started}
-    _write_text(cfg.out, json.dumps(obj, indent=2) + "\n")
+    import orjson  # here, so that importing the CLI and --help do not load it
+    from .evolution import _spelled_as_repr
+
+    floats = [obj["wall_time_seconds"], *(c["max_abs_residual"] for c in obj["checks"])]
+    if all(x is None or _spelled_as_repr(abs(x)) for x in floats):  # json.dumps's bytes, faster
+        _write_text(cfg.out, orjson.dumps(obj, option=orjson.OPT_INDENT_2).decode() + "\n")
+    else:
+        _write_text(cfg.out, json.dumps(obj, indent=2) + "\n")
     return 0 if overall else 1
 
 

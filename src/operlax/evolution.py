@@ -235,26 +235,32 @@ def _rk4_chunks(y0: np.ndarray, tables, n_steps: int, group):
     n_steps.  The steps of a chunk are one product per trial, written in place,
     ys[k, j] = y + y E[j]^T with y the chunk's first state, so a trial's numbers
     do not depend on which trials share its batch; a run of trials with equal group
-    is one matmul call, which numpy makes one GEMV per trial.  Every ys is a view of
-    one buffer, which the next chunk overwrites.  Raises DivergenceError naming the
-    first step with a non-finite value.
+    is one matmul call, which numpy makes one GEMV per trial.  Chunks are joined into
+    blocks of ~8 x CHUNK_STEPS rows x trials (one chunk at 20 trials), and every ys is a
+    block, a view of one buffer that the next block overwrites.  Raises DivergenceError
+    naming the first step with a non-finite value.
     """
     y = np.array(y0, dtype=float)
-    span = min(tables[0].shape[1] // y.shape[1] - 1, n_steps)
-    buf = np.empty((len(y), span + 1, y.shape[1]))
-    flat = buf.reshape(len(y), 1, -1)  # a view: trial k's chunk as one row
+    n = y.shape[1]
+    span = min(tables[0].shape[1] // n - 1, n_steps)
+    block = max(1, 8 * CHUNK_STEPS // (span * len(y))) * span  # steps per block
+    buf = np.empty((len(y), block + 1, n))
+    flat = buf.reshape(len(y), 1, -1)  # a view: trial k's block as one row
     edges = [0, *(np.flatnonzero(np.diff(group)) + 1).tolist(), len(y)]  # runs of one group
-    for first in range(0, n_steps, span):
-        rows = min(span, n_steps - first) + 1  # through the next chunk's first state
-        ys, size = buf[:, :rows], rows * y.shape[1]
-        for lo, hi in zip(edges, edges[1:]):
-            np.matmul(y[lo:hi, None], tables[group[lo]][:, :size], out=flat[lo:hi, :, :size])
-        ys += y[:, None]
+    for first in range(0, n_steps, block):
+        last = min(first + block, n_steps)  # the block's steps end at the next block's first
+        for at in range(0, last - first, span):  # chunk from step first + at, through its last
+            rows = min(span, last - first - at) + 1
+            for lo, hi in zip(edges, edges[1:]):
+                np.matmul(y[lo:hi, None], tables[group[lo]][:, :rows * n],
+                          out=flat[lo:hi, :, at * n:(at + rows) * n])
+            buf[:, at:at + rows] += y[:, None]
+            y = buf[:, at + rows - 1].copy()
+        ys = buf[:, :last - first + 1]
         if not np.isfinite(ys).all():
             step = first + int(np.argmin(np.isfinite(ys).all(axis=(0, 2))))
             raise DivergenceError(f"non-finite state at step {step}")
-        y = ys[:, -1].copy()
-        yield first, ys if first + span >= n_steps else ys[:, :-1]  # the last chunk through n_steps
+        yield first, ys if last >= n_steps else ys[:, :-1]  # the last block through n_steps
 
 
 class _Batch:
@@ -276,16 +282,16 @@ class _Batch:
         self.y0 = np.column_stack((q, p, family))
 
     def records(self, every: int = 1, dims: int = 10):
-        """(t, ys) per chunk of the runs' first dims coordinates stepped by _rk4_chunks,
+        """(t, ys) per block of the runs' first dims coordinates stepped by _rk4_chunks,
         one power table per omega: ys[k, j] is run k's state at time t[j] (t of shape
         (m, 1)), for every every-th step before n_steps, then step n_steps as a block of
-        its own.  ys is a view of a buffer that the next chunk overwrites."""
+        its own.  ys is a view of a buffer that the next block overwrites."""
         tables = [_power_table(x, self.dt, dims) for x in self.omegas.tolist()]
         n, r = self.n_steps, min(every, self.n_steps)  # r past n keeps as n does
         for first, ys in _rk4_chunks(self.y0[:, :dims], tables, n, self.group):
             pick = slice(-first % r, n - first, r)  # sliced, so a view
             yield (first + np.arange(ys.shape[1])[pick])[:, None] * self.dt, ys[:, pick]
-        yield np.array([[n * self.dt]]), ys[:, -1:]  # step n, the last chunk's last row
+        yield np.array([[n * self.dt]]), ys[:, -1:]  # step n, the last block's last row
 
     def analytic_qp(self, t: np.ndarray) -> tuple:
         """Closed-form (q, p) at times t, an array that broadcasts against (trials,)."""
@@ -355,17 +361,19 @@ def evolve(config: IntegratorConfig) -> Trajectory:
     EnergyOverflowError for H past the doubles, ValueError for mu_ana or err past them.
     """
     batch = _config_batch(config)
-    blocks = []
+    blocks, finite = [], True
     for t, ys in batch.records(config.record_every):
         energy, mu_ana, dev, drift = (a[0] for a in batch.compare(t, ys))
         err = reduce(np.maximum, dev.T)  # column by column: dev.max(axis=1) took ~10x longer
         blocks.append(np.column_stack((t, ys[0, :, :2], energy, ys[0, :, 2:], mu_ana, err, drift)))
-    table = np.concatenate(blocks)
-    if not np.isfinite(table).all():  # the steps are finite, so H, mu_ana or err is not
-        if not np.isfinite(table[:, 3]).all():  # 2H a few ulps short of the largest double
-            raise EnergyOverflowError(f"energy of (q, p) = ({config.q0}, {config.p0}) overflows")
+        if not np.isfinite(blocks[-1]).all():  # the steps are finite, so H, mu_ana or err is not
+            if not np.isfinite(energy).all():  # 2H a few ulps short of the largest double
+                raise EnergyOverflowError(
+                    f"energy of (q, p) = ({config.q0}, {config.p0}) overflows")
+            finite = False  # a ValueError, unless a later block's H overflows
+    if not finite:
         raise ValueError("params C1..C8 overflow the family's reference along the run")
-    return Trajectory(table)
+    return Trajectory(np.concatenate(blocks))
 
 
 @_quiet
@@ -451,25 +459,28 @@ CSV_HEADER = (
 )
 
 
+def _spelled_as_repr(size):
+    """Whether orjson spells doubles of magnitude size (a float or an array) as repr does,
+    shortest round-trip digits and all: where size < 1e-9 or 1e-4 <= size < 1e16.  Else it
+    writes 1e16 for 1e+16, 1e-7 for 1e-07, 0.0000123 for 1.23e-05 and null for NaN and +-inf;
+    shortest digits lie on the same side of a power of ten as their double, so size tells."""
+    return (size < 1e-9) | ((1e-4 <= size) & (size < 1e16))
+
+
 def _csv_bytes(table: np.ndarray) -> bytes:
     """The CSV rows of a 2-d table of doubles as ASCII, each ending in a newline.
 
-    orjson writes the same shortest round-trip digits as repr, and spells them as
-    repr does where |x| < 1e-9 or 1e-4 <= |x| < 1e16.  A table holding another
-    value is one orjson call on its list with repr's string in those places, its
-    quotes then dropped; any other is one call on its flat array.  Every ncol-th
-    comma and the closing bracket become newlines.
+    A table holding a value that orjson spells otherwise than repr (_spelled_as_repr)
+    is one orjson call on its list with repr's string in those places, its quotes then
+    dropped; any other is one call on its flat array.  Every ncol-th comma and the
+    closing bracket become newlines.
     """
     import orjson  # only a CSV needs it, so importing operlax does not load it
 
     flat = np.ascontiguousarray(table, dtype=float).reshape(-1)
     if not flat.size:
         return b"\n" * len(table)
-    size = np.abs(flat)
-    # elsewhere orjson writes 1e16 for 1e+16, 1e-7 for 1e-07, 0.0000123 for 1.23e-05
-    # and null for NaN and +-inf; shortest digits lie on the same side of a power of
-    # ten as the double they spell, so |x| alone tells
-    others = np.flatnonzero(~((size < 1e-9) | ((1e-4 <= size) & (size < 1e16))))
+    others = np.flatnonzero(~_spelled_as_repr(np.abs(flat)))
     if others.size:
         values = flat.tolist()
         for k in others.tolist():

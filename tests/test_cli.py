@@ -191,6 +191,64 @@ def test_verify_report_determinism(tmp_path, capsys):
     assert reports[0] == reports[1]
 
 
+def _in_repr_band(x):
+    # where orjson spells a double as json.dumps (repr) does: the report writer's fast path
+    return x is None or abs(x) < 1e-9 or 1e-4 <= abs(x) < 1e16
+
+
+# just inside and just outside each edge of that band
+_BAND_EDGES = [math.nextafter(1e-9, 0.0), 1e-9, 1e-4, math.nextafter(1e-4, 0.0),
+               math.nextafter(1e16, 0.0), 1e16]
+
+
+@pytest.mark.parametrize("seed", [0, 2 ** 64 - 1])
+@pytest.mark.parametrize("residuals, wall", [
+    *(([x], 0.5) for x in _BAND_EDGES),
+    *(([0.25, 3e-17], x) for x in _BAND_EDGES),
+    ([math.nan, 0.0], 0.5),  # a NaN residual is written as null
+    ([-0.0], 0.5),
+    ([2.27e-9, math.inf], 0.5),  # pde-check's residuals lie outside the band
+    ([], 0.5),
+    ([], 1e-5),
+])
+def test_verify_report_is_json_dumps_bytes(residuals, wall, seed, tmp_path, capsys,
+                                           monkeypatch):
+    import orjson
+
+    reports = [operlax.LawReport(f"law-{k}", 3, r, True, k) for k, r in enumerate(residuals)]
+    monkeypatch.setattr(operlax, "operad_law_suite", lambda trials, seed, tol: reports)
+    clock = iter((0.0, wall))
+    monkeypatch.setattr(cli.time, "monotonic", lambda: next(clock))
+    dumps, fast = orjson.dumps, []
+    monkeypatch.setattr(orjson, "dumps", lambda *a, **k: fast.append(1) or dumps(*a, **k))
+    out = tmp_path / "report.json"
+    assert run(["verify", "operad", "--seed", str(seed), "--out", str(out)], capsys)[0] == 0
+    obj = {"suite": "verify-operad", "seed": seed, "checks": [r.to_dict() for r in reports],
+           "overall_pass": True, "wall_time_seconds": wall}
+    assert out.read_text() == json.dumps(obj, indent=2) + "\n"
+    floats = [wall, *(c["max_abs_residual"] for c in obj["checks"])]
+    assert bool(fast) == all(map(_in_repr_band, floats))
+
+
+@pytest.mark.parametrize("seed", [0, 7, 101])
+def test_theorem_report_at_benchmark_size_is_json_dumps_bytes(seed, tmp_path, capsys,
+                                                              monkeypatch):
+    import orjson
+
+    dumps, fast = orjson.dumps, []
+    monkeypatch.setattr(orjson, "dumps", lambda *a, **k: fast.append(1) or dumps(*a, **k))
+    out = tmp_path / "theorem.json"
+    argv = ["verify", "theorem", "--trials", "20", "--dt", "1e-3", "--t-end", "2",
+            "--tol", "1e-6", "--seed", str(seed)]
+    assert run(argv + ["--out", str(out)], capsys)[0] == 0
+    text = out.read_text()
+    assert text == json.dumps(json.loads(text), indent=2) + "\n"
+    # every residual is ~5e-11 or less and the run takes milliseconds: orjson wrote it
+    assert fast == [1]
+    stdout = run(argv, capsys)[1]
+    assert stdout == json.dumps(json.loads(stdout), indent=2) + "\n"
+
+
 def test_config_file_roundtrip(tmp_path):
     path = tmp_path / "run.json"
     path.write_text(json.dumps({

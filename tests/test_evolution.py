@@ -699,6 +699,32 @@ def test_evolve_overflow_errors_name_the_input():
         evolve(IntegratorConfig(1e-3, 1.0, 1.0, 1.0, 1.0, MuParams([1e308] * 8)))
 
 
+@pytest.mark.parametrize("reference, energy, error", [
+    (0, 2, EnergyOverflowError),  # H past the doubles outranks an earlier reference's overflow
+    (None, 0, EnergyOverflowError),
+    (1, None, ValueError),
+])
+def test_evolve_energy_overflow_outranks_the_reference(reference, energy, error, monkeypatch):
+    # evolve checks each block as it builds it; this run's blocks are 2048 and 5 records, then
+    # the last step, and an overflow is put into the reference or the energy of one of them
+    compare, blocks = evolution._Batch.compare, []
+
+    def overflowing(self, t, ys):
+        h, mu_ana, dev, drift = compare(self, t, ys)
+        blocks.append(len(blocks))
+        if blocks[-1] == reference:
+            mu_ana[..., 0] = np.inf
+        if blocks[-1] == energy:
+            h[..., -1] = np.inf
+        return h, mu_ana, dev, drift
+
+    monkeypatch.setattr(evolution._Batch, "compare", overflowing)
+    with pytest.raises(ValueError) as raised:
+        evolve(IntegratorConfig(1e-3, (8 * CHUNK_STEPS + 5) * 1e-3, 1.0, 0.3, -1.2, C5))
+    assert type(raised.value) is error
+    assert blocks == [0, 1, 2][:energy + 1 if error is EnergyOverflowError else 3]
+
+
 def test_evolve_rejects_zero_energy():
     cfg = IntegratorConfig(dt=1e-3, t_end=1.0, omega=1.0, q0=0.0, p0=0.0, params=C5)
     with pytest.raises(DegenerateStateError):
@@ -746,12 +772,13 @@ def test_evolve_rows_do_not_depend_on_record_every():
 
 @pytest.mark.parametrize("record_every", [1, 3])
 def test_evolve_columns_are_the_chunks_states(record_every):
-    # four chunks and then the last step alone, each copied before the next one
-    # overwrites the buffer it views
-    cfg = IntegratorConfig(dt=1e-3, t_end=(3 * CHUNK_STEPS + 5) * 1e-3, omega=2.0, q0=0.5,
+    # two blocks of 8 joined chunks (one trial), a short one and then the last step alone,
+    # each copied before the next one overwrites the buffer it views
+    block = 8 * CHUNK_STEPS
+    cfg = IntegratorConfig(dt=1e-3, t_end=(2 * block + 5) * 1e-3, omega=2.0, q0=0.5,
                            p0=-0.4, params=C5, record_every=record_every)
     chunks = [ys[0].copy() for _, ys in _config_batch(cfg).records()]
-    assert [len(ys) for ys in chunks] == [CHUNK_STEPS] * 3 + [5, 1]
+    assert [len(ys) for ys in chunks] == [block] * 2 + [5, 1]
     ys = np.concatenate(chunks)
     keep = sorted({*range(0, len(ys), record_every), len(ys) - 1})
     traj = evolve(cfg)
